@@ -1,0 +1,372 @@
+//! Golden fixtures for the wire schemas: the exact bytes of every
+//! deterministic `cubesfc-*-v1` document, built in-process from fixed
+//! inputs and compared against `tests/golden/*`.
+//!
+//! Every other "byte-identical" test in the repository compares one run
+//! with another run of the same binary; these compare against bytes
+//! committed to the tree, so an emitter change that moves a comma fails
+//! here even when it moves the comma consistently. Each fixture also
+//! round-trips through its schema's parser where one exists.
+//!
+//! On a mismatch the actual bytes are written under the test binary's
+//! scratch directory (the failure message names the file) so a deliberate
+//! change is reviewed as a diff and copied over the fixture by hand.
+//! `cubesfc-serve-bench-v1` carries wall-clock numbers; its key order is
+//! pinned by `crates/bench/tests/serve_bench_shape.rs`.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use cubesfc::balance::{
+    run_rebalance, ChaosReport, Checkpoint, FaultConfig, FaultSchedule, IncrementalSfc, LoadModel,
+    RebalancePolicy, RecoveryConfig, SimConfig, SimReport, TrajectoryKind,
+};
+use cubesfc::obs::{
+    analyze_doc, json_parse, parse_access, parse_telemetry, AccessRecord, AnalyzeConfig, Bucket,
+    HistogramSnapshot, MockClock, Snapshot, SpanStat, TelemetrySample, Tracer,
+};
+use cubesfc::serve::{error_body, Backend, PartitionRequest, RebalanceStepRequest, SERVE_SCHEMA};
+use cubesfc::{partition_curve, CostModel, EngineBackend, MachineModel, MeshCache};
+
+/// Compare `actual` with the committed fixture `tests/golden/<name>`.
+fn assert_golden(name: &str, actual: &str) {
+    let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    if expected != actual {
+        let dump = format!("{}/{name}", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&dump, actual).unwrap();
+        let at = expected
+            .bytes()
+            .zip(actual.bytes())
+            .position(|(a, b)| a != b)
+            .unwrap_or(expected.len().min(actual.len()));
+        panic!("{name}: bytes differ from {path} at offset {at}; actual written to {dump}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// cubesfc-profile-v1
+// ---------------------------------------------------------------------
+
+fn populated_snapshot() -> Snapshot {
+    let mut snap = Snapshot::default();
+    let stat = |count, total_ns, min_ns, max_ns| SpanStat {
+        count,
+        total_ns,
+        min_ns,
+        max_ns,
+    };
+    snap.timers
+        .insert("partition/coarsen".into(), stat(2, 400, 100, 300));
+    // A span that never closed: the registry's empty-stat sentinel.
+    snap.timers
+        .insert("quo\"ted\\path\n".into(), stat(0, 0, u64::MAX, 0));
+    snap.counters.insert("dss/bytes".into(), 4096);
+    snap.counters.insert("huge".into(), u64::MAX);
+    snap.histograms.insert(
+        "msg_size".into(),
+        HistogramSnapshot {
+            count: 3,
+            sum: 3080,
+            buckets: vec![
+                Bucket {
+                    lo: 8,
+                    hi: 15,
+                    count: 1,
+                },
+                Bucket {
+                    lo: 1024,
+                    hi: 2047,
+                    count: 2,
+                },
+            ],
+        },
+    );
+    snap.histograms
+        .insert("empty".into(), HistogramSnapshot::default());
+    snap
+}
+
+#[test]
+fn profile_v1_bytes_are_pinned() {
+    let snap = populated_snapshot();
+    let json = snap.to_json();
+    assert_golden("profile.json", &json);
+    assert_eq!(
+        Snapshot::from_json(&json_parse(&json).unwrap()).unwrap(),
+        snap
+    );
+    assert_golden("profile_empty.json", &Snapshot::default().to_json());
+}
+
+// ---------------------------------------------------------------------
+// cubesfc-trace-v1 and cubesfc-analysis-v1
+// ---------------------------------------------------------------------
+
+/// Two ranks over two steps on a mock clock, a hostile lane name, and
+/// every event kind (begin/end pairs with args, instants, a dangling
+/// begin).
+fn recorded_trace() -> String {
+    let clock = Arc::new(MockClock::new());
+    let tracer = Tracer::with_clock(clock.clone());
+    let steps = tracer.lane("steps");
+    let r0 = tracer.lane("rank 0");
+    let r1 = tracer.lane("rank 1");
+    let hostile = tracer.lane("we\"ird\\lane\n\u{1}");
+
+    steps.slice_at("step", 0, 4_000, &[("step", 0)]);
+    r0.slice_at("compute", 0, 4_000, &[("elements", 8)]);
+    r1.slice_at("compute", 0, 1_000, &[("elements", 6)]);
+    r1.slice_at("pack", 1_000, 1_250, &[("bytes", 4096), ("messages", 3)]);
+    r1.slice_at("wait", 1_250, 4_000, &[]);
+    steps.slice_at("step", 4_000, 6_001, &[("step", 1)]);
+    r0.slice_at("compute", 4_000, 5_000, &[("elements", 8)]);
+    r0.slice_at("wait", 5_000, 6_001, &[]);
+    r1.slice_at("compute", 4_000, 6_001, &[("elements", 6)]);
+    r1.instant_at("recv", 4_500, &[("bytes", 64)]);
+
+    // Live begin/end through the clock, with and without args.
+    clock.set(7_000);
+    hostile.begin_with("na\"me", &[("k\"ey", u64::MAX)]);
+    clock.advance(1_500);
+    hostile.instant("tick\ttock", &[]);
+    hostile.end();
+    hostile.begin("dangling");
+    tracer.export_chrome()
+}
+
+#[test]
+fn trace_v1_and_analysis_v1_bytes_are_pinned() {
+    let trace = recorded_trace();
+    assert_golden("trace.json", &trace);
+    assert_golden("trace_empty.json", &Tracer::new().export_chrome());
+
+    let doc = json_parse(&trace).unwrap();
+    let analysis = analyze_doc(&doc, &AnalyzeConfig::default()).unwrap();
+    let json = analysis.to_json();
+    assert_golden("analysis.json", &json);
+    // The analysis is its own baseline: the gate reads it back cleanly.
+    let gate = cubesfc::obs::compare_analyses(&json, &json, 25.0).unwrap();
+    assert_eq!(gate.regressions(), 0);
+
+    // No rank lanes at all: the `straggler: null` / empty-map branches.
+    let empty = json_parse(&Tracer::new().export_chrome()).unwrap();
+    let json = analyze_doc(&empty, &AnalyzeConfig::default())
+        .unwrap()
+        .to_json();
+    assert_golden("analysis_empty.json", &json);
+}
+
+// ---------------------------------------------------------------------
+// cubesfc-telemetry-v1 and cubesfc-access-v1
+// ---------------------------------------------------------------------
+
+fn telemetry_samples() -> Vec<TelemetrySample> {
+    let full = TelemetrySample {
+        seq: 0,
+        lane: "rebal\"ance\u{7}\n".into(),
+        step: u64::MAX,
+        gauges: BTreeMap::from([
+            ("lb_measured".into(), 0.25),
+            ("nan".into(), f64::NAN),
+            ("neg_inf".into(), f64::NEG_INFINITY),
+            ("tiny".into(), 1.0e-7),
+            ("whole".into(), 3.0),
+            ("ta\tb".into(), -0.0),
+        ]),
+        counters: BTreeMap::from([("max".into(), u64::MAX), ("ops/\\n".into(), 7)]),
+        quantiles: BTreeMap::from([
+            ("lat".into(), [8.0, 1.5e9, f64::INFINITY]),
+            ("q\"x".into(), [0.1, 0.2, 0.30000000000000004]),
+        ]),
+        ranks: vec![1.0, f64::NAN, 2.5, 1e21],
+        alerts: vec!["straggler".into(), "a\"b".into()],
+    };
+    let bare = TelemetrySample {
+        seq: 1,
+        lane: String::new(),
+        step: 0,
+        gauges: BTreeMap::new(),
+        counters: BTreeMap::new(),
+        quantiles: BTreeMap::new(),
+        ranks: Vec::new(),
+        alerts: Vec::new(),
+    };
+    vec![full, bare]
+}
+
+#[test]
+fn telemetry_v1_bytes_are_pinned() {
+    let samples = telemetry_samples();
+    let mut text = String::new();
+    for s in &samples {
+        text.push_str(&s.to_json_line());
+        text.push('\n');
+    }
+    assert_golden("telemetry.ndjson", &text);
+    // NaN != NaN, so the round trip is checked on the canonical bytes
+    // (non-finite values travel as `null` and come back as NaN).
+    let back = parse_telemetry(&text).unwrap();
+    assert_eq!(back.len(), samples.len());
+    assert_eq!(back[1], samples[1]);
+    assert_eq!(back[0].counters, samples[0].counters);
+    assert_eq!(back[0].lane, samples[0].lane);
+    assert!(back[0].gauges["neg_inf"].is_nan());
+    let again = back[1].to_json_line();
+    assert_eq!(again, text.lines().nth(1).unwrap());
+}
+
+#[test]
+fn access_v1_bytes_are_pinned() {
+    let records = vec![
+        AccessRecord {
+            seq: 0,
+            id: "r000000".into(),
+            endpoint: "partition".into(),
+            status: 200,
+            cache: "hit".into(),
+            queue_us: 12,
+            service_us: 340,
+            bytes_in: 48,
+            bytes_out: 96,
+            outcome: "ok".into(),
+        },
+        AccessRecord {
+            seq: u64::MAX,
+            id: "weird \"id\"\nwith\\stuff\u{1f}".into(),
+            endpoint: "-".into(),
+            status: 429,
+            cache: "-".into(),
+            queue_us: 0,
+            service_us: u64::MAX,
+            bytes_in: 0,
+            bytes_out: 81,
+            outcome: "rejected".into(),
+        },
+    ];
+    let mut text = String::new();
+    for r in &records {
+        text.push_str(&r.to_json_line());
+        text.push('\n');
+    }
+    assert_golden("access.ndjson", &text);
+    assert_eq!(parse_access(&text).unwrap(), records);
+}
+
+// ---------------------------------------------------------------------
+// cubesfc-rebalance-v1, cubesfc-chaos-v1, cubesfc-checkpoint-v1
+// ---------------------------------------------------------------------
+
+/// The Ne=8 / 12-rank / 40-step run of `tests/faults.rs`, checkpointing
+/// at every trigger.
+fn rebalance_run(schedule: FaultSchedule) -> SimReport {
+    const NE: usize = 8;
+    const NPROC: usize = 12;
+    const STEPS: usize = 40;
+    let cache = MeshCache::new();
+    let bundle = cache.bundle(NE);
+    let curve = bundle.mesh.curve_required().unwrap().clone();
+    let model = LoadModel::from_mesh(&bundle.mesh, TrajectoryKind::named("amr", STEPS).unwrap());
+    let config = SimConfig {
+        steps: STEPS,
+        nproc: NPROC,
+        machine: MachineModel::ncar_p690(),
+        cost: CostModel::seam_climate(),
+        faults: Some(FaultConfig {
+            schedule,
+            recovery: RecoveryConfig {
+                checkpoint_every: 1,
+                ..RecoveryConfig::default()
+            },
+        }),
+        resume: None,
+    };
+    let initial = partition_curve(&curve, NPROC).unwrap();
+    let mut backend = IncrementalSfc::new(curve);
+    run_rebalance(
+        &bundle.graph,
+        &model,
+        &mut backend,
+        RebalancePolicy::Periodic { every: 2 },
+        initial,
+        &config,
+    )
+    .unwrap()
+}
+
+fn assert_rebalance_goldens(tag: &str, report: &SimReport) {
+    let rebalance = report.to_json();
+    assert_golden(&format!("rebalance_{tag}.json"), &rebalance);
+    let doc = json_parse(&rebalance).unwrap();
+    assert_eq!(
+        doc.get("records").unwrap().as_arr().unwrap().len(),
+        report.records.len()
+    );
+
+    let chaos = report.chaos.as_ref().expect("fault config is set");
+    let text = chaos.to_json();
+    assert_golden(&format!("chaos_{tag}.json"), &text);
+    assert_eq!(&ChaosReport::from_json(&text).unwrap(), chaos);
+
+    let ck = report.checkpoints.last().expect("cadence captured one");
+    let text = ck.to_json();
+    assert_golden(&format!("checkpoint_{tag}.json"), &text);
+    assert_eq!(&Checkpoint::from_json(&text).unwrap(), ck);
+}
+
+#[test]
+fn rebalance_chaos_checkpoint_bytes_are_pinned_under_faults() {
+    let spec = "death:5@17; stall:2@9x0.1; slow:1@3..8x2.5; loss:7@30; stall:0@33x10";
+    let report = rebalance_run(FaultSchedule::parse(spec, 12, 40).unwrap());
+    let chaos = report.chaos.as_ref().unwrap();
+    assert_eq!(chaos.degraded_ranks, vec![5]);
+    assert_eq!(chaos.unrecovered(), 1, "the 10 s stall outlasts the budget");
+    assert_rebalance_goldens("faults", &report);
+}
+
+#[test]
+fn rebalance_chaos_checkpoint_bytes_are_pinned_without_faults() {
+    // `rebalance --checkpoint --chaos-json` with no `--faults`: an
+    // empty schedule, so the chaos document has no faults and no actions.
+    let report = rebalance_run(FaultSchedule::default());
+    assert!(report.chaos.as_ref().unwrap().faults.is_empty());
+    assert_rebalance_goldens("nofaults", &report);
+}
+
+// ---------------------------------------------------------------------
+// cubesfc-serve-v1
+// ---------------------------------------------------------------------
+
+#[test]
+fn serve_v1_bodies_are_pinned() {
+    let backend = EngineBackend::new();
+    let mut req = PartitionRequest {
+        ne: 2,
+        nproc: 5,
+        method: "kway".to_string(),
+        seed: 42,
+        include_assignment: false,
+    };
+    let plain = backend.partition(&req).unwrap();
+    req.include_assignment = true;
+    let with_assignment = backend.partition(&req).unwrap();
+    let mut weights = vec![1.0; 24];
+    weights[3] = 4.5;
+    weights[20] = 0.125;
+    let step = backend
+        .rebalance_step(&RebalanceStepRequest {
+            ne: 2,
+            nproc: 5,
+            seed: 3,
+            weights,
+        })
+        .unwrap();
+    let error = error_body(400, "bad \"field\"\n\\ \u{2} é");
+
+    let bodies = [plain, with_assignment, step, error];
+    for body in &bodies {
+        let doc = json_parse(body).unwrap();
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some(SERVE_SCHEMA));
+    }
+    assert_golden("serve_bodies.ndjson", &(bodies.join("\n") + "\n"));
+}

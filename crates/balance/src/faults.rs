@@ -24,9 +24,8 @@
 //! across repeats — the property the `cubesfc chaos` replay command and
 //! the CI chaos gate check.
 
-use crate::sim::json_f64;
 use cubesfc_graph::SplitMix64;
-use cubesfc_obs::{json_escape, json_parse, JsonValue};
+use cubesfc_obs::{load_doc, JsonValue, JsonWriter, Layout};
 use cubesfc_seam::{MachineModel, SolverFaults, SolverSlowdown};
 use std::fmt::Write as _;
 
@@ -113,42 +112,24 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"kind\": \"{}\", \"rank\": {}, \"start\": {}, \"end\": {}, \"param\": {}}}",
-            self.kind.label(),
-            self.rank,
-            self.start,
-            self.end,
-            json_f64(self.kind.param())
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().field("kind", self.kind.label());
+        w.field("rank", self.rank).field("start", self.start);
+        w.field("end", self.end).field("param", self.kind.param());
+        w.end_object();
     }
 
     fn from_json(v: &JsonValue) -> Result<FaultEvent, String> {
-        let label = v
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .ok_or("fault missing \"kind\"")?;
-        let param = v.get("param").and_then(|p| p.as_f64()).unwrap_or(0.0);
+        let label = v.req_str("kind", "fault")?;
+        let param = v.opt_f64("param").unwrap_or(0.0);
         let kind = FaultKind::from_parts(label, param)
             .ok_or_else(|| format!("unknown fault kind {label:?}"))?;
-        let rank = v
-            .get("rank")
-            .and_then(|r| r.as_u64())
-            .ok_or("fault missing \"rank\"")? as usize;
-        let start = v
-            .get("start")
-            .and_then(|s| s.as_u64())
-            .ok_or("fault missing \"start\"")? as usize;
-        let end = v
-            .get("end")
-            .and_then(|e| e.as_u64())
-            .unwrap_or(start as u64 + 1) as usize;
+        let start = v.req_u64("start", "fault")? as usize;
         Ok(FaultEvent {
-            rank,
+            rank: v.req_u64("rank", "fault")? as usize,
             kind,
             start,
-            end,
+            end: v.opt_u64("end").map_or(start + 1, |e| e as usize),
         })
     }
 }
@@ -489,51 +470,29 @@ pub struct RecoveryAction {
 }
 
 impl RecoveryAction {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"step\": {}, \"rank\": {}, \"fault\": \"{}\", \"strategy\": \"{}\", \
-             \"attempts\": {}, \"recovered\": {}, \"modelled_seconds\": {}}}",
-            self.step,
-            self.rank,
-            json_escape(&self.fault),
-            self.strategy.label(),
-            self.attempts,
-            self.recovered,
-            json_f64(self.modelled_seconds)
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().field("step", self.step);
+        w.field("rank", self.rank).field("fault", &self.fault);
+        w.field("strategy", self.strategy.label());
+        w.field("attempts", self.attempts);
+        w.field("recovered", self.recovered);
+        w.field("modelled_seconds", self.modelled_seconds);
+        w.end_object();
     }
 
     fn from_json(v: &JsonValue) -> Result<RecoveryAction, String> {
         let strategy = v
-            .get("strategy")
-            .and_then(|s| s.as_str())
+            .opt_str("strategy")
             .and_then(RecoveryStrategy::from_label)
             .ok_or("action missing or unknown \"strategy\"")?;
-        let recovered = match v.get("recovered") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err("action missing \"recovered\"".to_string()),
-        };
         Ok(RecoveryAction {
-            step: v
-                .get("step")
-                .and_then(|x| x.as_u64())
-                .ok_or("action missing \"step\"")? as usize,
-            rank: v
-                .get("rank")
-                .and_then(|x| x.as_u64())
-                .ok_or("action missing \"rank\"")? as usize,
-            fault: v
-                .get("fault")
-                .and_then(|s| s.as_str())
-                .ok_or("action missing \"fault\"")?
-                .to_string(),
+            step: v.req_u64("step", "action")? as usize,
+            rank: v.req_u64("rank", "action")? as usize,
+            fault: v.req_str("fault", "action")?.to_string(),
             strategy,
-            attempts: v.get("attempts").and_then(|x| x.as_u64()).unwrap_or(0) as u32,
-            recovered,
-            modelled_seconds: v
-                .get("modelled_seconds")
-                .and_then(|x| x.as_f64())
-                .unwrap_or(0.0),
+            attempts: v.opt_u64("attempts").unwrap_or(0) as u32,
+            recovered: v.req_bool("recovered", "action")?,
+            modelled_seconds: v.opt_f64("modelled_seconds").unwrap_or(0.0),
         })
     }
 }
@@ -739,71 +698,48 @@ pub struct Checkpoint {
     pub dead: Vec<usize>,
 }
 
+/// `u64` labels from the wire, as indices.
+fn indices(labels: Vec<u64>) -> Vec<usize> {
+    labels.into_iter().map(|v| v as usize).collect()
+}
+
 impl Checkpoint {
     /// Serialize as a `cubesfc-checkpoint-v1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"{CHECKPOINT_SCHEMA}\",");
-        let _ = writeln!(s, "  \"step\": {},", self.step);
-        let _ = writeln!(s, "  \"nproc\": {},", self.nproc);
-        let _ = writeln!(s, "  \"armed\": {},", self.armed);
-        let dead: Vec<String> = self.dead.iter().map(|r| r.to_string()).collect();
-        let _ = writeln!(s, "  \"dead\": [{}],", dead.join(", "));
-        let assign: Vec<String> = self.assignment.iter().map(|a| a.to_string()).collect();
-        let _ = writeln!(s, "  \"assignment\": [{}]", assign.join(", "));
-        let _ = writeln!(s, "}}");
-        s
+        let mut w = JsonWriter::with_capacity(Layout::Document, 128 + 4 * self.assignment.len());
+        w.begin_object().field("schema", CHECKPOINT_SCHEMA);
+        w.field("step", self.step).field("nproc", self.nproc);
+        w.field("armed", self.armed).array("dead", &self.dead);
+        w.array("assignment", &self.assignment).end_object();
+        w.finish()
     }
 
     /// Parse a `cubesfc-checkpoint-v1` document.
     pub fn from_json(text: &str) -> Result<Checkpoint, String> {
-        let doc = json_parse(text).map_err(|e| format!("bad checkpoint JSON: {e}"))?;
-        let schema = doc.get("schema").and_then(|s| s.as_str()).unwrap_or("");
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(format!(
-                "expected schema {CHECKPOINT_SCHEMA:?}, found {schema:?}"
-            ));
-        }
-        let step = doc
-            .get("step")
-            .and_then(|v| v.as_u64())
-            .ok_or("checkpoint missing \"step\"")? as usize;
-        let nproc = doc
-            .get("nproc")
-            .and_then(|v| v.as_u64())
-            .ok_or("checkpoint missing \"nproc\"")? as usize;
-        let armed = match doc.get("armed") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err("checkpoint missing \"armed\"".to_string()),
+        load_doc(text, Checkpoint::from_doc).map_err(|e| e.to_string())
+    }
+
+    /// [`Checkpoint::from_json`] on an already parsed document.
+    pub fn from_doc(doc: &JsonValue) -> Result<Checkpoint, String> {
+        doc.expect_schema(CHECKPOINT_SCHEMA)?;
+        let ck = Checkpoint {
+            step: doc.req_u64("step", "checkpoint")? as usize,
+            nproc: doc.req_u64("nproc", "checkpoint")? as usize,
+            assignment: doc
+                .req_u64s("assignment", "checkpoint")?
+                .into_iter()
+                .map(|a| a as u32)
+                .collect(),
+            armed: doc.req_bool("armed", "checkpoint")?,
+            dead: indices(doc.req_u64s("dead", "checkpoint")?),
         };
-        let dead = doc
-            .get("dead")
-            .and_then(|v| v.as_arr())
-            .ok_or("checkpoint missing \"dead\"")?
-            .iter()
-            .map(|v| v.as_u64().map(|u| u as usize).ok_or("bad dead rank"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let assignment = doc
-            .get("assignment")
-            .and_then(|v| v.as_arr())
-            .ok_or("checkpoint missing \"assignment\"")?
-            .iter()
-            .map(|v| v.as_u64().map(|u| u as u32).ok_or("bad assignment entry"))
-            .collect::<Result<Vec<_>, _>>()?;
-        if dead.iter().any(|&r| r >= nproc) {
+        if ck.dead.iter().any(|&r| r >= ck.nproc) {
             return Err("dead rank out of range".to_string());
         }
-        if assignment.iter().any(|&a| a as usize >= nproc) {
+        if ck.assignment.iter().any(|&a| a as usize >= ck.nproc) {
             return Err("assignment label out of range".to_string());
         }
-        Ok(Checkpoint {
-            step,
-            nproc,
-            assignment,
-            armed,
-            dead,
-        })
+        Ok(ck)
     }
 }
 
@@ -888,105 +824,56 @@ impl ChaosReport {
 
     /// Serialize as a `cubesfc-chaos-v1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"{CHAOS_SCHEMA}\",");
-        let _ = writeln!(s, "  \"nelems\": {},", self.nelems);
-        let _ = writeln!(s, "  \"nproc\": {},", self.nproc);
-        let _ = writeln!(s, "  \"steps\": {},", self.steps);
-        let _ = writeln!(s, "  \"completed_steps\": {},", self.completed_steps);
-        let _ = writeln!(s, "  \"spec\": \"{}\",", json_escape(&self.spec));
-        let faults: Vec<String> = self
-            .faults
-            .iter()
-            .map(|f| format!("    {}", f.to_json()))
-            .collect();
-        let _ = writeln!(s, "  \"faults\": [\n{}\n  ],", faults.join(",\n"));
-        let actions: Vec<String> = self
-            .actions
-            .iter()
-            .map(|a| format!("    {}", a.to_json()))
-            .collect();
-        if actions.is_empty() {
-            let _ = writeln!(s, "  \"actions\": [],");
-        } else {
-            let _ = writeln!(s, "  \"actions\": [\n{}\n  ],", actions.join(",\n"));
+        let mut w = JsonWriter::with_capacity(Layout::Document, 1024);
+        w.begin_object().field("schema", CHAOS_SCHEMA);
+        w.field("nelems", self.nelems).field("nproc", self.nproc);
+        w.field("steps", self.steps);
+        w.field("completed_steps", self.completed_steps);
+        w.field("spec", &self.spec);
+        w.key("faults").begin_array();
+        for f in &self.faults {
+            f.write_json(&mut w);
         }
-        let dead: Vec<String> = self.degraded_ranks.iter().map(|r| r.to_string()).collect();
-        let _ = writeln!(s, "  \"degraded_ranks\": [{}],", dead.join(", "));
-        let counts: Vec<String> = self.final_counts.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(s, "  \"final_counts\": [{}],", counts.join(", "));
-        let _ = writeln!(s, "  \"survivor_elems\": {},", self.survivor_elems);
-        let _ = writeln!(s, "  \"conserved\": {},", self.conserved);
-        let _ = writeln!(s, "  \"recovered\": {},", self.recovered());
-        let _ = writeln!(s, "  \"unrecovered\": {}", self.unrecovered());
-        let _ = writeln!(s, "}}");
-        s
+        w.end_array().key("actions").begin_array();
+        for a in &self.actions {
+            a.write_json(&mut w);
+        }
+        w.end_array().array("degraded_ranks", &self.degraded_ranks);
+        w.array("final_counts", &self.final_counts);
+        w.field("survivor_elems", self.survivor_elems);
+        w.field("conserved", self.conserved);
+        w.field("recovered", self.recovered());
+        w.field("unrecovered", self.unrecovered()).end_object();
+        w.finish()
     }
 
     /// Parse a `cubesfc-chaos-v1` document.
     pub fn from_json(text: &str) -> Result<ChaosReport, String> {
-        let doc = json_parse(text).map_err(|e| format!("bad chaos JSON: {e}"))?;
-        let schema = doc.get("schema").and_then(|s| s.as_str()).unwrap_or("");
-        if schema != CHAOS_SCHEMA {
-            return Err(format!(
-                "expected schema {CHAOS_SCHEMA:?}, found {schema:?}"
-            ));
-        }
-        let get_usize = |key: &str| -> Result<usize, String> {
-            doc.get(key)
-                .and_then(|v| v.as_u64())
-                .map(|u| u as usize)
-                .ok_or_else(|| format!("chaos report missing {key:?}"))
-        };
-        let faults = doc
-            .get("faults")
-            .and_then(|v| v.as_arr())
-            .ok_or("chaos report missing \"faults\"")?
-            .iter()
-            .map(FaultEvent::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let actions = doc
-            .get("actions")
-            .and_then(|v| v.as_arr())
-            .ok_or("chaos report missing \"actions\"")?
-            .iter()
-            .map(RecoveryAction::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let degraded_ranks = doc
-            .get("degraded_ranks")
-            .and_then(|v| v.as_arr())
-            .ok_or("chaos report missing \"degraded_ranks\"")?
-            .iter()
-            .map(|v| v.as_u64().map(|u| u as usize).ok_or("bad degraded rank"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let final_counts = doc
-            .get("final_counts")
-            .and_then(|v| v.as_arr())
-            .ok_or("chaos report missing \"final_counts\"")?
-            .iter()
-            .map(|v| v.as_u64().map(|u| u as usize).ok_or("bad final count"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let conserved = match doc.get("conserved") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err("chaos report missing \"conserved\"".to_string()),
-        };
+        load_doc(text, ChaosReport::from_doc).map_err(|e| e.to_string())
+    }
+
+    /// [`ChaosReport::from_json`] on an already parsed document.
+    pub fn from_doc(doc: &JsonValue) -> Result<ChaosReport, String> {
+        doc.expect_schema(CHAOS_SCHEMA)?;
+        let what = "chaos report";
+        let count = |key| doc.req_u64(key, what).map(|v| v as usize);
+        let rows = |key| doc.req_arr(key, what).map(|rows| rows.iter());
         Ok(ChaosReport {
-            nelems: get_usize("nelems")?,
-            nproc: get_usize("nproc")?,
-            steps: get_usize("steps")?,
-            completed_steps: get_usize("completed_steps")?,
-            spec: doc
-                .get("spec")
-                .and_then(|s| s.as_str())
-                .unwrap_or("")
-                .to_string(),
-            faults,
-            actions,
-            degraded_ranks,
-            final_counts,
-            survivor_elems: get_usize("survivor_elems")?,
-            conserved,
+            nelems: count("nelems")?,
+            nproc: count("nproc")?,
+            steps: count("steps")?,
+            completed_steps: count("completed_steps")?,
+            spec: doc.opt_str("spec").unwrap_or("").to_string(),
+            faults: rows("faults")?
+                .map(FaultEvent::from_json)
+                .collect::<Result<_, _>>()?,
+            actions: rows("actions")?
+                .map(RecoveryAction::from_json)
+                .collect::<Result<_, _>>()?,
+            degraded_ranks: indices(doc.req_u64s("degraded_ranks", what)?),
+            final_counts: indices(doc.req_u64s("final_counts", what)?),
+            survivor_elems: count("survivor_elems")?,
+            conserved: doc.req_bool("conserved", what)?,
         })
     }
 

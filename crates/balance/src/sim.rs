@@ -14,6 +14,7 @@ use crate::rebalance::Repartitioner;
 use crate::trajectory::{begin_phase, LoadModel};
 use cubesfc_graph::metrics::part_exchange_points;
 use cubesfc_graph::{load_balance_f64, part_loads, CsrGraph, Partition};
+use cubesfc_obs::{JsonWriter, Layout};
 use cubesfc_seam::{evaluate_weighted, CostModel, MachineModel, PerfReport};
 use std::fmt::Write as _;
 
@@ -66,32 +67,31 @@ pub struct StepRecord {
 }
 
 impl StepRecord {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().field("step", self.step);
+        w.field("lb_before", self.lb_before);
+        w.field("lb_after", self.lb_after);
+        // The telemetry stream's `lb_measured` gauge is the post-action
+        // Eq. (1) LB; exported under both names so rebalance-v1 and
+        // telemetry-v1 agree field-for-field.
+        w.field("lb_measured", self.lb_after);
+        w.field("triggered", self.triggered);
+        w.field("moved_elems", self.moved_elems);
+        w.field("migration_fraction", self.migration_fraction);
+        w.field("moved_bytes", self.moved_bytes);
+        w.field("step_time", self.step_time);
+        w.field("migration_time", self.migration_time);
+        w.field("faults_active", self.faults_active);
+        w.field("fault_time", self.fault_time).end_object();
+    }
+
     /// The record's JSON object, exactly as it appears in
     /// [`SimReport::to_json`]. Resume tests compare these fragments
     /// step-for-step to prove checkpoint restore is byte-identical.
     pub fn to_json_fragment(&self) -> String {
-        format!(
-            "{{\"step\": {}, \"lb_before\": {}, \"lb_after\": {}, \
-             \"lb_measured\": {}, \"triggered\": {}, \"moved_elems\": {}, \
-             \"migration_fraction\": {}, \"moved_bytes\": {}, \
-             \"step_time\": {}, \"migration_time\": {}, \
-             \"faults_active\": {}, \"fault_time\": {}}}",
-            self.step,
-            json_f64(self.lb_before),
-            json_f64(self.lb_after),
-            // The telemetry stream's `lb_measured` gauge is the
-            // post-action Eq. (1) LB; exported under both names so
-            // rebalance-v1 and telemetry-v1 agree field-for-field.
-            json_f64(self.lb_after),
-            self.triggered,
-            self.moved_elems,
-            json_f64(self.migration_fraction),
-            json_f64(self.moved_bytes),
-            json_f64(self.step_time),
-            json_f64(self.migration_time),
-            self.faults_active,
-            json_f64(self.fault_time),
-        )
+        let mut w = JsonWriter::fragment(Layout::Document);
+        self.write_json(&mut w);
+        w.finish()
     }
 }
 
@@ -159,52 +159,25 @@ impl SimReport {
     /// Serialize as a `cubesfc-rebalance-v1` JSON document (parseable
     /// by `cubesfc_obs::json_parse`).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.records.len() * 160);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{REBALANCE_SCHEMA}\",");
-        let _ = writeln!(
-            s,
-            "  \"backend\": \"{}\",",
-            cubesfc_obs::json_escape(&self.backend)
-        );
-        let _ = writeln!(
-            s,
-            "  \"policy\": \"{}\",",
-            cubesfc_obs::json_escape(&self.policy)
-        );
-        let _ = writeln!(
-            s,
-            "  \"trajectory\": \"{}\",",
-            cubesfc_obs::json_escape(&self.trajectory)
-        );
-        let _ = writeln!(s, "  \"nelems\": {},", self.nelems);
-        let _ = writeln!(s, "  \"nproc\": {},", self.nproc);
-        let _ = writeln!(s, "  \"steps\": {},", self.records.len());
-        let _ = writeln!(s, "  \"trigger_count\": {},", self.trigger_count());
-        let _ = writeln!(s, "  \"moved_elems\": {},", self.total_moved_elems());
-        let _ = writeln!(
-            s,
-            "  \"moved_bytes\": {},",
-            json_f64(self.total_moved_bytes())
-        );
-        let _ = writeln!(s, "  \"mean_lb\": {},", json_f64(self.mean_lb()));
-        let _ = writeln!(s, "  \"max_lb\": {},", json_f64(self.max_lb()));
-        let _ = writeln!(
-            s,
-            "  \"modelled_total_seconds\": {},",
-            json_f64(self.modelled_total_seconds())
-        );
-        s.push_str("  \"records\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let _ = write!(s, "    {}", r.to_json_fragment());
-            s.push_str(if i + 1 < self.records.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        let mut w = JsonWriter::with_capacity(Layout::Document, 512 + self.records.len() * 320);
+        w.begin_object().field("schema", REBALANCE_SCHEMA);
+        w.field("backend", &self.backend)
+            .field("policy", &self.policy);
+        w.field("trajectory", &self.trajectory);
+        w.field("nelems", self.nelems).field("nproc", self.nproc);
+        w.field("steps", self.records.len());
+        w.field("trigger_count", self.trigger_count());
+        w.field("moved_elems", self.total_moved_elems());
+        w.field("moved_bytes", self.total_moved_bytes());
+        w.field("mean_lb", self.mean_lb())
+            .field("max_lb", self.max_lb());
+        w.field("modelled_total_seconds", self.modelled_total_seconds());
+        w.key("records").begin_array();
+        for r in &self.records {
+            r.write_json(&mut w);
         }
-        s.push_str("  ]\n}\n");
-        s
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Render a fixed-width summary table of the run.
@@ -244,17 +217,6 @@ impl SimReport {
             self.modelled_total_seconds(),
         );
         s
-    }
-}
-
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // json_parse has no infinity/NaN; `{x}` never emits them here,
-        // but integers print without a dot, which is still valid JSON.
-        s
-    } else {
-        "null".to_string()
     }
 }
 

@@ -8,16 +8,15 @@
 //! and telemetry buffers honor), so a busy server sheds old lines
 //! instead of growing without bound.
 //!
-//! Serialization is hand-rolled with a fixed field order, so identical
+//! Serialization writes a fixed field order, so identical
 //! records produce identical bytes: the stream is diffable modulo the
 //! timing fields. The global log behind [`crate::access_record`] is
 //! gated by a flag bit and costs one relaxed atomic load (and
 //! allocates nothing) when off.
 
-use crate::json::escape;
+use crate::json::{JsonWriter, Layout};
 use crate::series::Ring;
-use crate::value::JsonValue;
-use std::fmt::Write as _;
+use crate::value::{read_ndjson, JsonValue};
 use std::sync::Mutex;
 
 /// Schema tag carried by every access-log NDJSON line.
@@ -60,59 +59,38 @@ impl AccessRecord {
     /// newline). Field order is fixed, so identical records produce
     /// identical bytes.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(160);
-        let _ = write!(
-            s,
-            "{{\"schema\":\"{ACCESS_SCHEMA}\",\"seq\":{},\"id\":\"{}\",\"endpoint\":\"{}\",\
-             \"status\":{},\"cache\":\"{}\",\"queue_us\":{},\"service_us\":{},\
-             \"bytes_in\":{},\"bytes_out\":{},\"outcome\":\"{}\"}}",
-            self.seq,
-            escape(&self.id),
-            escape(&self.endpoint),
-            self.status,
-            escape(&self.cache),
-            self.queue_us,
-            self.service_us,
-            self.bytes_in,
-            self.bytes_out,
-            escape(&self.outcome)
-        );
-        s
+        let mut w = JsonWriter::with_capacity(Layout::Compact, 160);
+        w.begin_object().field("schema", ACCESS_SCHEMA);
+        w.field("seq", self.seq).field("id", &self.id);
+        w.field("endpoint", &self.endpoint)
+            .field("status", self.status);
+        w.field("cache", &self.cache)
+            .field("queue_us", self.queue_us);
+        w.field("service_us", self.service_us);
+        w.field("bytes_in", self.bytes_in)
+            .field("bytes_out", self.bytes_out);
+        w.field("outcome", &self.outcome).end_object();
+        w.finish()
     }
 
     /// Rebuild a record from a parsed NDJSON line.
     pub fn from_json(doc: &JsonValue) -> Result<AccessRecord, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(|v| v.as_str())
-            .ok_or("missing schema tag")?;
-        if schema != ACCESS_SCHEMA {
-            return Err(format!("schema {schema:?} is not {ACCESS_SCHEMA:?}"));
-        }
-        let str_field = |k: &str| {
-            doc.get(k)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing {k}"))
-        };
-        let u64_field = |k: &str| {
-            doc.get(k)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("missing {k}"))
-        };
+        doc.expect_schema(ACCESS_SCHEMA)?;
+        let text = |key| doc.req_str(key, "record").map(str::to_string);
+        let uint = |key| doc.req_u64(key, "record");
         Ok(AccessRecord {
-            seq: u64_field("seq")?,
-            id: str_field("id")?,
-            endpoint: str_field("endpoint")?,
-            status: u64_field("status")?
+            seq: uint("seq")?,
+            id: text("id")?,
+            endpoint: text("endpoint")?,
+            status: uint("status")?
                 .try_into()
                 .map_err(|_| "status out of range".to_string())?,
-            cache: str_field("cache")?,
-            queue_us: u64_field("queue_us")?,
-            service_us: u64_field("service_us")?,
-            bytes_in: u64_field("bytes_in")?,
-            bytes_out: u64_field("bytes_out")?,
-            outcome: str_field("outcome")?,
+            cache: text("cache")?,
+            queue_us: uint("queue_us")?,
+            service_us: uint("service_us")?,
+            bytes_in: uint("bytes_in")?,
+            bytes_out: uint("bytes_out")?,
+            outcome: text("outcome")?,
         })
     }
 }
@@ -120,15 +98,7 @@ impl AccessRecord {
 /// Parse a whole `cubesfc-access-v1` NDJSON stream (blank lines
 /// ignored). Errors carry the 1-based line number.
 pub fn parse_access(text: &str) -> Result<Vec<AccessRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = crate::value::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(AccessRecord::from_json(&doc).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
+    read_ndjson(text, AccessRecord::from_json).map_err(|e| e.to_string())
 }
 
 struct AccessState {

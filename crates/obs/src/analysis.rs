@@ -36,9 +36,9 @@
 //! wait-fraction regressions, mirroring `compare_profiles`.
 
 use crate::chrome::TRACE_SCHEMA;
-use crate::json::escape;
+use crate::json::{JsonWriter, Layout};
 use crate::telemetry::{SeriesBank, TelemetrySample};
-use crate::value::{parse, JsonValue};
+use crate::value::{load_doc, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -308,16 +308,7 @@ fn ts_to_ns(v: &JsonValue) -> Option<u64> {
 }
 
 fn arg_u64(ev: &JsonValue, key: &str) -> Option<u64> {
-    ev.get("args")?.get(key)?.as_u64()
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        // json has no NaN/inf; readers map null back to NaN.
-        "null".to_string()
-    }
+    ev.get("args")?.opt_u64(key)
 }
 
 /// Eq. (1): `(max - avg) / max` over finite loads (0 when empty or
@@ -339,33 +330,20 @@ fn load_balance(loads: &[f64]) -> f64 {
 ///
 /// JSON syntax errors come back verbatim from [`crate::json_parse`]
 /// (with line/column positions); callers that need to distinguish
-/// malformed input (exit 2) from schema violations (exit 1) parse first
-/// and call [`analyze_doc`] themselves.
+/// malformed input (exit 2) from schema violations (exit 1) pass
+/// [`analyze_doc`] to [`crate::load_doc`] themselves.
 pub fn analyze_trace(text: &str, cfg: &AnalyzeConfig) -> Result<TraceAnalysis, String> {
-    analyze_doc(&parse(text)?, cfg)
+    load_doc(text, |doc| analyze_doc(doc, cfg)).map_err(|e| e.to_string())
 }
 
 /// Analyze a parsed `cubesfc-trace-v1` document.
 pub fn analyze_doc(doc: &JsonValue, cfg: &AnalyzeConfig) -> Result<TraceAnalysis, String> {
-    let schema = doc
-        .get("otherData")
-        .and_then(|o| o.get("schema"))
-        .and_then(|s| s.as_str())
-        .unwrap_or("<missing>");
-    if schema != TRACE_SCHEMA {
-        return Err(format!(
-            "not a {TRACE_SCHEMA} document (schema: {schema:?})"
-        ));
-    }
-    let dropped_events = doc
-        .get("otherData")
-        .and_then(|o| o.get("droppedEvents"))
-        .and_then(|d| d.as_u64())
-        .unwrap_or(0);
-    let events = doc
-        .get("traceEvents")
-        .and_then(|e| e.as_arr())
-        .ok_or("traceEvents array missing")?;
+    // The trace's version tag lives under `otherData` (the Trace Event
+    // Format reserves the top level).
+    let other = doc.get("otherData").unwrap_or(&JsonValue::Null);
+    other.expect_schema(TRACE_SCHEMA)?;
+    let dropped_events = other.opt_u64("droppedEvents").unwrap_or(0);
+    let events = doc.req_arr("traceEvents", "trace")?;
 
     // Pass 1: tid → lane name from the thread_name metadata the
     // exporter guarantees (chrome.rs), timeline events bucketed per tid
@@ -374,16 +352,12 @@ pub fn analyze_doc(doc: &JsonValue, cfg: &AnalyzeConfig) -> Result<TraceAnalysis
     let mut names: BTreeMap<u64, String> = BTreeMap::new();
     let mut per_tid: BTreeMap<u64, Vec<&JsonValue>> = BTreeMap::new();
     for ev in events {
-        let ph = ev.get("ph").and_then(|p| p.as_str()).unwrap_or("");
-        let tid = ev.get("tid").and_then(|t| t.as_u64());
+        let ph = ev.opt_str("ph").unwrap_or("");
+        let tid = ev.opt_u64("tid");
         match ph {
-            "M" if ev.get("name").and_then(|n| n.as_str()) == Some("thread_name") => {
-                if let (Some(tid), Some(name)) = (
-                    tid,
-                    ev.get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(|n| n.as_str()),
-                ) {
+            "M" if ev.opt_str("name") == Some("thread_name") => {
+                let name = ev.get("args").and_then(|a| a.opt_str("name"));
+                if let (Some(tid), Some(name)) = (tid, name) {
                     names.insert(tid, name.to_string());
                 }
             }
@@ -426,13 +400,9 @@ pub fn analyze_doc(doc: &JsonValue, cfg: &AnalyzeConfig) -> Result<TraceAnalysis
             if let Some(b) = arg_u64(ev, "bytes") {
                 lane.bytes += b;
             }
-            match ev.get("ph").and_then(|p| p.as_str()) {
+            match ev.opt_str("ph") {
                 Some("B") => {
-                    let name = ev
-                        .get("name")
-                        .and_then(|n| n.as_str())
-                        .unwrap_or("<unnamed>")
-                        .to_string();
+                    let name = ev.opt_str("name").unwrap_or("<unnamed>").to_string();
                     stack.push((name, ts, arg_u64(ev, "elements").unwrap_or(0)));
                 }
                 Some("E") => match stack.pop() {
@@ -674,120 +644,89 @@ impl TraceAnalysis {
     /// fixed and floats use shortest-roundtrip formatting, so the same
     /// trace always produces identical bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        let _ = write!(
-            s,
-            "{{\"schema\":\"{ANALYSIS_SCHEMA}\",\"dropped_events\":{},\"lanes\":[",
-            self.dropped_events
-        );
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"slices\":{},\"instants\":{},\"unmatched_ends\":{},\
-                 \"unclosed_begins\":{},\"extent_ns\":{},\"busy_ns\":{},\"total_slice_ns\":{},\
-                 \"utilization\":{},\"wait_fraction\":{},\"phases\":{{",
-                escape(&lane.name),
-                lane.slices.len(),
-                lane.instants,
-                lane.unmatched_ends,
-                lane.unclosed_begins,
-                lane.extent_ns(),
-                lane.busy_ns(),
-                lane.total_slice_ns(),
-                json_f64(lane.utilization()),
-                json_f64(lane.wait_fraction()),
-            );
-            for (j, (name, ns)) in lane.phase_ns().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{ns}", escape(name));
-            }
-            s.push_str("}}");
+        const NS: f64 = 1e9;
+        let wait_s = self.ranks.wait_ns as f64 / NS;
+        let mut w = JsonWriter::with_capacity(Layout::Compact, 1024);
+        w.begin_object().field("schema", ANALYSIS_SCHEMA);
+        w.field("dropped_events", self.dropped_events);
+        w.key("lanes").begin_array();
+        for lane in &self.lanes {
+            w.begin_object().field("name", &lane.name);
+            w.field("slices", lane.slices.len());
+            w.field("instants", lane.instants);
+            w.field("unmatched_ends", lane.unmatched_ends);
+            w.field("unclosed_begins", lane.unclosed_begins);
+            w.field("extent_ns", lane.extent_ns());
+            w.field("busy_ns", lane.busy_ns());
+            w.field("total_slice_ns", lane.total_slice_ns());
+            w.field("utilization", lane.utilization());
+            w.field("wait_fraction", lane.wait_fraction());
+            w.map("phases", lane.phase_ns()).end_object();
         }
-        let _ = write!(
-            s,
-            "],\"ranks\":{{\"count\":{},\"segments\":{},\"total_s\":{},\"wait_s\":{},\
-             \"wait_fraction\":{},\"decomposition\":{{",
-            self.ranks.ranks.len(),
-            self.critical_path.segments,
-            json_f64(self.ranks.total_ns as f64 / 1e9),
-            json_f64(self.ranks.wait_ns as f64 / 1e9),
-            json_f64(self.ranks.wait_fraction()),
+        w.end_array();
+
+        w.key("ranks").begin_object();
+        w.field("count", self.ranks.ranks.len());
+        w.field("segments", self.critical_path.segments);
+        w.field("total_s", self.ranks.total_ns as f64 / NS);
+        w.field("wait_s", wait_s);
+        w.field("wait_fraction", self.ranks.wait_fraction());
+        let decomposition = self.ranks.decomposition_ns.iter();
+        w.map(
+            "decomposition",
+            decomposition.map(|(k, ns)| (k, *ns as f64 / NS)),
         );
-        for (j, (name, ns)) in self.ranks.decomposition_ns.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", escape(name), json_f64(*ns as f64 / 1e9));
-        }
-        s.push_str("},\"straggler\":");
+        w.key("straggler");
         match &self.ranks.straggler {
             Some(st) => {
-                let _ = write!(
-                    s,
-                    "{{\"rank\":{},\"bottleneck_segments\":{},\"attributed_wait_s\":{}}}",
-                    st.rank,
-                    st.bottleneck_segments,
-                    json_f64(st.attributed_wait_s)
-                );
+                w.begin_object().field("rank", st.rank);
+                w.field("bottleneck_segments", st.bottleneck_segments);
+                w.field("attributed_wait_s", st.attributed_wait_s)
+                    .end_object();
             }
-            None => s.push_str("null"),
+            None => {
+                w.null();
+            }
         }
-        let _ = write!(
-            s,
-            "}},\"critical_path\":{{\"seconds\":{},\"segments\":{},\"phases\":{{",
-            json_f64(self.critical_path.seconds),
-            self.critical_path.segments,
-        );
-        for (j, (name, secs)) in self.critical_path.phases.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let pct = if self.critical_path.seconds > 0.0 {
-                secs / self.critical_path.seconds * 100.0
+        w.end_object();
+
+        let cp = &self.critical_path;
+        w.key("critical_path").begin_object();
+        w.field("seconds", cp.seconds)
+            .field("segments", cp.segments);
+        w.key("phases").begin_object();
+        for (name, secs) in &cp.phases {
+            let pct = if cp.seconds > 0.0 {
+                secs / cp.seconds * 100.0
             } else {
                 0.0
             };
-            let _ = write!(
-                s,
-                "\"{}\":{{\"seconds\":{},\"pct\":{}}}",
-                escape(name),
-                json_f64(*secs),
-                json_f64(pct)
-            );
+            w.key(name).begin_object();
+            w.field("seconds", secs).field("pct", pct).end_object();
         }
-        s.push_str("},\"bottlenecks\":[");
-        for (j, (rank, count)) in self.critical_path.bottlenecks.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{rank},{count}]");
+        w.end_object().key("bottlenecks").begin_array();
+        for &(rank, count) in &cp.bottlenecks {
+            w.begin_array().value(rank).value(count).end_array();
         }
+        w.end_array().end_object();
+
         let im = &self.imbalance;
-        let _ = write!(
-            s,
-            "]}},\"imbalance\":{{\"lb_measured_mean\":{},\"lb_measured_max\":{},\
-             \"lb_elements_mean\":{},\"lb_elements_max\":{},\"gap\":{},\"comm\":{{\
-             \"alpha_s\":{},\"beta_bytes_per_s\":{},\"bytes_total\":{},\"messages\":{},\
-             \"predicted_comm_s\":{},\"wait_s\":{},\"comm_blame_fraction\":{}}}}}}}",
-            json_f64(im.lb_measured_mean),
-            json_f64(im.lb_measured_max),
-            json_f64(im.lb_elements_mean),
-            json_f64(im.lb_elements_max),
-            json_f64(im.gap),
-            json_f64(self.comm.alpha_s),
-            json_f64(self.comm.beta_bytes_per_s),
-            im.bytes_total,
-            im.messages,
-            json_f64(im.predicted_comm_s),
-            json_f64(self.ranks.wait_ns as f64 / 1e9),
-            json_f64(im.comm_blame_fraction),
-        );
-        s
+        w.key("imbalance").begin_object();
+        w.field("lb_measured_mean", im.lb_measured_mean);
+        w.field("lb_measured_max", im.lb_measured_max);
+        w.field("lb_elements_mean", im.lb_elements_mean);
+        w.field("lb_elements_max", im.lb_elements_max);
+        w.field("gap", im.gap);
+        w.key("comm").begin_object();
+        w.field("alpha_s", self.comm.alpha_s);
+        w.field("beta_bytes_per_s", self.comm.beta_bytes_per_s);
+        w.field("bytes_total", im.bytes_total);
+        w.field("messages", im.messages);
+        w.field("predicted_comm_s", im.predicted_comm_s);
+        w.field("wait_s", wait_s);
+        w.field("comm_blame_fraction", im.comm_blame_fraction);
+        w.end_object().end_object().end_object();
+        w.finish()
     }
 
     /// Render the fixed-width terminal report: lane table, wait-state
@@ -1016,97 +955,110 @@ impl AnalysisCompare {
     }
 }
 
-fn analysis_metric(doc: &JsonValue, group: &str, key: &str) -> f64 {
-    doc.get(group)
-        .and_then(|g| g.get(key))
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0)
+/// The three numbers of an analysis the baseline gate reads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GateMetrics {
+    /// `critical_path.seconds`.
+    pub critical_path_s: f64,
+    /// `ranks.wait_fraction`.
+    pub wait_fraction: f64,
+    /// `ranks.total_s`.
+    pub total_s: f64,
+}
+
+impl GateMetrics {
+    /// Read the gate metrics out of a parsed `cubesfc-analysis-v1`
+    /// document (absent numbers read as 0).
+    pub fn from_json(doc: &JsonValue) -> Result<GateMetrics, String> {
+        doc.expect_schema(ANALYSIS_SCHEMA)?;
+        let metric = |group: &str, key: &str| {
+            let value = doc.get(group).and_then(|g| g.opt_f64(key));
+            value.unwrap_or(0.0)
+        };
+        Ok(GateMetrics {
+            critical_path_s: metric("critical_path", "seconds"),
+            wait_fraction: metric("ranks", "wait_fraction"),
+            total_s: metric("ranks", "total_s"),
+        })
+    }
+
+    /// Diff against a baseline, mirroring `compare_profiles`:
+    /// critical-path seconds regress when they grow by more than
+    /// `threshold_pct` percent; the rank wait fraction regresses when it
+    /// grows by more than `threshold_pct` percentage *points*. Total
+    /// rank seconds ride along as an informational row.
+    pub fn compare(&self, baseline: &GateMetrics, threshold_pct: f64) -> AnalysisCompare {
+        let relative = |old: f64, new: f64| {
+            if old > 0.0 {
+                (new / old - 1.0) * 100.0
+            } else {
+                0.0
+            }
+        };
+        let delta = |name: &str, old: f64, new: f64, change: f64, gated: bool| AnalysisDelta {
+            name: name.to_string(),
+            old,
+            new,
+            change,
+            regressed: gated && change > threshold_pct,
+        };
+        let (old, new) = (baseline, self);
+        let cp_change = relative(old.critical_path_s, new.critical_path_s);
+        let wf_change = (new.wait_fraction - old.wait_fraction) * 100.0;
+        let ts_change = relative(old.total_s, new.total_s);
+        AnalysisCompare {
+            deltas: vec![
+                delta(
+                    "critical_path/seconds",
+                    old.critical_path_s,
+                    new.critical_path_s,
+                    cp_change,
+                    true,
+                ),
+                delta(
+                    "ranks/wait_fraction",
+                    old.wait_fraction,
+                    new.wait_fraction,
+                    wf_change,
+                    true,
+                ),
+                delta("ranks/total_s", old.total_s, new.total_s, ts_change, false),
+            ],
+            threshold_pct,
+        }
+    }
+}
+
+impl TraceAnalysis {
+    /// The numbers [`TraceAnalysis::to_json`] publishes for the gate.
+    pub fn gate_metrics(&self) -> GateMetrics {
+        GateMetrics {
+            critical_path_s: self.critical_path.seconds,
+            wait_fraction: self.ranks.wait_fraction(),
+            total_s: self.ranks.total_ns as f64 / 1e9,
+        }
+    }
 }
 
 /// Compare two `cubesfc-analysis-v1` JSON documents against a
-/// regression threshold.
-///
-/// Two metrics gate (mirroring `compare_profiles`): critical-path
-/// seconds regress when they grow by more than `threshold_pct` percent;
-/// the rank wait fraction regresses when it grows by more than
-/// `threshold_pct` percentage *points*. Total rank seconds ride along
-/// as an informational row. Errors on malformed JSON or wrong schema.
+/// regression threshold (see [`GateMetrics::compare`]). Errors on
+/// malformed JSON or wrong schema.
 pub fn compare_analyses(
     old_json: &str,
     new_json: &str,
     threshold_pct: f64,
 ) -> Result<AnalysisCompare, String> {
-    let old = parse(old_json).map_err(|e| format!("baseline analysis: {e}"))?;
-    let new = parse(new_json).map_err(|e| format!("new analysis: {e}"))?;
-    for (side, doc) in [("baseline", &old), ("new", &new)] {
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(ANALYSIS_SCHEMA) => {}
-            Some(s) => {
-                return Err(format!(
-                    "{side} analysis: unsupported schema {s:?} (want {ANALYSIS_SCHEMA:?})"
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "{side} analysis: missing \"schema\" key — not an analysis document"
-                ))
-            }
-        }
-    }
-
-    let mut deltas = Vec::new();
-    let (cp_old, cp_new) = (
-        analysis_metric(&old, "critical_path", "seconds"),
-        analysis_metric(&new, "critical_path", "seconds"),
-    );
-    let cp_change = if cp_old > 0.0 {
-        (cp_new / cp_old - 1.0) * 100.0
-    } else {
-        0.0
+    let load = |side: &str, text: &str| {
+        load_doc(text, GateMetrics::from_json).map_err(|e| format!("{side} analysis: {e}"))
     };
-    deltas.push(AnalysisDelta {
-        name: "critical_path/seconds".to_string(),
-        old: cp_old,
-        new: cp_new,
-        change: cp_change,
-        regressed: cp_change > threshold_pct,
-    });
-    let (wf_old, wf_new) = (
-        analysis_metric(&old, "ranks", "wait_fraction"),
-        analysis_metric(&new, "ranks", "wait_fraction"),
-    );
-    let wf_change = (wf_new - wf_old) * 100.0;
-    deltas.push(AnalysisDelta {
-        name: "ranks/wait_fraction".to_string(),
-        old: wf_old,
-        new: wf_new,
-        change: wf_change,
-        regressed: wf_change > threshold_pct,
-    });
-    let (ts_old, ts_new) = (
-        analysis_metric(&old, "ranks", "total_s"),
-        analysis_metric(&new, "ranks", "total_s"),
-    );
-    deltas.push(AnalysisDelta {
-        name: "ranks/total_s".to_string(),
-        old: ts_old,
-        new: ts_new,
-        change: if ts_old > 0.0 {
-            (ts_new / ts_old - 1.0) * 100.0
-        } else {
-            0.0
-        },
-        regressed: false,
-    });
-    Ok(AnalysisCompare {
-        deltas,
-        threshold_pct,
-    })
+    let old = load("baseline", old_json)?;
+    Ok(load("new", new_json)?.compare(&old, threshold_pct))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::parse;
     use crate::{MockClock, Tracer};
     use std::sync::Arc;
 

@@ -17,7 +17,7 @@
 //! so output is byte-stable for a given event stream.
 
 use crate::events::EventKind;
-use crate::json::escape;
+use crate::json::{JsonScalar, JsonWriter, Layout};
 use crate::Tracer;
 
 /// Version tag written to every trace document (under `otherData`).
@@ -31,18 +31,14 @@ fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn push_args(out: &mut String, args: &[(String, u64)]) {
-    if args.is_empty() {
-        return;
+/// One `M` (metadata) event carrying a single `args` member.
+fn metadata(w: &mut JsonWriter, name: &str, tid: Option<usize>, arg: (&str, impl JsonScalar)) {
+    w.begin_object().field("name", name).field("ph", "M");
+    w.field("pid", PID);
+    if let Some(tid) = tid {
+        w.field("tid", tid);
     }
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", escape(k), v));
-    }
-    out.push('}');
+    w.map("args", [arg]).end_object();
 }
 
 impl Tracer {
@@ -59,71 +55,42 @@ impl Tracer {
         for (tid, &lane_id) in order.iter().enumerate() {
             tid_of[lane_id] = tid as u32;
         }
-        let mut out = String::with_capacity(1024 + events.len() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":\"");
-        out.push_str(TRACE_SCHEMA);
-        out.push_str("\",\"droppedEvents\":");
-        out.push_str(&self.dropped_events().to_string());
-        out.push_str("},\"traceEvents\":[");
+        let mut w = JsonWriter::with_capacity(Layout::Compact, 1024 + events.len() * 96);
+        w.begin_object().field("displayTimeUnit", "ms");
+        w.key("otherData").begin_object();
+        w.field("schema", TRACE_SCHEMA);
+        w.field("droppedEvents", self.dropped_events()).end_object();
+        w.key("traceEvents").begin_array();
 
-        let mut first = true;
-        let mut sep = |out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-        };
-
-        sep(&mut out);
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\"args\":{{\"name\":\"cubesfc\"}}}}"
-        ));
+        metadata(&mut w, "process_name", None, ("name", "cubesfc"));
         for (tid, &lane_id) in order.iter().enumerate() {
-            sep(&mut out);
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-                escape(&lanes[lane_id])
-            ));
-            sep(&mut out);
-            out.push_str(&format!(
-                "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"
-            ));
+            metadata(&mut w, "thread_name", Some(tid), ("name", &lanes[lane_id]));
+            metadata(&mut w, "thread_sort_index", Some(tid), ("sort_index", tid));
         }
 
         for ev in &events {
-            sep(&mut out);
+            let tid = tid_of[ev.lane as usize];
+            w.begin_object();
             match ev.kind {
                 EventKind::Begin => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{}\",\"ph\":\"B\",\"pid\":{PID},\"tid\":{},\"ts\":{}",
-                        escape(&ev.name),
-                        tid_of[ev.lane as usize],
-                        ts_us(ev.ts_ns)
-                    ));
-                    push_args(&mut out, &ev.args);
-                    out.push('}');
+                    w.field("name", &ev.name).field("ph", "B");
                 }
                 EventKind::End => {
-                    out.push_str(&format!(
-                        "{{\"ph\":\"E\",\"pid\":{PID},\"tid\":{},\"ts\":{}}}",
-                        tid_of[ev.lane as usize],
-                        ts_us(ev.ts_ns)
-                    ));
+                    w.field("ph", "E");
                 }
                 EventKind::Instant => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{PID},\"tid\":{},\"ts\":{}",
-                        escape(&ev.name),
-                        tid_of[ev.lane as usize],
-                        ts_us(ev.ts_ns)
-                    ));
-                    push_args(&mut out, &ev.args);
-                    out.push('}');
+                    w.field("name", &ev.name).field("ph", "i").field("s", "t");
                 }
             }
+            w.field("pid", PID).field("tid", tid);
+            w.key("ts").number(ts_us(ev.ts_ns));
+            if ev.kind != EventKind::End && !ev.args.is_empty() {
+                w.map("args", ev.args.iter().map(|(k, v)| (k, v)));
+            }
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

@@ -10,7 +10,7 @@
 //! report-only in CI, where machine-to-machine variance makes absolute
 //! times advisory).
 
-use crate::value::{parse, JsonValue};
+use crate::value::{load_doc, JsonValue};
 use std::collections::BTreeMap;
 
 /// Tunable comparison thresholds.
@@ -211,64 +211,61 @@ fn diff_maps(
     out
 }
 
-/// Named `u64` series extracted from a snapshot (span totals, counters).
-type Series = BTreeMap<String, u64>;
-
-/// Extract `{name: total_ns}` spans and `{name: value}` counters from a
-/// parsed `cubesfc-profile-v1` document.
-fn extract(doc: &JsonValue) -> Result<(Series, Series), String> {
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == crate::SCHEMA => {}
-        Some(s) => {
-            return Err(format!(
-                "unsupported schema {s:?} (want {:?})",
-                crate::SCHEMA
-            ))
-        }
-        None => return Err("missing \"schema\" key — not a profile document".into()),
-    }
-    let mut spans = BTreeMap::new();
-    if let Some(timers) = doc.get("timers").and_then(|t| t.as_obj()) {
-        for (path, stat) in timers {
-            let total = stat
-                .get("total_ns")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("timer {path:?} has no total_ns"))?;
-            spans.insert(path.clone(), total);
-        }
-    }
-    let mut counters = BTreeMap::new();
-    if let Some(cs) = doc.get("counters").and_then(|c| c.as_obj()) {
-        for (name, v) in cs {
-            counters.insert(
-                name.clone(),
-                v.as_u64()
-                    .ok_or_else(|| format!("counter {name:?} is not an unsigned integer"))?,
-            );
-        }
-    }
-    Ok((spans, counters))
+/// What the comparator reads from a `cubesfc-profile-v1` document:
+/// `{name: total_ns}` spans and `{name: value}` counters.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ProfileTotals {
+    /// Span path → total nanoseconds.
+    pub spans: BTreeMap<String, u64>,
+    /// Counter name → value.
+    pub counters: BTreeMap<String, u64>,
 }
 
-/// Compare two `cubesfc-profile-v1` JSON documents.
-///
-/// Errors on malformed JSON or wrong schema. Counters are compared with
-/// no noise floor (they are deterministic byte/message counts); spans
-/// use [`CompareConfig::min_total_ns`].
+impl ProfileTotals {
+    /// Extract the totals from a parsed profile document.
+    pub fn from_json(doc: &JsonValue) -> Result<ProfileTotals, String> {
+        doc.expect_schema(crate::SCHEMA)?;
+        let mut totals = ProfileTotals::default();
+        for (path, stat) in doc.opt_obj("timers").into_iter().flatten() {
+            let total = stat
+                .opt_u64("total_ns")
+                .ok_or_else(|| format!("timer {path:?} has no total_ns"))?;
+            totals.spans.insert(path.clone(), total);
+        }
+        for (name, v) in doc.opt_obj("counters").into_iter().flatten() {
+            let v = v
+                .as_u64()
+                .ok_or_else(|| format!("counter {name:?} is not an unsigned integer"))?;
+            totals.counters.insert(name.clone(), v);
+        }
+        Ok(totals)
+    }
+
+    /// Diff against a baseline. Counters are compared with no noise
+    /// floor (they are deterministic byte/message counts); spans use
+    /// [`CompareConfig::min_total_ns`].
+    pub fn compare(&self, baseline: &ProfileTotals, cfg: &CompareConfig) -> CompareReport {
+        CompareReport {
+            spans: diff_maps(&baseline.spans, &self.spans, cfg, cfg.min_total_ns),
+            counters: diff_maps(&baseline.counters, &self.counters, cfg, 0),
+            config: *cfg,
+        }
+    }
+}
+
+/// Compare two `cubesfc-profile-v1` JSON documents (see
+/// [`ProfileTotals::compare`]). Errors on malformed JSON or wrong
+/// schema.
 pub fn compare_profiles(
     old_json: &str,
     new_json: &str,
     cfg: &CompareConfig,
 ) -> Result<CompareReport, String> {
-    let old = parse(old_json).map_err(|e| format!("old snapshot: {e}"))?;
-    let new = parse(new_json).map_err(|e| format!("new snapshot: {e}"))?;
-    let (old_spans, old_counters) = extract(&old).map_err(|e| format!("old snapshot: {e}"))?;
-    let (new_spans, new_counters) = extract(&new).map_err(|e| format!("new snapshot: {e}"))?;
-    Ok(CompareReport {
-        spans: diff_maps(&old_spans, &new_spans, cfg, cfg.min_total_ns),
-        counters: diff_maps(&old_counters, &new_counters, cfg, 0),
-        config: *cfg,
-    })
+    let load = |side: &str, text: &str| {
+        load_doc(text, ProfileTotals::from_json).map_err(|e| format!("{side} snapshot: {e}"))
+    };
+    let old = load("old", old_json)?;
+    Ok(load("new", new_json)?.compare(&old, cfg))
 }
 
 #[cfg(test)]

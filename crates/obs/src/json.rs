@@ -1,34 +1,30 @@
-//! Hand-rolled JSON serialization for [`Snapshot`] (no serde: this crate
-//! must build with no registry access).
+//! The workspace's JSON writer: one streaming emitter behind every
+//! `cubesfc-*-v1` wire schema (no serde: the build must work with no
+//! registry access). The reader half of the codec is [`crate::value`].
 //!
-//! The schema is stable and versioned via the top-level `"schema"` key so
-//! downstream tooling (`BENCH_*.json` consumers, `perf_snapshot` diffing)
-//! can rely on it:
+//! [`JsonWriter`] appends straight into a `String` — no intermediate
+//! tree — and owns the three things every hand-rolled emitter used to
+//! re-implement: string escaping, comma bookkeeping, and the one `f64`
+//! format (shortest round-trip via `Display`, `null` for NaN/±inf, which
+//! readers map back to NaN). Integers print exactly; object members are
+//! emitted in the order the schema's code writes them, so output is
+//! byte-stable for a given value.
 //!
-//! ```json
-//! {
-//!   "schema": "cubesfc-profile-v1",
-//!   "timers":     { "<path>": { "count": u, "total_ns": u, "min_ns": u,
-//!                               "max_ns": u, "mean_ns": u } },
-//!   "counters":   { "<name>": u },
-//!   "histograms": { "<name>": { "count": u, "sum": u, "mean": u,
-//!                               "buckets": [ { "lo": u, "hi": u, "count": u } ] } }
-//! }
-//! ```
+//! Two layouts exist, chosen by each schema's code (never by the user):
 //!
-//! Keys are emitted in `BTreeMap` order, so output is byte-stable for a
-//! given snapshot. All numbers are unsigned integers (no floats, so no
-//! formatting ambiguity).
+//! * [`Layout::Compact`] — no whitespace at all. Used by the profile,
+//!   trace, telemetry, access, analysis, serve and serve-bench schemas.
+//! * [`Layout::Document`] — the hand-readable style shared by the
+//!   rebalance, chaos and checkpoint documents: each member of the
+//!   top-level object on its own two-space-indented line, `": "` after
+//!   keys, nested values inline with `", "` separators, except that
+//!   objects listed directly in a top-level array get one line each;
+//!   the document ends with a newline.
 
-use crate::snapshot::{Bucket, HistogramSnapshot, Snapshot, SpanStat};
-use crate::value::JsonValue;
+use std::fmt::Write as _;
 
-/// Version tag written to every profile document.
-pub const SCHEMA: &str = "cubesfc-profile-v1";
-
-/// Escape a string for use inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` to `out`, escaped for use inside a JSON string literal.
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -37,258 +33,269 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+}
+
+/// Escape a string for use inside a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
     out
 }
 
-fn push_key(out: &mut String, key: &str) {
-    out.push('"');
-    out.push_str(&escape(key));
-    out.push_str("\":");
+/// A value [`JsonWriter`] can emit as one JSON token.
+pub trait JsonScalar {
+    /// Append the token to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
-impl Snapshot {
-    /// Serialize to a compact single-line JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        push_key(&mut out, "schema");
+macro_rules! integer_scalars {
+    ($($t:ty)*) => {$(
+        impl JsonScalar for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+integer_scalars!(u16 u32 u64 usize);
+
+impl JsonScalar for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            // JSON has no NaN/inf; readers map null back to NaN.
+            out.push_str("null");
+        }
+    }
+}
+
+impl JsonScalar for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl JsonScalar for str {
+    fn write_json(&self, out: &mut String) {
         out.push('"');
-        out.push_str(SCHEMA);
+        escape_into(out, self);
         out.push('"');
+    }
+}
 
-        out.push(',');
-        push_key(&mut out, "timers");
-        out.push('{');
-        for (i, (path, t)) in self.timers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, path);
-            out.push_str(&format!(
-                "{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{}}}",
-                t.count,
-                t.total_ns,
-                t.min_ns,
-                t.max_ns,
-                t.mean_ns()
-            ));
-        }
-        out.push('}');
+impl JsonScalar for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
 
-        out.push(',');
-        push_key(&mut out, "counters");
-        out.push('{');
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, name);
-            out.push_str(&v.to_string());
-        }
-        out.push('}');
+impl<T: JsonScalar + ?Sized> JsonScalar for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
 
-        out.push(',');
-        push_key(&mut out, "histograms");
-        out.push('{');
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, name);
-            out.push_str(&format!(
-                "{{\"count\":{},\"sum\":{},\"mean\":{},\"buckets\":[",
-                h.count,
-                h.sum,
-                h.mean()
-            ));
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"lo\":{},\"hi\":{},\"count\":{}}}",
-                    b.lo, b.hi, b.count
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out.push('}');
-        out
+/// How a [`JsonWriter`] lays a document out (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// No whitespace.
+    Compact,
+    /// One top-level member per line, spaced separators, final newline.
+    Document,
+}
+
+/// One open container.
+struct Frame {
+    /// Elements (array) or members (object) written so far.
+    len: usize,
+    /// A `Document` array whose objects each took their own line.
+    rows: bool,
+}
+
+/// A streaming JSON emitter. Containers are opened and closed
+/// explicitly; the writer inserts every separator.
+pub struct JsonWriter {
+    out: String,
+    layout: Layout,
+    /// Nesting depth the root value is treated as sitting at: 0 for a
+    /// document, 2 for a [`JsonWriter::fragment`].
+    base: usize,
+    stack: Vec<Frame>,
+    /// A key was just written: the next value needs no separator.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// A writer for one whole document.
+    pub fn new(layout: Layout) -> JsonWriter {
+        JsonWriter::with_capacity(layout, 256)
     }
 
-    /// Rebuild a snapshot from a parsed `cubesfc-profile-v1` document
-    /// (the inverse of [`Snapshot::to_json`]; derived fields like
-    /// `mean_ns` are ignored). This is what lets remote consumers — the
-    /// `cubesfc top` dashboard polling `GET /metrics` — reuse the full
-    /// quantile/render machinery on the wire format.
-    pub fn from_json(doc: &JsonValue) -> Result<Snapshot, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(|v| v.as_str())
-            .ok_or("missing schema tag")?;
-        if schema != SCHEMA {
-            return Err(format!("schema {schema:?} is not {SCHEMA:?}"));
+    /// [`JsonWriter::new`] with the output buffer pre-sized to `bytes`.
+    pub fn with_capacity(layout: Layout, bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            layout,
+            base: 0,
+            stack: Vec::with_capacity(8),
+            after_key: false,
         }
-        let obj = |key: &str| {
-            doc.get(key)
-                .and_then(|v| v.as_obj())
-                .ok_or_else(|| format!("missing {key:?} object"))
-        };
-        let u64_of = |v: &JsonValue, what: &str| {
-            v.as_u64()
-                .ok_or_else(|| format!("{what} is not an unsigned integer"))
-        };
-        let field = |v: &JsonValue, key: &str, what: &str| {
-            u64_of(
-                v.get(key)
-                    .ok_or_else(|| format!("{what} missing {key:?}"))?,
-                what,
-            )
-        };
+    }
 
-        let mut snap = Snapshot::default();
-        for (path, t) in obj("timers")? {
-            snap.timers.insert(
-                path.clone(),
-                SpanStat {
-                    count: field(t, "count", path)?,
-                    total_ns: field(t, "total_ns", path)?,
-                    min_ns: field(t, "min_ns", path)?,
-                    max_ns: field(t, "max_ns", path)?,
-                },
-            );
+    /// A writer for one value laid out as it appears *nested inside* a
+    /// `layout` document (a row of a `Document` array, say) rather than
+    /// as a document of its own.
+    pub fn fragment(layout: Layout) -> JsonWriter {
+        JsonWriter {
+            base: 2,
+            ..JsonWriter::new(layout)
         }
-        for (name, v) in obj("counters")? {
-            snap.counters.insert(name.clone(), u64_of(v, name)?);
+    }
+
+    fn depth(&self) -> usize {
+        self.base + self.stack.len()
+    }
+
+    /// Write whatever separates the next value from what precedes it.
+    fn separate(&mut self, opens_object: bool) {
+        if std::mem::take(&mut self.after_key) {
+            return;
         }
-        for (name, h) in obj("histograms")? {
-            let mut hist = HistogramSnapshot {
-                count: field(h, "count", name)?,
-                sum: field(h, "sum", name)?,
-                buckets: Vec::new(),
-            };
-            let buckets = h
-                .get("buckets")
-                .and_then(|v| v.as_arr())
-                .ok_or_else(|| format!("{name} missing \"buckets\" array"))?;
-            for b in buckets {
-                hist.buckets.push(Bucket {
-                    lo: field(b, "lo", name)?,
-                    hi: field(b, "hi", name)?,
-                    count: field(b, "count", name)?,
-                });
+        let depth = self.depth();
+        let Some(frame) = self.stack.last_mut() else {
+            return;
+        };
+        let first = frame.len == 0;
+        frame.len += 1;
+        let sep = match self.layout {
+            Layout::Compact => ["", ","],
+            Layout::Document if depth == 1 => ["\n  ", ",\n  "],
+            Layout::Document if depth == 2 && opens_object => {
+                frame.rows = true;
+                ["\n    ", ",\n    "]
             }
-            snap.histograms.insert(name.clone(), hist);
+            Layout::Document => ["", ", "],
+        };
+        self.out.push_str(sep[usize::from(!first)]);
+    }
+
+    fn open(&mut self, bracket: char, is_object: bool) -> &mut Self {
+        self.separate(is_object);
+        self.out.push(bracket);
+        self.stack.push(Frame {
+            len: 0,
+            rows: false,
+        });
+        self
+    }
+
+    /// Open an object (as the root, an array element, or after a key).
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open('{', true)
+    }
+
+    /// Close the innermost open object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.stack.pop().expect("end_object without begin_object");
+        let block_root = self.layout == Layout::Document && self.depth() == 0;
+        self.out.push_str(if block_root { "\n}\n" } else { "}" });
+        self
+    }
+
+    /// Open an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open('[', false)
+    }
+
+    /// Close the innermost open array.
+    pub fn end_array(&mut self) -> &mut Self {
+        let frame = self.stack.pop().expect("end_array without begin_array");
+        self.out.push_str(if frame.rows { "\n  ]" } else { "]" });
+        self
+    }
+
+    /// Write an object key; exactly one value must follow.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate(false);
+        key.write_json(&mut self.out);
+        self.out.push_str(match self.layout {
+            Layout::Compact => ":",
+            Layout::Document => ": ",
+        });
+        self.after_key = true;
+        self
+    }
+
+    /// Write one scalar value.
+    pub fn value(&mut self, v: impl JsonScalar) -> &mut Self {
+        self.separate(false);
+        v.write_json(&mut self.out);
+        self
+    }
+
+    /// Write a pre-formatted number token (the trace's fixed-point
+    /// microsecond timestamps, which `f64` formatting cannot produce).
+    pub fn number(&mut self, token: impl std::fmt::Display) -> &mut Self {
+        self.separate(false);
+        let _ = write!(self.out, "{token}");
+        self
+    }
+
+    /// Write `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.separate(false);
+        self.out.push_str("null");
+        self
+    }
+
+    /// `key` followed by one scalar value.
+    pub fn field(&mut self, key: &str, v: impl JsonScalar) -> &mut Self {
+        self.key(key).value(v)
+    }
+
+    /// `key` followed by an array of scalars.
+    pub fn array<T: JsonScalar>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+    ) -> &mut Self {
+        self.key(key).begin_array();
+        for item in items {
+            self.value(item);
         }
-        Ok(snap)
+        self.end_array()
+    }
+
+    /// `key` followed by an object of scalar members.
+    pub fn map<K: AsRef<str>, T: JsonScalar>(
+        &mut self,
+        key: &str,
+        members: impl IntoIterator<Item = (K, T)>,
+    ) -> &mut Self {
+        self.key(key).begin_object();
+        for (k, v) in members {
+            self.field(k.as_ref(), v);
+        }
+        self.end_object()
+    }
+
+    /// The finished text. Every container must have been closed.
+    pub fn finish(self) -> String {
+        debug_assert!(self.stack.is_empty() && !self.after_key);
+        self.out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{Bucket, HistogramSnapshot, SpanStat};
-
-    /// Minimal structural JSON validator: checks that the document is one
-    /// well-formed JSON value (objects, arrays, strings, unsigned ints).
-    fn validate(s: &str) -> Result<(), String> {
-        let bytes = s.as_bytes();
-        let mut i = 0usize;
-        fn skip_ws(bytes: &[u8], i: &mut usize) {
-            while *i < bytes.len() && (bytes[*i] as char).is_whitespace() {
-                *i += 1;
-            }
-        }
-        fn value(bytes: &[u8], i: &mut usize) -> Result<(), String> {
-            skip_ws(bytes, i);
-            match bytes.get(*i) {
-                Some(b'{') => {
-                    *i += 1;
-                    skip_ws(bytes, i);
-                    if bytes.get(*i) == Some(&b'}') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        string(bytes, i)?;
-                        skip_ws(bytes, i);
-                        if bytes.get(*i) != Some(&b':') {
-                            return Err(format!("expected ':' at {i:?}"));
-                        }
-                        *i += 1;
-                        value(bytes, i)?;
-                        skip_ws(bytes, i);
-                        match bytes.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    *i += 1;
-                    skip_ws(bytes, i);
-                    if bytes.get(*i) == Some(&b']') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        value(bytes, i)?;
-                        skip_ws(bytes, i);
-                        match bytes.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b']') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            other => return Err(format!("expected ',' or ']', got {other:?}")),
-                        }
-                    }
-                }
-                Some(b'"') => string(bytes, i),
-                Some(c) if c.is_ascii_digit() => {
-                    while matches!(bytes.get(*i), Some(c) if c.is_ascii_digit()) {
-                        *i += 1;
-                    }
-                    Ok(())
-                }
-                other => Err(format!("unexpected {other:?} at {i:?}")),
-            }
-        }
-        fn string(bytes: &[u8], i: &mut usize) -> Result<(), String> {
-            skip_ws(bytes, i);
-            if bytes.get(*i) != Some(&b'"') {
-                return Err(format!("expected '\"' at {i:?}"));
-            }
-            *i += 1;
-            while let Some(&c) = bytes.get(*i) {
-                match c {
-                    b'\\' => *i += 2,
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-        value(bytes, &mut i)?;
-        skip_ws(bytes, &mut i);
-        if i != bytes.len() {
-            return Err(format!("trailing garbage at byte {i}"));
-        }
-        Ok(())
-    }
+    use crate::value::parse;
 
     #[test]
     fn escapes_special_characters() {
@@ -297,99 +304,57 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshot_is_valid_json_with_schema() {
-        let json = Snapshot::default().to_json();
-        validate(&json).unwrap();
-        assert!(json.starts_with("{\"schema\":\"cubesfc-profile-v1\""));
-        assert!(json.contains("\"timers\":{}"));
-        assert!(json.contains("\"counters\":{}"));
-        assert!(json.contains("\"histograms\":{}"));
-    }
-
-    #[test]
-    fn populated_snapshot_round_trips_structurally() {
-        let mut snap = Snapshot::default();
-        let mut stat = SpanStat::new();
-        stat.record(100);
-        stat.record(300);
-        snap.timers.insert("partition/coarsen".into(), stat);
-        snap.counters.insert("dss/bytes".into(), 4096);
-        snap.histograms.insert(
-            "msg_size".into(),
-            HistogramSnapshot {
-                count: 2,
-                sum: 3072,
-                buckets: vec![Bucket {
-                    lo: 1024,
-                    hi: 2047,
-                    count: 2,
-                }],
-            },
+    fn compact_layout_has_no_whitespace() {
+        let mut w = JsonWriter::new(Layout::Compact);
+        w.begin_object().field("a", 1u64).field("s", "x\"y");
+        w.array("xs", [1.5, f64::NAN, -0.0]);
+        w.map("m", [("k", true), ("l", false)]);
+        w.key("rows").begin_array();
+        w.begin_object().field("i", 0usize).end_object();
+        w.begin_object().end_object();
+        w.end_array();
+        w.key("ts").number(format_args!("{}.{:03}", 12, 5));
+        w.key("none").null().end_object();
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\"a\":1,\"s\":\"x\\\"y\",\"xs\":[1.5,null,-0],\"m\":{\"k\":true,\"l\":false},\
+             \"rows\":[{\"i\":0},{}],\"ts\":12.005,\"none\":null}"
         );
-        let json = snap.to_json();
-        validate(&json).unwrap();
-        assert!(json.contains("\"partition/coarsen\":{\"count\":2,\"total_ns\":400"));
-        assert!(json.contains("\"dss/bytes\":4096"));
-        assert!(json.contains("\"buckets\":[{\"lo\":1024,\"hi\":2047,\"count\":2}]"));
+        parse(&text).unwrap();
     }
 
     #[test]
-    fn from_json_round_trips_a_populated_snapshot() {
-        let mut snap = Snapshot::default();
-        let mut stat = SpanStat::new();
-        stat.record(100);
-        stat.record(300);
-        snap.timers.insert("serve/partition".into(), stat);
-        snap.counters.insert("serve/requests".into(), 17);
-        snap.histograms.insert(
-            "serve/latency/partition_us".into(),
-            HistogramSnapshot {
-                count: 3,
-                sum: 50,
-                buckets: vec![
-                    Bucket {
-                        lo: 8,
-                        hi: 15,
-                        count: 2,
-                    },
-                    Bucket {
-                        lo: 16,
-                        hi: 31,
-                        count: 1,
-                    },
-                ],
-            },
+    fn document_layout_breaks_top_level_members_and_rows() {
+        let mut w = JsonWriter::new(Layout::Document);
+        w.begin_object().field("schema", "s").field("n", 2u32);
+        w.array("flat", [1u64, 2, 3]);
+        w.array("none", [0u64; 0]);
+        w.key("rows").begin_array();
+        for i in 0..2u64 {
+            w.begin_object().field("i", i);
+            w.array("xs", [i, i]).end_object();
+        }
+        w.end_array();
+        w.key("empty_rows").begin_array().end_array();
+        w.field("last", false).end_object();
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\n  \"schema\": \"s\",\n  \"n\": 2,\n  \"flat\": [1, 2, 3],\n  \"none\": [],\n  \
+             \"rows\": [\n    {\"i\": 0, \"xs\": [0, 0]},\n    {\"i\": 1, \"xs\": [1, 1]}\n  ],\n  \
+             \"empty_rows\": [],\n  \"last\": false\n}\n"
         );
-        let doc = crate::value::parse(&snap.to_json()).unwrap();
-        let back = Snapshot::from_json(&doc).unwrap();
-        assert_eq!(back, snap);
-        // And the empty document round-trips too.
-        let doc = crate::value::parse(&Snapshot::default().to_json()).unwrap();
-        assert!(Snapshot::from_json(&doc).unwrap().is_empty());
+        parse(&text).unwrap();
     }
 
     #[test]
-    fn from_json_rejects_wrong_schema_and_shape() {
-        let doc = crate::value::parse("{\"schema\":\"nope\"}").unwrap();
-        assert!(Snapshot::from_json(&doc).unwrap_err().contains("schema"));
-        let doc = crate::value::parse("{\"schema\":\"cubesfc-profile-v1\",\"timers\":{}}").unwrap();
-        assert!(Snapshot::from_json(&doc).unwrap_err().contains("counters"));
-        let doc = crate::value::parse(
-            "{\"schema\":\"cubesfc-profile-v1\",\"timers\":{},\
-             \"counters\":{\"c\":-1},\"histograms\":{}}",
-        )
-        .unwrap();
-        assert!(Snapshot::from_json(&doc).is_err());
-    }
-
-    #[test]
-    fn output_is_deterministic_and_sorted() {
-        let mut snap = Snapshot::default();
-        snap.counters.insert("zeta".into(), 1);
-        snap.counters.insert("alpha".into(), 2);
-        let a = snap.to_json();
-        let b = snap.to_json();
-        assert_eq!(a, b);
-        assert!(a.find("alpha").unwrap() < a.find("zeta").unwrap());
+    fn fragments_are_laid_out_as_nested_values() {
+        let mut w = JsonWriter::fragment(Layout::Document);
+        w.begin_object()
+            .field("a", 1u64)
+            .field("b", 0.5)
+            .end_object();
+        assert_eq!(w.finish(), "{\"a\": 1, \"b\": 0.5}");
     }
 }

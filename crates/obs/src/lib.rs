@@ -47,21 +47,23 @@ mod value;
 pub use access::{parse_access, AccessLog, AccessRecord, ACCESS_SCHEMA};
 pub use analysis::{
     analyze_doc, analyze_trace, compare_analyses, AnalysisCompare, AnalysisDelta, AnalyzeConfig,
-    CommModel, CriticalPath, Imbalance, LaneTimeline, RankSummary, Slice, Straggler, TraceAnalysis,
-    ANALYSIS_SCHEMA,
+    CommModel, CriticalPath, GateMetrics, Imbalance, LaneTimeline, RankSummary, Slice, Straggler,
+    TraceAnalysis, ANALYSIS_SCHEMA,
 };
 pub use chrome::TRACE_SCHEMA;
 pub use clock::{Clock, MockClock, MonotonicClock};
-pub use compare::{compare_profiles, CompareConfig, CompareReport, Delta, DeltaStatus};
+pub use compare::{
+    compare_profiles, CompareConfig, CompareReport, Delta, DeltaStatus, ProfileTotals,
+};
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};
 pub use health::{default_rules, straggler_z, AlertEngine, AlertRule};
-pub use json::{escape as json_escape, SCHEMA};
+pub use json::{escape as json_escape, JsonScalar, JsonWriter, Layout};
 pub use series::Series;
-pub use snapshot::{Bucket, HistogramSnapshot, Snapshot, SpanStat};
+pub use snapshot::{Bucket, HistogramSnapshot, Snapshot, SpanStat, SCHEMA};
 pub use telemetry::{parse_telemetry, Sampler, SeriesBank, TelemetrySample, TELEMETRY_SCHEMA};
 pub use value::{
-    parse as json_parse, parse_with_limits as json_parse_with_limits, JsonError, JsonErrorKind,
-    JsonLimits, JsonValue,
+    load_doc, parse as json_parse, parse_with_limits as json_parse_with_limits, read_ndjson,
+    JsonError, JsonErrorKind, JsonLimits, JsonValue, LoadError,
 };
 
 use snapshot::{bucket_index, bucket_range, HIST_BUCKETS};

@@ -3,7 +3,12 @@
 //! All maps are `BTreeMap` so iteration order — and therefore every
 //! exporter's output — is stable across runs and shard merge orders.
 
+use crate::json::{JsonWriter, Layout};
+use crate::value::JsonValue;
 use std::collections::BTreeMap;
+
+/// Version tag written to every profile document.
+pub const SCHEMA: &str = "cubesfc-profile-v1";
 
 /// Aggregate statistics for one span path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,6 +142,93 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.timers.is_empty() && self.counters.is_empty() && self.histograms.is_empty()
     }
+
+    /// Serialize as a compact single-line `cubesfc-profile-v1` document:
+    ///
+    /// ```json
+    /// {
+    ///   "schema": "cubesfc-profile-v1",
+    ///   "timers":     { "<path>": { "count": u, "total_ns": u, "min_ns": u,
+    ///                               "max_ns": u, "mean_ns": u } },
+    ///   "counters":   { "<name>": u },
+    ///   "histograms": { "<name>": { "count": u, "sum": u, "mean": u,
+    ///                               "buckets": [ { "lo": u, "hi": u, "count": u } ] } }
+    /// }
+    /// ```
+    ///
+    /// Keys come out in `BTreeMap` order and every number is an unsigned
+    /// integer, so the bytes are stable for a given snapshot.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new(Layout::Compact);
+        w.begin_object().field("schema", SCHEMA);
+        w.key("timers").begin_object();
+        for (path, t) in &self.timers {
+            w.key(path).begin_object();
+            w.field("count", t.count).field("total_ns", t.total_ns);
+            w.field("min_ns", t.min_ns).field("max_ns", t.max_ns);
+            w.field("mean_ns", t.mean_ns()).end_object();
+        }
+        w.end_object();
+        w.map("counters", &self.counters);
+        w.key("histograms").begin_object();
+        for (name, h) in &self.histograms {
+            w.key(name).begin_object();
+            w.field("count", h.count).field("sum", h.sum);
+            w.field("mean", h.mean()).key("buckets").begin_array();
+            for b in &h.buckets {
+                w.begin_object().field("lo", b.lo).field("hi", b.hi);
+                w.field("count", b.count).end_object();
+            }
+            w.end_array().end_object();
+        }
+        w.end_object().end_object();
+        w.finish()
+    }
+
+    /// Rebuild a snapshot from a parsed `cubesfc-profile-v1` document
+    /// (the inverse of [`Snapshot::to_json`]; derived fields like
+    /// `mean_ns` are ignored). This is what lets remote consumers — the
+    /// `cubesfc top` dashboard polling `GET /metrics` — reuse the full
+    /// quantile/render machinery on the wire format.
+    pub fn from_json(doc: &JsonValue) -> Result<Snapshot, String> {
+        doc.expect_schema(SCHEMA)?;
+        let mut snap = Snapshot::default();
+        for (path, t) in doc.req_obj("timers", "profile")? {
+            let stat = SpanStat {
+                count: t.req_u64("count", path)?,
+                total_ns: t.req_u64("total_ns", path)?,
+                min_ns: t.req_u64("min_ns", path)?,
+                max_ns: t.req_u64("max_ns", path)?,
+            };
+            snap.timers.insert(path.clone(), stat);
+        }
+        for (name, v) in doc.req_obj("counters", "profile")? {
+            let v = v
+                .as_u64()
+                .ok_or_else(|| format!("{name} is not an unsigned integer"))?;
+            snap.counters.insert(name.clone(), v);
+        }
+        for (name, h) in doc.req_obj("histograms", "profile")? {
+            let bucket = |b: &JsonValue| {
+                Ok(Bucket {
+                    lo: b.req_u64("lo", name)?,
+                    hi: b.req_u64("hi", name)?,
+                    count: b.req_u64("count", name)?,
+                })
+            };
+            let hist = HistogramSnapshot {
+                count: h.req_u64("count", name)?,
+                sum: h.req_u64("sum", name)?,
+                buckets: h
+                    .req_arr("buckets", name)?
+                    .iter()
+                    .map(bucket)
+                    .collect::<Result<_, String>>()?,
+            };
+            snap.histograms.insert(name.clone(), hist);
+        }
+        Ok(snap)
+    }
 }
 
 #[cfg(test)]
@@ -168,6 +260,82 @@ mod tests {
         assert_eq!(a.total_ns, 112);
         assert_eq!(a.min_ns, 5);
         assert_eq!(a.max_ns, 100);
+    }
+
+    fn populated() -> Snapshot {
+        let mut snap = Snapshot::default();
+        let mut stat = SpanStat::new();
+        stat.record(100);
+        stat.record(300);
+        snap.timers.insert("partition/coarsen".into(), stat);
+        snap.counters.insert("dss/bytes".into(), 4096);
+        snap.histograms.insert(
+            "msg_size".into(),
+            HistogramSnapshot {
+                count: 2,
+                sum: 3072,
+                buckets: vec![Bucket {
+                    lo: 1024,
+                    hi: 2047,
+                    count: 2,
+                }],
+            },
+        );
+        snap
+    }
+
+    #[test]
+    fn empty_snapshot_is_valid_json_with_schema() {
+        let json = Snapshot::default().to_json();
+        crate::value::parse(&json).unwrap();
+        assert!(json.starts_with("{\"schema\":\"cubesfc-profile-v1\""));
+        assert!(json.contains("\"timers\":{}"));
+        assert!(json.contains("\"counters\":{}"));
+        assert!(json.contains("\"histograms\":{}"));
+    }
+
+    #[test]
+    fn populated_snapshot_round_trips_structurally() {
+        let json = populated().to_json();
+        crate::value::parse(&json).unwrap();
+        assert!(json.contains("\"partition/coarsen\":{\"count\":2,\"total_ns\":400"));
+        assert!(json.contains("\"dss/bytes\":4096"));
+        assert!(json.contains("\"buckets\":[{\"lo\":1024,\"hi\":2047,\"count\":2}]"));
+    }
+
+    #[test]
+    fn from_json_round_trips_a_populated_snapshot() {
+        let snap = populated();
+        let doc = crate::value::parse(&snap.to_json()).unwrap();
+        assert_eq!(Snapshot::from_json(&doc).unwrap(), snap);
+        // And the empty document round-trips too.
+        let doc = crate::value::parse(&Snapshot::default().to_json()).unwrap();
+        assert!(Snapshot::from_json(&doc).unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_json_rejects_wrong_schema_and_shape() {
+        let doc = crate::value::parse("{\"schema\":\"nope\"}").unwrap();
+        assert!(Snapshot::from_json(&doc).unwrap_err().contains("schema"));
+        let doc = crate::value::parse("{\"schema\":\"cubesfc-profile-v1\",\"timers\":{}}").unwrap();
+        assert!(Snapshot::from_json(&doc).unwrap_err().contains("counters"));
+        let doc = crate::value::parse(
+            "{\"schema\":\"cubesfc-profile-v1\",\"timers\":{},\
+             \"counters\":{\"c\":-1},\"histograms\":{}}",
+        )
+        .unwrap();
+        assert!(Snapshot::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn output_is_deterministic_and_sorted() {
+        let mut snap = Snapshot::default();
+        snap.counters.insert("zeta".into(), 1);
+        snap.counters.insert("alpha".into(), 2);
+        let a = snap.to_json();
+        let b = snap.to_json();
+        assert_eq!(a, b);
+        assert!(a.find("alpha").unwrap() < a.find("zeta").unwrap());
     }
 
     fn hist(buckets: Vec<Bucket>) -> HistogramSnapshot {

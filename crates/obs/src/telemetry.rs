@@ -30,10 +30,10 @@
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::health::{default_rules, straggler_z, AlertEngine, AlertRule};
-use crate::json::escape;
+use crate::json::{JsonWriter, Layout};
 use crate::render::{sparkline, sparkline_scaled};
 use crate::series::{Ring, Series};
-use crate::value::JsonValue;
+use crate::value::{read_ndjson, JsonValue};
 use crate::Registry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -75,148 +75,70 @@ pub struct TelemetrySample {
     pub alerts: Vec<String>,
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        // json has no NaN/inf; readers map null back to NaN.
-        "null".to_string()
-    }
-}
-
 impl TelemetrySample {
     /// Serialize as one `cubesfc-telemetry-v1` NDJSON line (no trailing
     /// newline). Field and key order are fixed, so identical samples
     /// produce identical bytes.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(160);
-        let _ = write!(
-            s,
-            "{{\"schema\":\"{TELEMETRY_SCHEMA}\",\"seq\":{},\"lane\":\"{}\",\"step\":{}",
-            self.seq,
-            escape(&self.lane),
-            self.step
-        );
-        s.push_str(",\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", escape(k), fmt_f64(*v));
+        let mut w = JsonWriter::with_capacity(Layout::Compact, 160);
+        w.begin_object().field("schema", TELEMETRY_SCHEMA);
+        w.field("seq", self.seq).field("lane", &self.lane);
+        w.field("step", self.step).map("gauges", &self.gauges);
+        w.map("counters", &self.counters);
+        w.key("quantiles").begin_object();
+        for (name, q) in &self.quantiles {
+            w.array(name, q);
         }
-        s.push_str("},\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{v}", escape(k));
-        }
-        s.push_str("},\"quantiles\":{");
-        for (i, (k, q)) in self.quantiles.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{}\":[{},{},{}]",
-                escape(k),
-                fmt_f64(q[0]),
-                fmt_f64(q[1]),
-                fmt_f64(q[2])
-            );
-        }
-        s.push_str("},\"ranks\":[");
-        for (i, v) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&fmt_f64(*v));
-        }
-        s.push_str("],\"alerts\":[");
-        for (i, a) in self.alerts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\"", escape(a));
-        }
-        s.push_str("]}");
-        s
+        w.end_object().array("ranks", &self.ranks);
+        w.array("alerts", &self.alerts).end_object();
+        w.finish()
     }
 
     /// Rebuild a sample from a parsed NDJSON line.
     pub fn from_json(doc: &JsonValue) -> Result<TelemetrySample, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(|v| v.as_str())
-            .ok_or("missing schema tag")?;
-        if schema != TELEMETRY_SCHEMA {
-            return Err(format!("schema {schema:?} is not {TELEMETRY_SCHEMA:?}"));
-        }
+        doc.expect_schema(TELEMETRY_SCHEMA)?;
+        // Non-finite values travel as `null`.
         let num = |v: &JsonValue| match v {
             JsonValue::Null => Some(f64::NAN),
             other => other.as_f64(),
         };
         let mut sample = TelemetrySample {
-            seq: doc
-                .get("seq")
-                .and_then(|v| v.as_u64())
-                .ok_or("missing seq")?,
-            lane: doc
-                .get("lane")
-                .and_then(|v| v.as_str())
-                .ok_or("missing lane")?
-                .to_string(),
-            step: doc
-                .get("step")
-                .and_then(|v| v.as_u64())
-                .ok_or("missing step")?,
+            seq: doc.req_u64("seq", "sample")?,
+            lane: doc.req_str("lane", "sample")?.to_string(),
+            step: doc.req_u64("step", "sample")?,
             gauges: BTreeMap::new(),
             counters: BTreeMap::new(),
             quantiles: BTreeMap::new(),
             ranks: Vec::new(),
             alerts: Vec::new(),
         };
-        if let Some(obj) = doc.get("gauges").and_then(|v| v.as_obj()) {
-            for (k, v) in obj {
-                sample.gauges.insert(
-                    k.clone(),
-                    num(v).ok_or_else(|| format!("gauge {k}: not a number"))?,
-                );
-            }
+        for (k, v) in doc.opt_obj("gauges").into_iter().flatten() {
+            let v = num(v).ok_or_else(|| format!("gauge {k}: not a number"))?;
+            sample.gauges.insert(k.clone(), v);
         }
-        if let Some(obj) = doc.get("counters").and_then(|v| v.as_obj()) {
-            for (k, v) in obj {
-                sample.counters.insert(
-                    k.clone(),
-                    v.as_u64()
-                        .ok_or_else(|| format!("counter {k}: not a u64"))?,
-                );
-            }
+        for (k, v) in doc.opt_obj("counters").into_iter().flatten() {
+            let v = v
+                .as_u64()
+                .ok_or_else(|| format!("counter {k}: not a u64"))?;
+            sample.counters.insert(k.clone(), v);
         }
-        if let Some(obj) = doc.get("quantiles").and_then(|v| v.as_obj()) {
-            for (k, v) in obj {
-                let arr = v
-                    .as_arr()
-                    .filter(|a| a.len() == 3)
-                    .ok_or_else(|| format!("quantiles {k}: not a 3-array"))?;
-                let mut q = [0.0; 3];
-                for (slot, item) in q.iter_mut().zip(arr) {
-                    *slot = num(item).ok_or_else(|| format!("quantiles {k}: not a number"))?;
-                }
-                sample.quantiles.insert(k.clone(), q);
+        for (k, v) in doc.opt_obj("quantiles").into_iter().flatten() {
+            let arr = v
+                .as_arr()
+                .filter(|a| a.len() == 3)
+                .ok_or_else(|| format!("quantiles {k}: not a 3-array"))?;
+            let mut q = [0.0; 3];
+            for (slot, item) in q.iter_mut().zip(arr) {
+                *slot = num(item).ok_or_else(|| format!("quantiles {k}: not a number"))?;
             }
+            sample.quantiles.insert(k.clone(), q);
         }
-        if let Some(arr) = doc.get("ranks").and_then(|v| v.as_arr()) {
-            for item in arr {
-                sample.ranks.push(num(item).ok_or("ranks: not a number")?);
-            }
+        for item in doc.opt_arr("ranks").into_iter().flatten() {
+            sample.ranks.push(num(item).ok_or("ranks: not a number")?);
         }
-        if let Some(arr) = doc.get("alerts").and_then(|v| v.as_arr()) {
-            for item in arr {
-                sample
-                    .alerts
-                    .push(item.as_str().ok_or("alerts: not a string")?.to_string());
-            }
+        for item in doc.opt_arr("alerts").into_iter().flatten() {
+            let alert = item.as_str().ok_or("alerts: not a string")?;
+            sample.alerts.push(alert.to_string());
         }
         Ok(sample)
     }
@@ -225,15 +147,7 @@ impl TelemetrySample {
 /// Parse a whole `cubesfc-telemetry-v1` NDJSON stream (blank lines
 /// ignored). Errors carry the 1-based line number.
 pub fn parse_telemetry(text: &str) -> Result<Vec<TelemetrySample>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = crate::value::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(TelemetrySample::from_json(&doc).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
+    read_ndjson(text, TelemetrySample::from_json).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
-//! A minimal JSON reader (no serde: this crate must build with no
-//! registry access).
+//! The reader half of the workspace's JSON codec (the writer is
+//! [`crate::json`]; no serde: the build must work with no registry
+//! access).
 //!
-//! Parses a complete JSON document into a [`JsonValue`] tree. Built for
-//! the profile comparator and trace schema checks, so it covers the
-//! whole JSON grammar but optimises for nothing: strings, numbers
-//! (integers kept exact as `u64`/`i64` where possible), booleans,
-//! nulls, arrays, objects. Duplicate object keys keep the last value.
+//! [`parse`] turns a complete document into a [`JsonValue`] tree. It
+//! covers the whole JSON grammar but optimises for nothing: strings,
+//! numbers (integers kept exact as `u64`/`i64` where possible),
+//! booleans, nulls, arrays, objects. Duplicate object keys keep the
+//! last value.
+//!
+//! Every `cubesfc-*-v1` parser is written against the typed member
+//! readers on [`JsonValue`] (`req_*` / `opt_*`, one
+//! [`JsonValue::expect_schema`]), and every replay input is loaded
+//! through [`load_doc`] or [`read_ndjson`], whose two-armed
+//! [`LoadError`] is the CLI's exit-code contract in one place: input
+//! that is not JSON at all is [`LoadError::Syntax`] (exit 2, with the
+//! parser's line/column), valid JSON of the wrong schema or shape is
+//! [`LoadError::Shape`] (exit 1).
 
 use std::collections::BTreeMap;
 
@@ -81,6 +91,118 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The boolean payload, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Check the `"schema"` member — the one place a version tag is
+    /// compared.
+    pub fn expect_schema(&self, want: &str) -> Result<(), String> {
+        match self.get("schema").map(JsonValue::as_str) {
+            Some(Some(s)) if s == want => Ok(()),
+            Some(Some(s)) => Err(format!("unsupported schema {s:?} (want {want:?})")),
+            _ => Err(format!("missing \"schema\" key: not a {want} document")),
+        }
+    }
+
+    /// The array-of-`u64` member `key`; missing, not an array, or
+    /// holding anything else is `"<what> missing \"<key>\""`.
+    pub fn req_u64s(&self, key: &str, what: &str) -> Result<Vec<u64>, String> {
+        self.opt_arr(key)
+            .and_then(|a| a.iter().map(JsonValue::as_u64).collect())
+            .ok_or_else(|| missing(what, key))
+    }
+}
+
+fn missing(what: &str, key: &str) -> String {
+    format!("{what} missing {key:?}")
+}
+
+/// Typed member readers: `opt_*` is `None` when the member is absent or
+/// of another type; `req_*` turns that into `"<what> missing \"<key>\""`.
+macro_rules! member_readers {
+    ($($opt:ident $req:ident $conv:ident -> $t:ty;)*) => {
+        impl JsonValue {$(
+            #[doc = concat!("Member `key` through [`JsonValue::", stringify!($conv), "`].")]
+            pub fn $opt(&self, key: &str) -> Option<$t> {
+                self.get(key)?.$conv()
+            }
+
+            #[doc = concat!("[`JsonValue::", stringify!($opt), "`], or an error naming `what`.")]
+            pub fn $req(&self, key: &str, what: &str) -> Result<$t, String> {
+                self.$opt(key).ok_or_else(|| missing(what, key))
+            }
+        )*}
+    };
+}
+member_readers! {
+    opt_u64 req_u64 as_u64 -> u64;
+    opt_f64 req_f64 as_f64 -> f64;
+    opt_bool req_bool as_bool -> bool;
+    opt_str req_str as_str -> &str;
+    opt_arr req_arr as_arr -> &[JsonValue];
+    opt_obj req_obj as_obj -> &BTreeMap<String, JsonValue>;
+}
+
+/// Why a replay input could not be loaded.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LoadError {
+    /// The text is not JSON; the message ends in the parser's
+    /// `at line L, column C` position.
+    Syntax(String),
+    /// Valid JSON, but not the expected schema or shape.
+    Shape(String),
+}
+
+impl LoadError {
+    /// Prefix the message with `"<context>: "` (a path, a line number).
+    pub fn context(self, context: impl std::fmt::Display) -> LoadError {
+        match self {
+            LoadError::Syntax(m) => LoadError::Syntax(format!("{context}: {m}")),
+            LoadError::Shape(m) => LoadError::Shape(format!("{context}: {m}")),
+        }
+    }
+}
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadError::Syntax(m) | LoadError::Shape(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
+
+/// Parse `text` and hand the document to `shape`, keeping the two
+/// failure classes apart.
+pub fn load_doc<T>(
+    text: &str,
+    shape: impl FnOnce(&JsonValue) -> Result<T, String>,
+) -> Result<T, LoadError> {
+    let doc = parse(text).map_err(LoadError::Syntax)?;
+    shape(&doc).map_err(LoadError::Shape)
+}
+
+/// Load an NDJSON stream: one [`load_doc`] per non-blank line, errors
+/// prefixed with the 1-based line number.
+pub fn read_ndjson<T>(
+    text: &str,
+    from_json: impl Fn(&JsonValue) -> Result<T, String>,
+) -> Result<Vec<T>, LoadError> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if !line.trim().is_empty() {
+            let item = load_doc(line, &from_json);
+            out.push(item.map_err(|e| e.context(format_args!("line {}", i + 1)))?);
+        }
+    }
+    Ok(out)
 }
 
 /// Resource limits applied while parsing untrusted input.

@@ -710,8 +710,9 @@ impl Checkpoint {
         w.begin_object().field("schema", CHECKPOINT_SCHEMA);
         w.field("step", self.step).field("nproc", self.nproc);
         w.field("armed", self.armed).array("dead", &self.dead);
-        w.array("assignment", &self.assignment).end_object();
-        w.finish()
+        w.array("assignment", &self.assignment)
+            .end_object()
+            .finish()
     }
 
     /// Parse a `cubesfc-checkpoint-v1` document.
@@ -843,8 +844,9 @@ impl ChaosReport {
         w.field("survivor_elems", self.survivor_elems);
         w.field("conserved", self.conserved);
         w.field("recovered", self.recovered());
-        w.field("unrecovered", self.unrecovered()).end_object();
-        w.finish()
+        w.field("unrecovered", self.unrecovered())
+            .end_object()
+            .finish()
     }
 
     /// Parse a `cubesfc-chaos-v1` document.

@@ -176,8 +176,7 @@ impl SimReport {
         for r in &self.records {
             r.write_json(&mut w);
         }
-        w.end_array().end_object();
-        w.finish()
+        w.end_array().end_object().finish()
     }
 
     /// Render a fixed-width summary table of the run.

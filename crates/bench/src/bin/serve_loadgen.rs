@@ -35,7 +35,7 @@
 
 use cubesfc::serve::{http_request, http_request_with_headers, ServeConfig, Server};
 use cubesfc::EngineBackend;
-use cubesfc_obs::{HistogramSnapshot, Registry};
+use cubesfc_obs::{HistogramSnapshot, JsonWriter, Layout, Registry};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -252,12 +252,15 @@ fn fmt_quantiles(h: &HistogramSnapshot) -> (f64, f64, f64) {
     (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99))
 }
 
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+/// `key: {"p50":…,"p95":…,"p99":…}`, behind a `count` when given.
+fn write_quantiles(w: &mut JsonWriter, key: &str, count: Option<u64>, h: &HistogramSnapshot) {
+    let (p50, p95, p99) = fmt_quantiles(h);
+    w.key(key).begin_object();
+    if let Some(count) = count {
+        w.field("count", count);
     }
+    w.field("p50", p50).field("p95", p95).field("p99", p99);
+    w.end_object();
 }
 
 /// Verified access-log totals, folded into the bench document.
@@ -372,10 +375,10 @@ fn closed_loop(cfg: &Config) -> Result<(), String> {
                         // identical requests overlap (coalescing) while
                         // the mix still spans cold and warm keys.
                         let nproc = ladder[(c + r) % ladder.len()];
-                        let body = format!(
-                            "{{\"ne\": {}, \"nproc\": {nproc}, \"method\": \"sfc\"}}",
-                            cfg.ne
-                        );
+                        let mut body = JsonWriter::new(Layout::Compact);
+                        body.begin_object().field("ne", cfg.ne);
+                        body.field("nproc", nproc).field("method", "sfc");
+                        let body = body.end_object().finish();
                         let id = format!("c{c:03}-r{r:04}");
                         let t0 = Instant::now();
                         let resp = http_request_with_headers(
@@ -482,47 +485,35 @@ fn closed_loop(cfg: &Config) -> Result<(), String> {
         None => None,
     };
 
-    let mut out = format!(
-        "{{\"schema\":\"cubesfc-serve-bench-v1\",\"ne\":{},\"clients\":{},\"requests_per_client\":{},\
-         \"ok\":{total_ok},\"rejected_429\":{rejected},\"errors\":{errors},\
-         \"elapsed_s\":{},\"throughput_rps\":{},\
-         \"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\
-         \"server\":{{\"cache_hits\":{hits},\"cache_misses\":{misses},\
-         \"coalesced\":{coalesced},\"backend_computes\":{computes}}},\"classes\":{{",
-        cfg.ne,
-        cfg.clients,
-        cfg.requests,
-        fmt_f64(elapsed.as_secs_f64()),
-        fmt_f64(throughput),
-        fmt_f64(p50),
-        fmt_f64(p95),
-        fmt_f64(p99),
-    );
-    for (i, class) in ["hit", "miss", "coalesced"].iter().enumerate() {
+    let mut w = JsonWriter::new(Layout::Compact);
+    w.begin_object().field("schema", "cubesfc-serve-bench-v1");
+    w.field("ne", cfg.ne).field("clients", cfg.clients);
+    w.field("requests_per_client", cfg.requests);
+    w.field("ok", total_ok).field("rejected_429", rejected);
+    w.field("errors", errors);
+    w.field("elapsed_s", elapsed.as_secs_f64());
+    w.field("throughput_rps", throughput);
+    write_quantiles(&mut w, "latency_us", None, overall);
+    w.key("server").begin_object();
+    w.field("cache_hits", hits).field("cache_misses", misses);
+    w.field("coalesced", coalesced);
+    w.field("backend_computes", computes).end_object();
+    w.key("classes").begin_object();
+    for class in ["hit", "miss", "coalesced"] {
         let h = snap
             .histograms
             .get(&format!("loadgen/latency_{class}_us"))
             .unwrap_or(&empty);
-        let (p50, p95, p99) = fmt_quantiles(h);
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{class}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            h.count,
-            fmt_f64(p50),
-            fmt_f64(p95),
-            fmt_f64(p99)
-        ));
+        write_quantiles(&mut w, class, Some(h.count), h);
     }
-    out.push('}');
+    w.end_object();
     if let Some(v) = &access {
-        out.push_str(&format!(
-            ",\"access_log\":{{\"lines\":{},\"ok\":{},\"rejected_429\":{},\"verified\":true}}",
-            v.lines, v.ok, v.rejected
-        ));
+        w.key("access_log").begin_object();
+        w.field("lines", v.lines).field("ok", v.ok);
+        w.field("rejected_429", v.rejected);
+        w.field("verified", true).end_object();
     }
-    out.push('}');
+    let out = w.end_object().finish();
     std::fs::write(&cfg.out, &out).map_err(|e| format!("{}: {e}", cfg.out))?;
     eprintln!("(serve bench written to {})", cfg.out);
 

@@ -242,6 +242,37 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The value following `flag`, parsed as `T`.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// `n`, unless it is the zero of a flag that counts something.
+fn positive<T: Default + PartialEq>(flag: &str, n: T) -> Result<T, String> {
+    if n == T::default() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(n)
+}
+
+/// The `PATH` of a `--flag=PATH` argument; `None` when `arg` is not
+/// `flag=...` at all.
+fn path_suffix(arg: &str, flag: &str) -> Option<Result<String, String>> {
+    let path = arg.strip_prefix(flag)?.strip_prefix('=')?;
+    Some(if path.is_empty() {
+        Err(format!("{flag}= needs a non-empty path"))
+    } else {
+        Ok(path.to_string())
+    })
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     let command = it.next().ok_or("missing command")?;
@@ -286,30 +317,13 @@ fn parse_args() -> Result<Args, String> {
         once: false,
     };
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--ne" => {
-                args.ne = it
-                    .next()
-                    .ok_or("--ne needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--ne: {e}"))?
-            }
-            "--nproc" => {
-                args.nproc = it
-                    .next()
-                    .ok_or("--nproc needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--nproc: {e}"))?
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+        let flag = flag.as_str();
+        match flag {
+            "--ne" => args.ne = value(&mut it, flag)?,
+            "--nproc" => args.nproc = value(&mut it, flag)?,
+            "--seed" => args.seed = value(&mut it, flag)?,
             "--method" => {
-                let m = it.next().ok_or("--method needs a value")?;
+                let m: String = value(&mut it, flag)?;
                 args.method = match m.to_lowercase().as_str() {
                     "sfc" => PartitionMethod::Sfc,
                     "kway" => PartitionMethod::MetisKway,
@@ -320,94 +334,42 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown method '{other}'")),
                 };
             }
-            "--output" => args.output = Some(it.next().ok_or("--output needs a value")?),
+            "--output" => args.output = Some(value(&mut it, flag)?),
             "--ascii" => args.ascii = true,
             "--profile" => args.profile = true,
             "--telemetry" => args.telemetry = true,
             "--trace" => {
-                let p = it.next().ok_or("--trace needs a value")?;
+                let p: String = value(&mut it, flag)?;
                 if p.is_empty() {
                     return Err("--trace needs a non-empty path".into());
                 }
                 args.trace = Some(p);
             }
             "--threshold" => {
-                let t: f64 = it
-                    .next()
-                    .ok_or("--threshold needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
+                let t: f64 = value(&mut it, flag)?;
                 if !t.is_finite() || t < 0.0 {
                     return Err("--threshold must be a non-negative percentage".into());
                 }
                 args.threshold = Some(t);
             }
             "--report-only" => args.report_only = true,
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
-            "--jobs" => {
-                args.jobs = Some(
-                    it.next()
-                        .ok_or("--jobs needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                )
-            }
-            "--max-points" => {
-                let m: usize = it
-                    .next()
-                    .ok_or("--max-points needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-points: {e}"))?;
-                if m == 0 {
-                    return Err("--max-points must be positive".into());
-                }
-                args.max_points = m;
-            }
+            "--baseline" => args.baseline = Some(value(&mut it, flag)?),
+            "--jobs" => args.jobs = Some(value(&mut it, flag)?),
+            "--max-points" => args.max_points = positive(flag, value(&mut it, flag)?)?,
             "--serial" => args.serial = true,
-            "--steps" => {
-                let s: usize = it
-                    .next()
-                    .ok_or("--steps needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--steps: {e}"))?;
-                if s == 0 {
-                    return Err("--steps must be positive".into());
-                }
-                args.steps = s;
-            }
-            "--trajectory" => args.trajectory = it.next().ok_or("--trajectory needs a value")?,
-            "--policy" => args.policy = it.next().ok_or("--policy needs a value")?,
-            "--json" => args.json = Some(it.next().ok_or("--json needs a value")?),
-            "--every" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--every needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--every: {e}"))?;
-                if n == 0 {
-                    return Err("--every must be positive".into());
-                }
-                args.every = Some(n);
-            }
+            "--steps" => args.steps = positive(flag, value(&mut it, flag)?)?,
+            "--trajectory" => args.trajectory = value(&mut it, flag)?,
+            "--policy" => args.policy = value(&mut it, flag)?,
+            "--json" => args.json = Some(value(&mut it, flag)?),
+            "--every" => args.every = Some(positive(flag, value(&mut it, flag)?)?),
             "--trigger" => {
-                let t: f64 = it
-                    .next()
-                    .ok_or("--trigger needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--trigger: {e}"))?;
+                let t: f64 = value(&mut it, flag)?;
                 if !t.is_finite() || !(0.0..1.0).contains(&t) {
                     return Err("--trigger must be an LB in [0, 1)".into());
                 }
                 args.trigger = Some(t);
             }
-            "--horizon" => {
-                args.horizon = Some(
-                    it.next()
-                        .ok_or("--horizon needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--horizon: {e}"))?,
-                )
-            }
+            "--horizon" => args.horizon = Some(value(&mut it, flag)?),
             "--faults" => {
                 let s = it.next().ok_or("--faults needs a spec")?;
                 if s.is_empty() {
@@ -416,106 +378,36 @@ fn parse_args() -> Result<Args, String> {
                 args.faults = Some(s);
             }
             "--checkpoint" => args.checkpoint = Some("cubesfc-checkpoint.json".to_string()),
-            "--checkpoint-every" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--checkpoint-every needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?;
-                if n == 0 {
-                    return Err("--checkpoint-every must be positive".into());
-                }
-                args.checkpoint_every = n;
-            }
+            "--checkpoint-every" => args.checkpoint_every = positive(flag, value(&mut it, flag)?)?,
             "--resume" => args.resume = Some(it.next().ok_or("--resume needs a path")?),
             "--chaos-json" => args.chaos_json = Some(it.next().ok_or("--chaos-json needs a path")?),
             "--addr" => {
-                let a = it.next().ok_or("--addr needs a value")?;
+                let a: String = value(&mut it, flag)?;
                 if a.is_empty() {
                     return Err("--addr needs a non-empty HOST:PORT".into());
                 }
                 args.addr = a;
             }
-            "--workers" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if n == 0 {
-                    return Err("--workers must be positive".into());
-                }
-                args.workers = n;
-            }
-            "--queue" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--queue needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?;
-                if n == 0 {
-                    return Err("--queue must be positive".into());
-                }
-                args.queue = n;
-            }
-            "--cache-entries" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--cache-entries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--cache-entries: {e}"))?;
-                if n == 0 {
-                    return Err("--cache-entries must be positive".into());
-                }
-                args.cache_entries = n;
-            }
-            "--deadline-ms" => {
-                let n: u64 = it
-                    .next()
-                    .ok_or("--deadline-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--deadline-ms: {e}"))?;
-                if n == 0 {
-                    return Err("--deadline-ms must be positive".into());
-                }
-                args.deadline_ms = n;
-            }
+            "--workers" => args.workers = positive(flag, value(&mut it, flag)?)?,
+            "--queue" => args.queue = positive(flag, value(&mut it, flag)?)?,
+            "--cache-entries" => args.cache_entries = positive(flag, value(&mut it, flag)?)?,
+            "--deadline-ms" => args.deadline_ms = positive(flag, value(&mut it, flag)?)?,
             "--access-log" => args.access_log = Some("cubesfc-access.ndjson".to_string()),
-            "--interval-ms" => {
-                let n: u64 = it
-                    .next()
-                    .ok_or("--interval-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--interval-ms: {e}"))?;
-                if n == 0 {
-                    return Err("--interval-ms must be positive".into());
-                }
-                args.interval_ms = n;
-            }
+            "--interval-ms" => args.interval_ms = positive(flag, value(&mut it, flag)?)?,
             "--once" => args.once = true,
-            other if other.starts_with("--checkpoint=") => {
-                let p = &other["--checkpoint=".len()..];
-                if p.is_empty() {
-                    return Err("--checkpoint= needs a non-empty path".into());
+            other => {
+                if let Some(path) = path_suffix(other, "--checkpoint") {
+                    args.checkpoint = Some(path?);
+                } else if let Some(path) = path_suffix(other, "--telemetry") {
+                    args.telemetry_path = Some(path?);
+                } else if let Some(path) = path_suffix(other, "--access-log") {
+                    args.access_log = Some(path?);
+                } else if !other.starts_with('-') {
+                    args.paths.push(other.to_string());
+                } else {
+                    return Err(format!("unknown flag '{other}'"));
                 }
-                args.checkpoint = Some(p.to_string());
             }
-            other if other.starts_with("--telemetry=") => {
-                let p = &other["--telemetry=".len()..];
-                if p.is_empty() {
-                    return Err("--telemetry= needs a non-empty path".into());
-                }
-                args.telemetry_path = Some(p.to_string());
-            }
-            other if other.starts_with("--access-log=") => {
-                let p = &other["--access-log=".len()..];
-                if p.is_empty() {
-                    return Err("--access-log= needs a non-empty path".into());
-                }
-                args.access_log = Some(p.to_string());
-            }
-            other if !other.starts_with('-') => args.paths.push(other.to_string()),
-            other => return Err(format!("unknown flag '{other}'")),
         }
     }
     match args.command.as_str() {
@@ -714,27 +606,47 @@ impl From<String> for CliError {
     }
 }
 
-/// Read a replay input and syntax-check it. Unreadable files are
-/// runtime errors; text that is not JSON is malformed input. Returns
-/// the raw text and the parsed document.
-fn read_doc(path: &str) -> Result<(String, cubesfc_obs::JsonValue), CliError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
-    let doc =
-        cubesfc_obs::json_parse(&text).map_err(|e| CliError::Malformed(format!("{path}: {e}")))?;
-    Ok((text, doc))
+impl CliError {
+    /// A replay-input failure on `path`: text that is not JSON at all
+    /// is malformed input, valid JSON of the wrong schema or shape is a
+    /// runtime error.
+    fn load(path: &str, e: cubesfc_obs::LoadError) -> CliError {
+        match e.context(path) {
+            cubesfc_obs::LoadError::Syntax(m) => CliError::Malformed(m),
+            cubesfc_obs::LoadError::Shape(m) => CliError::Runtime(m),
+        }
+    }
+}
+
+/// Read a replay input (unreadable files are runtime errors).
+fn read_input(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))
+}
+
+/// Load one JSON replay document through its schema's `shape` reader.
+fn load<T>(
+    path: &str,
+    shape: impl FnOnce(&cubesfc_obs::JsonValue) -> Result<T, String>,
+) -> Result<T, CliError> {
+    cubesfc_obs::load_doc(&read_input(path)?, shape).map_err(|e| CliError::load(path, e))
 }
 
 /// Diff two `cubesfc-profile-v1` snapshots; `Err` carries the regression
 /// verdict (runtime error, exit 1) unless `--report-only` was given.
 fn run_compare(args: &Args) -> Result<(), CliError> {
-    let (old, _) = read_doc(&args.paths[0])?;
-    let (new, _) = read_doc(&args.paths[1])?;
+    use cubesfc_obs::ProfileTotals;
+    let side = |label: &str, path: &str| {
+        load(path, |doc| {
+            ProfileTotals::from_json(doc).map_err(|e| format!("{label} snapshot: {e}"))
+        })
+    };
+    let old = side("old", &args.paths[0])?;
+    let new = side("new", &args.paths[1])?;
     let mut cfg = cubesfc_obs::CompareConfig::default();
     if let Some(t) = args.threshold {
         cfg.threshold_pct = t;
     }
-    let report = cubesfc_obs::compare_profiles(&old, &new, &cfg)?;
+    let report = new.compare(&old, &cfg);
     print!("{}", report.render());
     let n = report.regressions();
     if n > 0 && !args.report_only {
@@ -752,22 +664,9 @@ fn run_compare(args: &Args) -> Result<(), CliError> {
 /// `--report-only` was given.
 fn run_telemetry_report(args: &Args) -> Result<(), CliError> {
     let path = &args.paths[1];
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
-    // Classify per line: broken JSON is malformed input (exit 2, with
-    // the parser's line/column position), a schema or shape violation
-    // in valid JSON is a runtime error (exit 1).
-    let mut samples = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = cubesfc_obs::json_parse(line)
-            .map_err(|e| CliError::Malformed(format!("{path}: line {}: {e}", i + 1)))?;
-        let sample = cubesfc_obs::TelemetrySample::from_json(&doc)
-            .map_err(|e| CliError::Runtime(format!("{path}: line {}: {e}", i + 1)))?;
-        samples.push(sample);
-    }
+    let samples =
+        cubesfc_obs::read_ndjson(&read_input(path)?, cubesfc_obs::TelemetrySample::from_json)
+            .map_err(|e| CliError::load(path, e))?;
     let mut bank = cubesfc_obs::SeriesBank::new(samples.len().max(1));
     for s in &samples {
         bank.ingest(s);
@@ -786,7 +685,6 @@ fn run_telemetry_report(args: &Args) -> Result<(), CliError> {
 /// fraction regressed past the threshold, unless `--report-only`.
 fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
     let path = &args.paths[1];
-    let (_, doc) = read_doc(path)?;
     let (alpha_s, beta_bytes_per_s) = MachineModel::ncar_p690().alpha_beta();
     let cfg = cubesfc_obs::AnalyzeConfig {
         comm: cubesfc_obs::CommModel {
@@ -794,18 +692,18 @@ fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
             beta_bytes_per_s,
         },
     };
-    let analysis = cubesfc_obs::analyze_doc(&doc, &cfg)
-        .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
+    let analysis = load(path, |doc| cubesfc_obs::analyze_doc(doc, &cfg))?;
     print!("{}", analysis.render());
-    let json = analysis.to_json();
     if let Some(out) = &args.json {
-        std::fs::write(out, &json).map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
+        std::fs::write(out, analysis.to_json())
+            .map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
     }
     if let Some(base) = &args.baseline {
-        let (old, _) = read_doc(base)?;
+        let old = load(base, |doc| {
+            cubesfc_obs::GateMetrics::from_json(doc).map_err(|e| format!("baseline analysis: {e}"))
+        })?;
         let threshold = args.threshold.unwrap_or(25.0);
-        let report = cubesfc_obs::compare_analyses(&old, &json, threshold)
-            .map_err(|e| CliError::Runtime(format!("{base}: {e}")))?;
+        let report = analysis.gate_metrics().compare(&old, threshold);
         print!("{}", report.render());
         let n = report.regressions();
         if n > 0 && !args.report_only {
@@ -1009,9 +907,7 @@ fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
 /// element conservation failed, unless `--report-only` was given.
 fn run_chaos(args: &Args) -> Result<(), CliError> {
     let path = &args.paths[0];
-    let (text, _) = read_doc(path)?;
-    let report = cubesfc::balance::ChaosReport::from_json(&text)
-        .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
+    let report = load(path, cubesfc::balance::ChaosReport::from_doc)?;
     print!("{}", report.render_table());
     if !report.passed() && !args.report_only {
         let mut reasons = Vec::new();

@@ -15,11 +15,9 @@ use crate::partitioner::{partition_with_graph, PartitionMethod, PartitionOptions
 use crate::report::PartitionReport;
 use crate::sfc_partition::partition_curve;
 use cubesfc_balance::{IncrementalSfc, Repartitioner};
-use cubesfc_graph::{load_balance_f64, part_loads, raw_migration, Partition};
+use cubesfc_graph::{load_balance_f64, part_loads, raw_migration};
 use cubesfc_seam::{CostModel, MachineModel};
-use cubesfc_serve::{
-    fmt_f64, Backend, BackendError, PartitionRequest, RebalanceStepRequest, SERVE_SCHEMA,
-};
+use cubesfc_serve::{body_writer, Backend, BackendError, PartitionRequest, RebalanceStepRequest};
 
 /// Map a wire method name onto a [`PartitionMethod`], accepting the
 /// same lower-case names as the CLI's `--method` flag.
@@ -77,17 +75,6 @@ impl Default for EngineBackend {
     }
 }
 
-fn push_assignment(out: &mut String, partition: &Partition) {
-    out.push_str(",\"assignment\":[");
-    for (i, &p) in partition.assignment().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&p.to_string());
-    }
-    out.push(']');
-}
-
 impl Backend for EngineBackend {
     fn partition(&self, req: &PartitionRequest) -> Result<String, BackendError> {
         let _span = cubesfc_obs::span("service/partition");
@@ -116,27 +103,22 @@ impl Backend for EngineBackend {
             &self.cost,
         );
 
-        let mut body = format!(
-            "{{\"schema\":\"{SERVE_SCHEMA}\",\"kind\":\"partition\",\
-             \"ne\":{},\"k\":{},\"nproc\":{},\"method\":\"{}\",\"seed\":{},\
-             \"report\":{{\"lb_nelemd\":{},\"lb_spcv\":{},\"tcv_mbytes\":{},\
-             \"edgecut\":{},\"time_us\":{}}}",
-            req.ne,
-            bundle.graph.nv(),
-            req.nproc,
-            method.label(),
-            req.seed,
-            fmt_f64(report.lb_nelemd),
-            fmt_f64(report.lb_spcv),
-            fmt_f64(report.tcv_mbytes),
-            report.edgecut,
-            fmt_f64(report.time_us),
-        );
-        if req.include_assignment {
-            push_assignment(&mut body, &partition);
+        // ~3 bytes per label when the assignment rides along.
+        let labels = req.include_assignment.then(|| partition.assignment());
+        let mut w = body_writer(320 + 3 * labels.map_or(0, <[u32]>::len));
+        w.field("kind", "partition").field("ne", req.ne);
+        w.field("k", bundle.graph.nv()).field("nproc", req.nproc);
+        w.field("method", method.label()).field("seed", req.seed);
+        w.key("report").begin_object();
+        w.field("lb_nelemd", report.lb_nelemd);
+        w.field("lb_spcv", report.lb_spcv);
+        w.field("tcv_mbytes", report.tcv_mbytes);
+        w.field("edgecut", report.edgecut);
+        w.field("time_us", report.time_us).end_object();
+        if let Some(labels) = labels {
+            w.array("assignment", labels);
         }
-        body.push('}');
-        Ok(body)
+        Ok(w.end_object().finish())
     }
 
     fn rebalance_step(&self, req: &RebalanceStepRequest) -> Result<String, BackendError> {
@@ -171,23 +153,12 @@ impl Backend for EngineBackend {
         let loads = part_loads(&rebalanced, &weights);
         let lb = load_balance_f64(&loads);
 
-        let mut body = format!(
-            "{{\"schema\":\"{SERVE_SCHEMA}\",\"kind\":\"rebalance_step\",\
-             \"ne\":{},\"k\":{nelem},\"nproc\":{},\"seed\":{},\
-             \"load_balance\":{},\"moved_elems\":{moved},\"part_loads\":[",
-            req.ne,
-            req.nproc,
-            req.seed,
-            fmt_f64(lb),
-        );
-        for (i, l) in loads.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&fmt_f64(*l));
-        }
-        body.push_str("]}");
-        Ok(body)
+        let mut w = body_writer(192 + 8 * loads.len());
+        w.field("kind", "rebalance_step").field("ne", req.ne);
+        w.field("k", nelem).field("nproc", req.nproc);
+        w.field("seed", req.seed).field("load_balance", lb);
+        w.field("moved_elems", moved).array("part_loads", &loads);
+        Ok(w.end_object().finish())
     }
 }
 
@@ -195,6 +166,7 @@ impl Backend for EngineBackend {
 mod tests {
     use super::*;
     use cubesfc_obs::json_parse;
+    use cubesfc_serve::SERVE_SCHEMA;
 
     #[test]
     fn partition_body_is_valid_versioned_json() {

@@ -15,7 +15,7 @@
 //! drive. Live mode redraws with an ANSI home+clear between frames
 //! until interrupted.
 
-use cubesfc_obs::{json_parse, SeriesBank, Snapshot, TelemetrySample};
+use cubesfc_obs::{load_doc, SeriesBank, Snapshot, TelemetrySample};
 use cubesfc_serve::http_request;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -62,8 +62,7 @@ pub fn fetch_snapshot(addr: SocketAddr, timeout: Duration) -> Result<Snapshot, S
     if resp.status != 200 {
         return Err(format!("GET /metrics returned {}", resp.status));
     }
-    let doc = json_parse(&resp.body).map_err(|e| format!("bad /metrics body: {e}"))?;
-    Snapshot::from_json(&doc)
+    load_doc(&resp.body, Snapshot::from_json).map_err(|e| format!("bad /metrics body: {e}"))
 }
 
 /// One dashboard interval, derived from two successive snapshots.

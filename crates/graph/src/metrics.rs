@@ -182,7 +182,6 @@ pub fn part_exchange_points(g: &CsrGraph, p: &Partition) -> Vec<(u32, u32, u64)>
 
 /// A bundle of the Table 2 statistics for one partition.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartitionStats {
     /// Per-part element (vertex) counts — `nelemd`.
     pub nelemd: Vec<u64>,

@@ -5,52 +5,9 @@ use std::fmt;
 
 /// A partition of a graph's vertices into `nparts` parts.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(
-    feature = "serde",
-    derive(serde::Serialize, serde::Deserialize),
-    serde(try_from = "SerdePartition", into = "SerdePartition")
-)]
 pub struct Partition {
     nparts: usize,
     assign: Vec<u32>,
-}
-
-/// Wire format for [`Partition`]: validation happens on deserialization.
-#[cfg(feature = "serde")]
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SerdePartition {
-    nparts: usize,
-    assign: Vec<u32>,
-}
-
-#[cfg(feature = "serde")]
-impl TryFrom<SerdePartition> for Partition {
-    type Error = String;
-    fn try_from(w: SerdePartition) -> Result<Partition, String> {
-        if w.nparts == 0 {
-            return Err("nparts must be positive".into());
-        }
-        if let Some(bad) = w.assign.iter().find(|&&p| p as usize >= w.nparts) {
-            return Err(format!(
-                "assignment {bad} out of range for {} parts",
-                w.nparts
-            ));
-        }
-        Ok(Partition {
-            nparts: w.nparts,
-            assign: w.assign,
-        })
-    }
-}
-
-#[cfg(feature = "serde")]
-impl From<Partition> for SerdePartition {
-    fn from(p: Partition) -> SerdePartition {
-        SerdePartition {
-            nparts: p.nparts,
-            assign: p.assign,
-        }
-    }
 }
 
 impl Partition {

@@ -69,8 +69,7 @@ impl AccessRecord {
         w.field("service_us", self.service_us);
         w.field("bytes_in", self.bytes_in)
             .field("bytes_out", self.bytes_out);
-        w.field("outcome", &self.outcome).end_object();
-        w.finish()
+        w.field("outcome", &self.outcome).end_object().finish()
     }
 
     /// Rebuild a record from a parsed NDJSON line.

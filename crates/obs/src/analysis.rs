@@ -725,8 +725,7 @@ impl TraceAnalysis {
         w.field("predicted_comm_s", im.predicted_comm_s);
         w.field("wait_s", wait_s);
         w.field("comm_blame_fraction", im.comm_blame_fraction);
-        w.end_object().end_object().end_object();
-        w.finish()
+        w.end_object().end_object().end_object().finish()
     }
 
     /// Render the fixed-width terminal report: lane table, wait-state

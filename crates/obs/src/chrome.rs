@@ -89,8 +89,7 @@ impl Tracer {
             }
             w.end_object();
         }
-        w.end_array().end_object();
-        w.finish()
+        w.end_array().end_object().finish()
     }
 }
 

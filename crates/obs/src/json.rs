@@ -285,10 +285,10 @@ impl JsonWriter {
         self.end_object()
     }
 
-    /// The finished text. Every container must have been closed.
-    pub fn finish(self) -> String {
+    /// Take the finished text. Every container must have been closed.
+    pub fn finish(&mut self) -> String {
         debug_assert!(self.stack.is_empty() && !self.after_key);
-        self.out
+        std::mem::take(&mut self.out)
     }
 }
 

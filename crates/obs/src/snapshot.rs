@@ -181,8 +181,7 @@ impl Snapshot {
             }
             w.end_array().end_object();
         }
-        w.end_object().end_object();
-        w.finish()
+        w.end_object().end_object().finish()
     }
 
     /// Rebuild a snapshot from a parsed `cubesfc-profile-v1` document

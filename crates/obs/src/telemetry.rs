@@ -90,8 +90,7 @@ impl TelemetrySample {
             w.array(name, q);
         }
         w.end_object().array("ranks", &self.ranks);
-        w.array("alerts", &self.alerts).end_object();
-        w.finish()
+        w.array("alerts", &self.alerts).end_object().finish()
     }
 
     /// Rebuild a sample from a parsed NDJSON line.

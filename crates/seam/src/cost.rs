@@ -10,7 +10,6 @@
 
 /// Per-element computation and per-point communication costs.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     /// GLL points per element edge.
     pub np: usize,

@@ -11,7 +11,6 @@
 
 /// Analytic machine description.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineModel {
     /// Sustained element-kernel rate per processor (flops/s).
     pub sustained_flops: f64,

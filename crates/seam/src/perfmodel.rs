@@ -16,7 +16,6 @@ use cubesfc_graph::{CsrGraph, Partition};
 
 /// The modelled performance of one partition on one machine.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfReport {
     /// Number of processors (parts).
     pub nproc: usize,

@@ -8,7 +8,7 @@
 //!
 //! [`Backend`]: crate::Backend
 
-use cubesfc_obs::{json_escape, json_parse_with_limits, JsonLimits, JsonValue};
+use cubesfc_obs::{json_parse_with_limits, JsonLimits, JsonValue, JsonWriter, Layout};
 
 /// Schema identifier stamped on every response body.
 pub const SERVE_SCHEMA: &str = "cubesfc-serve-v1";
@@ -94,15 +94,14 @@ pub fn parse_partition_request(body: &[u8]) -> Result<PartitionRequest, String> 
     let nproc = require_u64(&root, "nproc", 1, MAX_NPROC, None)?;
     let seed = require_u64(&root, "seed", 0, u64::MAX, Some(0))?;
     let method = match root.get("method") {
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| "field \"method\" must be a string".to_string())?
-            .to_string(),
-        None => "sfc".to_string(),
-    };
+        Some(v) => v.as_str().ok_or("field \"method\" must be a string")?,
+        None => "sfc",
+    }
+    .to_string();
     let include_assignment = match root.get("include_assignment") {
-        Some(JsonValue::Bool(b)) => *b,
-        Some(_) => return Err("field \"include_assignment\" must be a boolean".to_string()),
+        Some(v) => v
+            .as_bool()
+            .ok_or("field \"include_assignment\" must be a boolean")?,
         None => false,
     };
     Ok(PartitionRequest {
@@ -150,22 +149,29 @@ pub fn parse_rebalance_request(body: &[u8]) -> Result<RebalanceStepRequest, Stri
     })
 }
 
-/// Format an `f64` the way the rest of the workspace does in JSON:
-/// shortest round-trip representation, `null` for non-finite values.
-pub fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+/// A compact writer with the `cubesfc-serve-v1` envelope opened: every
+/// response body starts `{"schema":"cubesfc-serve-v1",` and the caller
+/// adds its members and closes the object.
+pub fn body_writer(capacity: usize) -> JsonWriter {
+    let mut w = JsonWriter::with_capacity(Layout::Compact, capacity);
+    w.begin_object().field("schema", SERVE_SCHEMA);
+    w
+}
+
+/// A body whose only member besides the schema tag is `"status"`.
+pub fn status_body(status: &str) -> String {
+    let mut w = body_writer(64);
+    w.field("status", status).end_object().finish()
 }
 
 /// A `cubesfc-serve-v1` error body.
 pub fn error_body(status: u16, message: &str) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"error\":{{\"status\":{status},\"message\":\"{}\"}}}}",
-        json_escape(message)
-    )
+    let mut w = body_writer(96 + message.len());
+    w.key("error").begin_object().field("status", status);
+    w.field("message", message)
+        .end_object()
+        .end_object()
+        .finish()
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@ pub mod queue;
 pub mod server;
 
 pub use api::{
-    error_body, fmt_f64, parse_partition_request, parse_rebalance_request, PartitionRequest,
-    RebalanceStepRequest, SERVE_SCHEMA,
+    body_writer, error_body, parse_partition_request, parse_rebalance_request, status_body,
+    PartitionRequest, RebalanceStepRequest, SERVE_SCHEMA,
 };
 pub use client::{
     request as http_request, request_with_headers as http_request_with_headers, ClientResponse,

@@ -33,7 +33,8 @@ use std::time::{Duration, Instant};
 use cubesfc_obs::{Lane, Registry, Snapshot};
 
 use crate::api::{
-    error_body, parse_partition_request, parse_rebalance_request, PartitionRequest, SERVE_SCHEMA,
+    error_body, parse_partition_request, parse_rebalance_request, status_body, PartitionRequest,
+    SERVE_SCHEMA,
 };
 use crate::coalesce::{Coalescer, Outcome};
 use crate::http::{read_request, ReadError, Request, Response};
@@ -558,22 +559,13 @@ fn route(
     match (request.method.as_str(), request.path.as_str()) {
         // Liveness only: answers as long as a worker can run, no matter
         // how overloaded admission is. Readiness is `/readyz`.
-        ("GET", "/healthz") => (
-            "healthz",
-            Response::json(
-                200,
-                format!("{{\"schema\":\"{SERVE_SCHEMA}\",\"status\":\"ok\"}}"),
-            ),
-        ),
+        ("GET", "/healthz") => ("healthz", Response::json(200, status_body("ok"))),
         ("GET", "/readyz") => {
             let depth = shared.queue.len();
             let capacity = shared.queue.capacity();
             let draining = shared.draining.load(Ordering::SeqCst);
             let response = if readiness(draining, depth, capacity) {
-                Response::json(
-                    200,
-                    format!("{{\"schema\":\"{SERVE_SCHEMA}\",\"status\":\"ready\"}}"),
-                )
+                Response::json(200, status_body("ready"))
             } else {
                 let reason = if draining {
                     "draining"

@@ -3,13 +3,13 @@
 //! The engine fans the (K, Nproc, method) grid out over the worker pool;
 //! the contract is that a pooled run is **byte-identical** to the serial
 //! run — same partition assignments, same Table-2 metrics — for any seed
-//! and any worker count, and that the per-thread observability shards
-//! merge into exactly the registry the serial run produces.
+//! and any worker count. (That the per-thread observability shards merge
+//! into exactly the serial registry is `tests/engine_obs_merge.rs`: it
+//! flips the process-global registry, so it has a binary to itself.)
 //!
 //! These tests live in their own integration binary so the process-global
-//! observability registry and worker-pool override are not raced by
-//! unrelated unit tests; within the binary, [`GLOBAL_LOCK`] serialises
-//! the tests that touch either.
+//! worker-pool override is not raced by unrelated unit tests; within the
+//! binary, [`GLOBAL_LOCK`] serialises the tests that set it.
 
 use cubesfc::{
     cells_for, set_jobs, CellResult, ExperimentCell, ExperimentEngine, MeshCache, PartitionMethod,
@@ -17,8 +17,7 @@ use cubesfc::{
 };
 use std::sync::Arc;
 
-/// Serialises tests mutating process-global state (worker-pool size,
-/// observability registry).
+/// Serialises tests mutating the process-global worker-pool size.
 static GLOBAL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn assert_identical(serial: &[CellResult], parallel: &[CellResult], label: &str) {
@@ -85,42 +84,6 @@ fn strictly_serial_pool_matches_too() {
     let inline = engine.run(&cells).unwrap();
     set_jobs(0);
     assert_identical(&serial, &inline, "jobs=1");
-}
-
-#[test]
-fn parallel_engine_merges_observability_shards_exactly() {
-    let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let res = Resolution::for_ne(4, NCAR_P690_MAX_PROCS).unwrap();
-    let cells = cells_for(&res, 4);
-
-    // Serial run: the reference registry.
-    cubesfc::obs::set_enabled(true);
-    cubesfc::obs::reset();
-    let engine = ExperimentEngine::new();
-    engine.run_serial(&cells).unwrap();
-    let serial = cubesfc::obs::snapshot();
-
-    // Pooled run: per-thread shards merged into the global registry.
-    cubesfc::obs::reset();
-    let engine = ExperimentEngine::new();
-    set_jobs(3);
-    engine.run(&cells).unwrap();
-    set_jobs(0);
-    let parallel = cubesfc::obs::snapshot();
-    cubesfc::obs::set_enabled(false);
-    cubesfc::obs::reset();
-
-    // Counters and histograms are deterministic — the merge must
-    // reproduce them exactly; only wall-clock timings may differ.
-    assert!(!serial.counters.is_empty());
-    assert_eq!(serial.counters, parallel.counters);
-    assert_eq!(serial.histograms, parallel.histograms);
-    assert_eq!(serial.counters["experiment/cells"], cells.len() as u64);
-    // Same span paths with the same call counts.
-    let counts = |s: &cubesfc::obs::Snapshot| -> Vec<(String, u64)> {
-        s.timers.iter().map(|(k, v)| (k.clone(), v.count)).collect()
-    };
-    assert_eq!(counts(&serial), counts(&parallel));
 }
 
 #[test]

@@ -634,10 +634,9 @@ fn load<T>(
 /// Diff two `cubesfc-profile-v1` snapshots; `Err` carries the regression
 /// verdict (runtime error, exit 1) unless `--report-only` was given.
 fn run_compare(args: &Args) -> Result<(), CliError> {
-    use cubesfc_obs::ProfileTotals;
     let side = |label: &str, path: &str| {
         load(path, |doc| {
-            ProfileTotals::from_json(doc).map_err(|e| format!("{label} snapshot: {e}"))
+            cubesfc_obs::Snapshot::from_json(doc).map_err(|e| format!("{label} snapshot: {e}"))
         })
     };
     let old = side("old", &args.paths[0])?;
@@ -646,7 +645,7 @@ fn run_compare(args: &Args) -> Result<(), CliError> {
     if let Some(t) = args.threshold {
         cfg.threshold_pct = t;
     }
-    let report = new.compare(&old, &cfg);
+    let report = cubesfc_obs::compare_snapshots(&old, &new, &cfg);
     print!("{}", report.render());
     let n = report.regressions();
     if n > 0 && !args.report_only {

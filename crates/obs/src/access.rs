@@ -184,12 +184,7 @@ impl AccessLog {
     /// line per record, trailing newline).
     pub fn export_ndjson(&self) -> String {
         let st = self.state();
-        let mut out = String::new();
-        for r in st.ring.iter() {
-            out.push_str(&r.to_json_line());
-            out.push('\n');
-        }
-        out
+        st.ring.iter().map(|r| r.to_json_line() + "\n").collect()
     }
 
     /// Clear all records, the dropped counter, and the sequence.

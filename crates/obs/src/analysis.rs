@@ -326,12 +326,8 @@ fn load_balance(loads: &[f64]) -> f64 {
     (max - avg) / max
 }
 
-/// Parse and analyze a `cubesfc-trace-v1` document in one call.
-///
-/// JSON syntax errors come back verbatim from [`crate::json_parse`]
-/// (with line/column positions); callers that need to distinguish
-/// malformed input (exit 2) from schema violations (exit 1) pass
-/// [`analyze_doc`] to [`crate::load_doc`] themselves.
+/// Parse and analyze a `cubesfc-trace-v1` document in one call
+/// ([`analyze_doc`] through [`crate::load_doc`], classes merged).
 pub fn analyze_trace(text: &str, cfg: &AnalyzeConfig) -> Result<TraceAnalysis, String> {
     load_doc(text, |doc| analyze_doc(doc, cfg)).map_err(|e| e.to_string())
 }
@@ -352,20 +348,16 @@ pub fn analyze_doc(doc: &JsonValue, cfg: &AnalyzeConfig) -> Result<TraceAnalysis
     let mut names: BTreeMap<u64, String> = BTreeMap::new();
     let mut per_tid: BTreeMap<u64, Vec<&JsonValue>> = BTreeMap::new();
     for ev in events {
-        let ph = ev.opt_str("ph").unwrap_or("");
-        let tid = ev.opt_u64("tid");
-        match ph {
-            "M" if ev.opt_str("name") == Some("thread_name") => {
-                let name = ev.get("args").and_then(|a| a.opt_str("name"));
-                if let (Some(tid), Some(name)) = (tid, name) {
+        let Some(tid) = ev.opt_u64("tid") else {
+            continue;
+        };
+        match ev.opt_str("ph") {
+            Some("M") if ev.opt_str("name") == Some("thread_name") => {
+                if let Some(name) = ev.get("args").and_then(|a| a.opt_str("name")) {
                     names.insert(tid, name.to_string());
                 }
             }
-            "B" | "E" | "i" => {
-                if let Some(tid) = tid {
-                    per_tid.entry(tid).or_default().push(ev);
-                }
-            }
+            Some("B" | "E" | "i") => per_tid.entry(tid).or_default().push(ev),
             _ => {}
         }
     }
@@ -389,17 +381,10 @@ pub fn analyze_doc(doc: &JsonValue, cfg: &AnalyzeConfig) -> Result<TraceAnalysis
             };
             lane.first_ns = lane.first_ns.min(ts);
             lane.last_ns = lane.last_ns.max(ts);
-            match arg_u64(ev, "messages") {
-                Some(m) => lane.messages += m,
-                None => {
-                    if arg_u64(ev, "bytes").is_some() {
-                        lane.messages += 1;
-                    }
-                }
-            }
-            if let Some(b) = arg_u64(ev, "bytes") {
-                lane.bytes += b;
-            }
+            let bytes = arg_u64(ev, "bytes");
+            lane.bytes += bytes.unwrap_or(0);
+            // Bytes without an explicit count are one message.
+            lane.messages += arg_u64(ev, "messages").unwrap_or(u64::from(bytes.is_some()));
             match ev.opt_str("ph") {
                 Some("B") => {
                     let name = ev.opt_str("name").unwrap_or("<unnamed>").to_string();
@@ -677,16 +662,13 @@ impl TraceAnalysis {
             decomposition.map(|(k, ns)| (k, *ns as f64 / NS)),
         );
         w.key("straggler");
-        match &self.ranks.straggler {
-            Some(st) => {
-                w.begin_object().field("rank", st.rank);
-                w.field("bottleneck_segments", st.bottleneck_segments);
-                w.field("attributed_wait_s", st.attributed_wait_s)
-                    .end_object();
-            }
-            None => {
-                w.null();
-            }
+        if let Some(st) = &self.ranks.straggler {
+            w.begin_object().field("rank", st.rank);
+            w.field("bottleneck_segments", st.bottleneck_segments);
+            w.field("attributed_wait_s", st.attributed_wait_s);
+            w.end_object();
+        } else {
+            w.null();
         }
         w.end_object();
 
@@ -867,11 +849,8 @@ impl TraceAnalysis {
                     seq: k as u64,
                     lane: "analysis".to_string(),
                     step: k as u64,
-                    gauges: BTreeMap::new(),
-                    counters: BTreeMap::new(),
-                    quantiles: BTreeMap::new(),
                     ranks: busy.clone(),
-                    alerts: Vec::new(),
+                    ..TelemetrySample::default()
                 });
             }
             let _ = writeln!(out, "\nper-rank productive seconds per segment");
@@ -981,48 +960,47 @@ impl GateMetrics {
         })
     }
 
-    /// Diff against a baseline, mirroring `compare_profiles`:
-    /// critical-path seconds regress when they grow by more than
-    /// `threshold_pct` percent; the rank wait fraction regresses when it
-    /// grows by more than `threshold_pct` percentage *points*. Total
-    /// rank seconds ride along as an informational row.
+    /// Diff against a baseline, mirroring `compare_profiles`: critical-
+    /// path seconds regress when they grow by more than `threshold_pct`
+    /// percent, the rank wait fraction when it grows by more than
+    /// `threshold_pct` percentage *points*; total rank seconds are an
+    /// informational row.
     pub fn compare(&self, baseline: &GateMetrics, threshold_pct: f64) -> AnalysisCompare {
-        let relative = |old: f64, new: f64| {
-            if old > 0.0 {
-                (new / old - 1.0) * 100.0
-            } else {
-                0.0
+        // `points` rows change in percentage points, the rest in percent.
+        let row = |name: &str, old: f64, new: f64, points: bool, gated: bool| {
+            let change = match (points, old > 0.0) {
+                (true, _) => (new - old) * 100.0,
+                (false, true) => (new / old - 1.0) * 100.0,
+                (false, false) => 0.0,
+            };
+            AnalysisDelta {
+                name: name.to_string(),
+                old,
+                new,
+                change,
+                regressed: gated && change > threshold_pct,
             }
         };
-        let delta = |name: &str, old: f64, new: f64, change: f64, gated: bool| AnalysisDelta {
-            name: name.to_string(),
-            old,
-            new,
-            change,
-            regressed: gated && change > threshold_pct,
-        };
-        let (old, new) = (baseline, self);
-        let cp_change = relative(old.critical_path_s, new.critical_path_s);
-        let wf_change = (new.wait_fraction - old.wait_fraction) * 100.0;
-        let ts_change = relative(old.total_s, new.total_s);
+        let (o, n) = (baseline, self);
+        let deltas = vec![
+            row(
+                "critical_path/seconds",
+                o.critical_path_s,
+                n.critical_path_s,
+                false,
+                true,
+            ),
+            row(
+                "ranks/wait_fraction",
+                o.wait_fraction,
+                n.wait_fraction,
+                true,
+                true,
+            ),
+            row("ranks/total_s", o.total_s, n.total_s, false, false),
+        ];
         AnalysisCompare {
-            deltas: vec![
-                delta(
-                    "critical_path/seconds",
-                    old.critical_path_s,
-                    new.critical_path_s,
-                    cp_change,
-                    true,
-                ),
-                delta(
-                    "ranks/wait_fraction",
-                    old.wait_fraction,
-                    new.wait_fraction,
-                    wf_change,
-                    true,
-                ),
-                delta("ranks/total_s", old.total_s, new.total_s, ts_change, false),
-            ],
+            deltas,
             threshold_pct,
         }
     }

@@ -10,7 +10,8 @@
 //! report-only in CI, where machine-to-machine variance makes absolute
 //! times advisory).
 
-use crate::value::{load_doc, JsonValue};
+use crate::snapshot::Snapshot;
+use crate::value::load_doc;
 use std::collections::BTreeMap;
 
 /// Tunable comparison thresholds.
@@ -211,61 +212,33 @@ fn diff_maps(
     out
 }
 
-/// What the comparator reads from a `cubesfc-profile-v1` document:
-/// `{name: total_ns}` spans and `{name: value}` counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfileTotals {
-    /// Span path → total nanoseconds.
-    pub spans: BTreeMap<String, u64>,
-    /// Counter name → value.
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl ProfileTotals {
-    /// Extract the totals from a parsed profile document.
-    pub fn from_json(doc: &JsonValue) -> Result<ProfileTotals, String> {
-        doc.expect_schema(crate::SCHEMA)?;
-        let mut totals = ProfileTotals::default();
-        for (path, stat) in doc.opt_obj("timers").into_iter().flatten() {
-            let total = stat
-                .opt_u64("total_ns")
-                .ok_or_else(|| format!("timer {path:?} has no total_ns"))?;
-            totals.spans.insert(path.clone(), total);
-        }
-        for (name, v) in doc.opt_obj("counters").into_iter().flatten() {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("counter {name:?} is not an unsigned integer"))?;
-            totals.counters.insert(name.clone(), v);
-        }
-        Ok(totals)
-    }
-
-    /// Diff against a baseline. Counters are compared with no noise
-    /// floor (they are deterministic byte/message counts); spans use
-    /// [`CompareConfig::min_total_ns`].
-    pub fn compare(&self, baseline: &ProfileTotals, cfg: &CompareConfig) -> CompareReport {
-        CompareReport {
-            spans: diff_maps(&baseline.spans, &self.spans, cfg, cfg.min_total_ns),
-            counters: diff_maps(&baseline.counters, &self.counters, cfg, 0),
-            config: *cfg,
-        }
+/// Diff `new` against the `old` (baseline) snapshot. Counters are
+/// compared with no noise floor (they are deterministic byte/message
+/// counts); spans use [`CompareConfig::min_total_ns`].
+pub fn compare_snapshots(old: &Snapshot, new: &Snapshot, cfg: &CompareConfig) -> CompareReport {
+    let totals = |s: &Snapshot| -> BTreeMap<String, u64> {
+        let spans = s.timers.iter();
+        spans.map(|(path, t)| (path.clone(), t.total_ns)).collect()
+    };
+    CompareReport {
+        spans: diff_maps(&totals(old), &totals(new), cfg, cfg.min_total_ns),
+        counters: diff_maps(&old.counters, &new.counters, cfg, 0),
+        config: *cfg,
     }
 }
 
-/// Compare two `cubesfc-profile-v1` JSON documents (see
-/// [`ProfileTotals::compare`]). Errors on malformed JSON or wrong
-/// schema.
+/// [`compare_snapshots`] on two `cubesfc-profile-v1` JSON documents.
+/// Errors on malformed JSON or wrong schema.
 pub fn compare_profiles(
     old_json: &str,
     new_json: &str,
     cfg: &CompareConfig,
 ) -> Result<CompareReport, String> {
     let load = |side: &str, text: &str| {
-        load_doc(text, ProfileTotals::from_json).map_err(|e| format!("{side} snapshot: {e}"))
+        load_doc(text, Snapshot::from_json).map_err(|e| format!("{side} snapshot: {e}"))
     };
     let old = load("old", old_json)?;
-    Ok(load("new", new_json)?.compare(&old, cfg))
+    Ok(compare_snapshots(&old, &load("new", new_json)?, cfg))
 }
 
 #[cfg(test)]

@@ -3,23 +3,18 @@
 //! registry access). The reader half of the codec is [`crate::value`].
 //!
 //! [`JsonWriter`] appends straight into a `String` — no intermediate
-//! tree — and owns the three things every hand-rolled emitter used to
-//! re-implement: string escaping, comma bookkeeping, and the one `f64`
-//! format (shortest round-trip via `Display`, `null` for NaN/±inf, which
-//! readers map back to NaN). Integers print exactly; object members are
-//! emitted in the order the schema's code writes them, so output is
-//! byte-stable for a given value.
+//! tree — and owns what every hand-rolled emitter used to re-implement:
+//! string escaping, separators, and the one `f64` format. Members come
+//! out in the order the schema's code writes them, so output is
+//! byte-stable for a given value. The two layouts are chosen by each
+//! schema's code, never by the user:
 //!
-//! Two layouts exist, chosen by each schema's code (never by the user):
-//!
-//! * [`Layout::Compact`] — no whitespace at all. Used by the profile,
-//!   trace, telemetry, access, analysis, serve and serve-bench schemas.
-//! * [`Layout::Document`] — the hand-readable style shared by the
-//!   rebalance, chaos and checkpoint documents: each member of the
-//!   top-level object on its own two-space-indented line, `": "` after
-//!   keys, nested values inline with `", "` separators, except that
-//!   objects listed directly in a top-level array get one line each;
-//!   the document ends with a newline.
+//! * [`Layout::Compact`] — no whitespace (profile, trace, telemetry,
+//!   access, analysis, serve, serve-bench).
+//! * [`Layout::Document`] — rebalance, chaos, checkpoint: one top-level
+//!   member per two-space-indented line, `": "` after keys, nested
+//!   values inline with `", "`, except that objects listed directly in
+//!   a top-level array take one line each; a final newline.
 
 use std::fmt::Write as _;
 
@@ -47,37 +42,30 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A value [`JsonWriter`] can emit as one JSON token.
-pub trait JsonScalar {
+/// A value [`JsonWriter`] can emit as one JSON token; by default, its
+/// `Display` form (exact for integers and booleans).
+pub trait JsonScalar: std::fmt::Display {
     /// Append the token to `out`.
-    fn write_json(&self, out: &mut String);
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
 }
 
-macro_rules! integer_scalars {
-    ($($t:ty)*) => {$(
-        impl JsonScalar for $t {
-            fn write_json(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
-            }
-        }
-    )*};
-}
-integer_scalars!(u16 u32 u64 usize);
+impl JsonScalar for u16 {}
+impl JsonScalar for u32 {}
+impl JsonScalar for u64 {}
+impl JsonScalar for usize {}
+impl JsonScalar for bool {}
 
+/// The one `f64` format: shortest round-trip, `null` for NaN/±inf
+/// (JSON has neither; readers map null back to NaN).
 impl JsonScalar for f64 {
     fn write_json(&self, out: &mut String) {
         if self.is_finite() {
             let _ = write!(out, "{self}");
         } else {
-            // JSON has no NaN/inf; readers map null back to NaN.
             out.push_str("null");
         }
-    }
-}
-
-impl JsonScalar for bool {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -110,23 +98,14 @@ pub enum Layout {
     Document,
 }
 
-/// One open container.
-struct Frame {
-    /// Elements (array) or members (object) written so far.
-    len: usize,
-    /// A `Document` array whose objects each took their own line.
-    rows: bool,
-}
-
 /// A streaming JSON emitter. Containers are opened and closed
 /// explicitly; the writer inserts every separator.
 pub struct JsonWriter {
     out: String,
     layout: Layout,
-    /// Nesting depth the root value is treated as sitting at: 0 for a
-    /// document, 2 for a [`JsonWriter::fragment`].
-    base: usize,
-    stack: Vec<Frame>,
+    /// Open containers, plus the depth the root is treated as sitting
+    /// at: 0 for a document, 2 for a [`JsonWriter::fragment`].
+    depth: usize,
     /// A key was just written: the next value needs no separator.
     after_key: bool,
 }
@@ -142,81 +121,66 @@ impl JsonWriter {
         JsonWriter {
             out: String::with_capacity(bytes),
             layout,
-            base: 0,
-            stack: Vec::with_capacity(8),
+            depth: 0,
             after_key: false,
         }
     }
 
     /// A writer for one value laid out as it appears *nested inside* a
-    /// `layout` document (a row of a `Document` array, say) rather than
-    /// as a document of its own.
+    /// `layout` document (a row of a `Document` array, say).
     pub fn fragment(layout: Layout) -> JsonWriter {
         JsonWriter {
-            base: 2,
+            depth: 2,
             ..JsonWriter::new(layout)
         }
     }
 
-    fn depth(&self) -> usize {
-        self.base + self.stack.len()
-    }
-
     /// Write whatever separates the next value from what precedes it.
+    /// No token ends in an opening bracket, so the text ending in one
+    /// means the innermost container is still empty.
     fn separate(&mut self, opens_object: bool) {
-        if std::mem::take(&mut self.after_key) {
+        if std::mem::take(&mut self.after_key) || self.out.is_empty() {
             return;
         }
-        let depth = self.depth();
-        let Some(frame) = self.stack.last_mut() else {
-            return;
+        let sep = match (self.layout, self.depth) {
+            (Layout::Compact, _) => ["", ","],
+            (Layout::Document, 1) => ["\n  ", ",\n  "],
+            (Layout::Document, 2) if opens_object => ["\n    ", ",\n    "],
+            (Layout::Document, _) => ["", ", "],
         };
-        let first = frame.len == 0;
-        frame.len += 1;
-        let sep = match self.layout {
-            Layout::Compact => ["", ","],
-            Layout::Document if depth == 1 => ["\n  ", ",\n  "],
-            Layout::Document if depth == 2 && opens_object => {
-                frame.rows = true;
-                ["\n    ", ",\n    "]
-            }
-            Layout::Document => ["", ", "],
-        };
+        let first = self.out.ends_with(['{', '[']);
         self.out.push_str(sep[usize::from(!first)]);
-    }
-
-    fn open(&mut self, bracket: char, is_object: bool) -> &mut Self {
-        self.separate(is_object);
-        self.out.push(bracket);
-        self.stack.push(Frame {
-            len: 0,
-            rows: false,
-        });
-        self
     }
 
     /// Open an object (as the root, an array element, or after a key).
     pub fn begin_object(&mut self) -> &mut Self {
-        self.open('{', true)
+        self.separate(true);
+        self.out.push('{');
+        self.depth += 1;
+        self
     }
 
     /// Close the innermost open object.
     pub fn end_object(&mut self) -> &mut Self {
-        self.stack.pop().expect("end_object without begin_object");
-        let block_root = self.layout == Layout::Document && self.depth() == 0;
+        self.depth -= 1;
+        let block_root = self.layout == Layout::Document && self.depth == 0;
         self.out.push_str(if block_root { "\n}\n" } else { "}" });
         self
     }
 
     /// Open an array.
     pub fn begin_array(&mut self) -> &mut Self {
-        self.open('[', false)
+        self.separate(false);
+        self.out.push('[');
+        self.depth += 1;
+        self
     }
 
-    /// Close the innermost open array.
+    /// Close the innermost open array (on a new line after rows).
     pub fn end_array(&mut self) -> &mut Self {
-        let frame = self.stack.pop().expect("end_array without begin_array");
-        self.out.push_str(if frame.rows { "\n  ]" } else { "]" });
+        self.depth -= 1;
+        let rows = self.layout == Layout::Document && self.depth == 1 && self.out.ends_with('}');
+        self.out.push_str(if rows { "\n  ]" } else { "]" });
         self
     }
 
@@ -287,7 +251,7 @@ impl JsonWriter {
 
     /// Take the finished text. Every container must have been closed.
     pub fn finish(&mut self) -> String {
-        debug_assert!(self.stack.is_empty() && !self.after_key);
+        debug_assert!(!self.after_key);
         std::mem::take(&mut self.out)
     }
 }

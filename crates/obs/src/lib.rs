@@ -53,7 +53,7 @@ pub use analysis::{
 pub use chrome::TRACE_SCHEMA;
 pub use clock::{Clock, MockClock, MonotonicClock};
 pub use compare::{
-    compare_profiles, CompareConfig, CompareReport, Delta, DeltaStatus, ProfileTotals,
+    compare_profiles, compare_snapshots, CompareConfig, CompareReport, Delta, DeltaStatus,
 };
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};
 pub use health::{default_rules, straggler_z, AlertEngine, AlertRule};

@@ -53,7 +53,7 @@ const SPARK_WIDTH: usize = 48;
 const MAX_RANK_ROWS: usize = 32;
 
 /// One telemetry sample: everything observed at one sampling point.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetrySample {
     /// Global sample sequence number (all lanes share one sequence).
     pub seq: u64,
@@ -105,11 +105,7 @@ impl TelemetrySample {
             seq: doc.req_u64("seq", "sample")?,
             lane: doc.req_str("lane", "sample")?.to_string(),
             step: doc.req_u64("step", "sample")?,
-            gauges: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            quantiles: BTreeMap::new(),
-            ranks: Vec::new(),
-            alerts: Vec::new(),
+            ..TelemetrySample::default()
         };
         for (k, v) in doc.opt_obj("gauges").into_iter().flatten() {
             let v = num(v).ok_or_else(|| format!("gauge {k}: not a number"))?;
@@ -499,12 +495,7 @@ impl Sampler {
     /// line per sample, trailing newline).
     pub fn export_ndjson(&self) -> String {
         let st = self.state();
-        let mut out = String::new();
-        for s in st.samples.iter() {
-            out.push_str(&s.to_json_line());
-            out.push('\n');
-        }
-        out
+        st.samples.iter().map(|s| s.to_json_line() + "\n").collect()
     }
 
     /// Render the terminal summary of the retained window.

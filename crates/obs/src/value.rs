@@ -3,19 +3,14 @@
 //! access).
 //!
 //! [`parse`] turns a complete document into a [`JsonValue`] tree. It
-//! covers the whole JSON grammar but optimises for nothing: strings,
-//! numbers (integers kept exact as `u64`/`i64` where possible),
-//! booleans, nulls, arrays, objects. Duplicate object keys keep the
-//! last value.
-//!
-//! Every `cubesfc-*-v1` parser is written against the typed member
-//! readers on [`JsonValue`] (`req_*` / `opt_*`, one
-//! [`JsonValue::expect_schema`]), and every replay input is loaded
-//! through [`load_doc`] or [`read_ndjson`], whose two-armed
-//! [`LoadError`] is the CLI's exit-code contract in one place: input
-//! that is not JSON at all is [`LoadError::Syntax`] (exit 2, with the
-//! parser's line/column), valid JSON of the wrong schema or shape is
-//! [`LoadError::Shape`] (exit 1).
+//! covers the whole JSON grammar but optimises for nothing: integers
+//! stay exact as `u64`/`i64` where possible, duplicate object keys keep
+//! the last value. Schema parsers read members through the typed
+//! `req_*` / `opt_*` readers and one [`JsonValue::expect_schema`];
+//! replay inputs load through [`load_doc`] / [`read_ndjson`], whose
+//! two-armed [`LoadError`] is the CLI's exit-code contract in one place:
+//! text that is not JSON is `Syntax` (exit 2, with line/column), valid
+//! JSON of the wrong schema or shape is `Shape` (exit 1).
 
 use std::collections::BTreeMap;
 
@@ -176,8 +171,6 @@ impl std::fmt::Display for LoadError {
         }
     }
 }
-
-impl std::error::Error for LoadError {}
 
 /// Parse `text` and hand the document to `shape`, keeping the two
 /// failure classes apart.
@@ -400,68 +393,58 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    /// `open item (',' item)* close`, or `open close`.
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.descend()?;
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        self.expect(open)?;
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                other => {
-                    return Err(self.err(format!(
-                        "expected ',' or '}}', found {:?}",
-                        other.map(|&b| b as char)
-                    )))
+        if self.bytes.get(self.pos) != Some(&close) {
+            loop {
+                item(self)?;
+                self.skip_ws();
+                match self.bytes.get(self.pos) {
+                    Some(b',') => self.pos += 1,
+                    Some(&c) if c == close => break,
+                    other => {
+                        return Err(self.err(format!(
+                            "expected ',' or '{}', found {:?}",
+                            close as char,
+                            other.map(|&b| b as char)
+                        )))
+                    }
                 }
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn object(&mut self) -> Result<JsonValue, JsonError> {
+        let mut map = BTreeMap::new();
+        self.sequence(b'{', b'}', |p| {
+            p.skip_ws();
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            map.insert(key, p.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Obj(map))
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.descend()?;
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                other => {
-                    return Err(self.err(format!(
-                        "expected ',' or ']', found {:?}",
-                        other.map(|&b| b as char)
-                    )))
-                }
-            }
-        }
+        self.sequence(b'[', b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Arr(items))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {

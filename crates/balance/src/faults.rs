@@ -720,8 +720,7 @@ impl Checkpoint {
         load_doc(text, Checkpoint::from_doc).map_err(|e| e.to_string())
     }
 
-    /// [`Checkpoint::from_json`] on an already parsed document.
-    pub fn from_doc(doc: &JsonValue) -> Result<Checkpoint, String> {
+    fn from_doc(doc: &JsonValue) -> Result<Checkpoint, String> {
         doc.expect_schema(CHECKPOINT_SCHEMA)?;
         let ck = Checkpoint {
             step: doc.req_u64("step", "checkpoint")? as usize,

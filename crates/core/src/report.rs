@@ -2,7 +2,6 @@
 
 use crate::partitioner::{partition, to_csr, PartitionMethod, PartitionOptions};
 use crate::PartitionError;
-use cubesfc_graph::metrics::partition_stats;
 use cubesfc_graph::{CsrGraph, Partition};
 use cubesfc_mesh::CubedSphere;
 use cubesfc_seam::{evaluate, CostModel, MachineModel, PerfReport};
@@ -62,15 +61,16 @@ impl PartitionReport {
         cost: &CostModel,
     ) -> PartitionReport {
         let _span = cubesfc_obs::span("report");
-        let stats = partition_stats(g, part);
+        // `evaluate` computes the partition statistics once; read them
+        // from its report.
         let perf = evaluate(g, part, machine, cost);
         PartitionReport {
             method,
             nproc: part.nparts(),
-            lb_nelemd: stats.lb_nelemd,
-            lb_spcv: stats.lb_spcv,
+            lb_nelemd: perf.stats.lb_nelemd,
+            lb_spcv: perf.stats.lb_spcv,
             tcv_mbytes: perf.tcv_bytes / 1.0e6,
-            edgecut: stats.edgecut,
+            edgecut: perf.stats.edgecut,
             time_us: perf.time_per_step * 1.0e6,
             perf,
         }

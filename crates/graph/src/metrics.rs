@@ -161,22 +161,31 @@ pub fn neighbor_parts(g: &CsrGraph, p: &Partition) -> Vec<usize> {
     counts
 }
 
-/// Bytes sent from part `a` to part `b` per step, for every ordered
-/// adjacent pair, as a sparse list `(from, to, points)`.
+/// Points sent from part `a` to part `b` per step, for every ordered
+/// adjacent pair, as a sparse list `(from, to, points)` sorted by
+/// `(from, to)`.
 pub fn part_exchange_points(g: &CsrGraph, p: &Partition) -> Vec<(u32, u32, u64)> {
-    use std::collections::HashMap;
-    let mut map: HashMap<(u32, u32), u64> = HashMap::new();
+    // One record per cut half-edge, keyed `from << 32 | to` so that the
+    // integer order is the `(from, to)` order; sort, then merge each run.
+    let mut cut: Vec<(u64, u64)> = Vec::new();
     for v in 0..g.nv() {
-        let pv = p.part_of(v) as u32;
+        let pv = p.part_of(v) as u64;
         for (n, w) in g.neighbors(v) {
-            let pn = p.part_of(n) as u32;
+            let pn = p.part_of(n) as u64;
             if pn != pv {
-                *map.entry((pv, pn)).or_default() += w as u64;
+                cut.push((pv << 32 | pn, w as u64));
             }
         }
     }
-    let mut out: Vec<_> = map.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-    out.sort_unstable();
+    cut.sort_unstable();
+    let mut out: Vec<(u32, u32, u64)> = Vec::new();
+    for (key, w) in cut {
+        let (from, to) = ((key >> 32) as u32, key as u32);
+        match out.last_mut() {
+            Some((a, b, points)) if (*a, *b) == (from, to) => *points += w,
+            _ => out.push((from, to, w)),
+        }
+    }
     out
 }
 

@@ -100,8 +100,9 @@ pub fn build_dual_graph_weighted(topo: &Topology, w: ExchangeWeights, vwgt: Vec<
     assert_eq!(vwgt.len(), k, "vertex weight length mismatch");
 
     let mut xadj = Vec::with_capacity(k + 1);
-    let mut adjncy = Vec::new();
-    let mut adjwgt = Vec::new();
+    // Four edge neighbours and at most four corner neighbours each.
+    let mut adjncy = Vec::with_capacity(8 * k);
+    let mut adjwgt = Vec::with_capacity(8 * k);
     xadj.push(0u32);
     for e in topo.elems() {
         for nb in topo.edge_neighbors(e) {

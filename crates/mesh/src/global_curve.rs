@@ -64,8 +64,7 @@ impl GlobalCurve {
         let _span = cubesfc_obs::span("global_curve");
         let ne = schedule.side();
         let canonical = SfcCurve::generate(schedule);
-        let (corners, transforms) = plan_face_alignment(ne);
-        let _ = corners;
+        let transforms = plan_face_alignment(ne);
 
         let k = 6 * ne * ne;
         let mut order = Vec::with_capacity(k);
@@ -211,33 +210,33 @@ fn shared_edge_corners(face: FaceId, other: FaceId, ne: i64) -> [Corner; 2] {
     [out[0], out[1]]
 }
 
-/// Plan entry/exit corners and the dihedral transform for each face.
-///
-/// Returns `(entry_exit_by_face_order, transforms_by_face_id)`.
-fn plan_face_alignment(ne: usize) -> (Vec<(Corner, Corner)>, [DihedralTransform; 6]) {
+/// Plan entry/exit corners along [`FACE_ORDER`] and return the dihedral
+/// transform of each face, indexed by face id.
+fn plan_face_alignment(ne: usize) -> [DihedralTransform; 6] {
     let ne_i = ne as i64;
-    let mut pairs: Vec<(Corner, Corner)> = Vec::with_capacity(6);
+    let mut prev_exit: Option<Corner> = None;
     let mut transforms = [DihedralTransform::IDENTITY; 6];
 
     for (k, &face) in FACE_ORDER.iter().enumerate() {
-        let entry = if k == 0 {
-            // Free choice: pick the corner adjacent to the exit that is NOT
-            // on the edge shared with the next face.
-            let nxt = FACE_ORDER[1];
-            let [e0, e1] = shared_edge_corners(face, nxt, ne_i);
-            // exit will be e0; entry is the corner adjacent to e0 other
-            // than e1.
-            Corner::ALL
-                .into_iter()
-                .find(|c| c.is_adjacent(e0) && *c != e1)
-                .expect("a square corner always has two neighbours")
-        } else {
-            // Enter at the cube vertex where the previous face exited.
-            let prev = FACE_ORDER[k - 1];
-            let prev_exit = pairs[k - 1].1;
-            let v = vertex_of_corner(prev, ne_i, prev_exit);
-            corner_at_vertex(face, ne_i, v)
-                .expect("previous exit vertex must be a corner of this face")
+        let entry = match prev_exit {
+            None => {
+                // Free choice: pick the corner adjacent to the exit that is
+                // NOT on the edge shared with the next face.
+                let nxt = FACE_ORDER[1];
+                let [e0, e1] = shared_edge_corners(face, nxt, ne_i);
+                // exit will be e0; entry is the corner adjacent to e0 other
+                // than e1.
+                Corner::ALL
+                    .into_iter()
+                    .find(|c| c.is_adjacent(e0) && *c != e1)
+                    .expect("a square corner always has two neighbours")
+            }
+            Some(prev_exit) => {
+                // Enter at the cube vertex where the previous face exited.
+                let v = vertex_of_corner(FACE_ORDER[k - 1], ne_i, prev_exit);
+                corner_at_vertex(face, ne_i, v)
+                    .expect("previous exit vertex must be a corner of this face")
+            }
         };
 
         let exit = if k + 1 < 6 {
@@ -267,9 +266,9 @@ fn plan_face_alignment(ne: usize) -> (Vec<(Corner, Corner)>, [DihedralTransform;
         let t = DihedralTransform::mapping_entry_exit(entry, exit)
             .expect("entry and exit are adjacent corners by construction");
         transforms[face.index()] = t;
-        pairs.push((entry, exit));
+        prev_exit = Some(exit);
     }
-    (pairs, transforms)
+    transforms
 }
 
 #[cfg(test)]

@@ -5,12 +5,23 @@
 //! both neighbour kinds exactly, including the awkward cases across cube
 //! edges and at the eight cube vertices (where only three elements meet).
 //!
-//! The build works on exact integer corner points (see [`crate::face`]):
-//! two elements are *edge neighbours* iff they share two corner points and
-//! *corner neighbours* iff they share exactly one.
+//! Two elements are *edge neighbours* iff they share two corner points and
+//! *corner neighbours* iff they share exactly one. On a structured
+//! `Ne × Ne × 6` mesh both follow from the element's `(face, i, j)` in
+//! constant time: inside a face a neighbour is `±1` in `i` or `j`, and an
+//! element on a face border looks up the cube edge it touches in a
+//! 24-entry *seam table* — for every `(face, LocalEdge)`, the face and
+//! local edge on the other side and whether the two run in opposite
+//! directions. Position `t` along a seam lands on `t`, or on `Ne−1−t`
+//! when the seam reverses.
+//!
+//! The seam table is derived from the exact integer frames of
+//! [`crate::face`] by comparing cube vertices for equality, and the frames
+//! are affine in the cell index, so the build stays free of floating-point
+//! tolerances: it returns what hashing all `4K` integer corner points
+//! would (the tests keep that construction as the oracle).
 
-use crate::face::{cell_corner_point, FaceId, IVec3};
-use rustc_hash::FxHashMap;
+use crate::face::{cell_corner_point, FaceId};
 use std::fmt;
 
 /// Identifier of a spectral element: `eid = face·Ne² + j·Ne + i`.
@@ -93,6 +104,15 @@ pub struct EdgeNeighbor {
     pub reversed: bool,
 }
 
+/// An element's corner-only neighbours, stored inline: an element has
+/// four corner points and at most one such neighbour through each.
+#[derive(Clone, Copy, Debug)]
+struct CornerNeighbors {
+    /// The first `len` entries are valid, sorted ascending.
+    ids: [ElemId; 4],
+    len: u8,
+}
+
 /// Full adjacency of the `K = 6·Ne²` cubed-sphere elements.
 #[derive(Clone, Debug)]
 pub struct Topology {
@@ -100,8 +120,8 @@ pub struct Topology {
     /// Per element, per local edge: the neighbour across that edge.
     edge_neighbors: Vec<[EdgeNeighbor; 4]>,
     /// Per element: elements sharing exactly one corner point
-    /// (3 or 4 of them; fewer in tiny degenerate meshes).
-    corner_neighbors: Vec<Vec<ElemId>>,
+    /// (3 or 4 of them; none when `Ne = 1`).
+    corner_neighbors: Vec<CornerNeighbors>,
 }
 
 impl Topology {
@@ -111,80 +131,24 @@ impl Topology {
     ///
     /// Panics if `ne == 0`.
     pub fn build(ne: usize) -> Topology {
+        let _span = cubesfc_obs::span("topology");
         assert!(ne >= 1, "Ne must be at least 1");
-        let nel = 6 * ne * ne;
-        let ne_i = ne as i64;
-
-        // Map every corner point to the elements touching it.
-        let mut at_point: FxHashMap<IVec3, Vec<ElemId>> = FxHashMap::default();
-        at_point.reserve(nel * 2);
-        for eid in 0..nel {
-            let (face, i, j) = split_eid(ne, ElemId(eid as u32));
-            for cj in 0..2 {
-                for ci in 0..2 {
-                    let p = cell_corner_point(face, ne_i, i as i64, j as i64, ci, cj);
-                    at_point.entry(p).or_default().push(ElemId(eid as u32));
-                }
-            }
-        }
-
-        // Count shared points per element pair.
-        let mut shared: FxHashMap<(ElemId, ElemId), u8> = FxHashMap::default();
-        for elems in at_point.values() {
-            for (x, &a) in elems.iter().enumerate() {
-                for &b in &elems[x + 1..] {
-                    let key = if a < b { (a, b) } else { (b, a) };
-                    *shared.entry(key).or_default() += 1;
-                }
-            }
-        }
-
-        let placeholder = EdgeNeighbor {
-            elem: ElemId(u32::MAX),
-            edge: LocalEdge::South,
-            reversed: false,
+        let grid = FaceGrid {
+            ne,
+            seams: seam_table(),
         };
-        let mut edge_neighbors = vec![[placeholder; 4]; nel];
-        let mut corner_neighbors: Vec<Vec<ElemId>> = vec![Vec::new(); nel];
-
-        for (&(a, b), &count) in &shared {
-            match count {
-                1 => {
-                    corner_neighbors[a.index()].push(b);
-                    corner_neighbors[b.index()].push(a);
+        let nel = 6 * ne * ne;
+        let mut edge_neighbors = Vec::with_capacity(nel);
+        let mut corner_neighbors = Vec::with_capacity(nel);
+        // Element ids ascend in (face, j, i) order.
+        for face in FaceId::ALL {
+            for j in 0..ne {
+                for i in 0..ne {
+                    edge_neighbors.push(LocalEdge::ALL.map(|edge| grid.across(face, i, j, edge)));
+                    corner_neighbors.push(grid.corner_neighbors(face, i, j));
                 }
-                2 => {
-                    let (ea, eb, reversed) = match_edges(ne, a, b);
-                    edge_neighbors[a.index()][ea.index()] = EdgeNeighbor {
-                        elem: b,
-                        edge: eb,
-                        reversed,
-                    };
-                    edge_neighbors[b.index()][eb.index()] = EdgeNeighbor {
-                        elem: a,
-                        edge: ea,
-                        reversed,
-                    };
-                }
-                n => panic!("elements {a} and {b} share {n} corner points"),
             }
         }
-
-        for list in &mut corner_neighbors {
-            list.sort_unstable();
-        }
-
-        // Every element must have found all four edge neighbours.
-        for (e, nbrs) in edge_neighbors.iter().enumerate() {
-            for nb in nbrs {
-                assert_ne!(
-                    nb.elem,
-                    ElemId(u32::MAX),
-                    "element e{e} missing an edge neighbour"
-                );
-            }
-        }
-
         Topology {
             ne,
             edge_neighbors,
@@ -219,7 +183,8 @@ impl Topology {
     /// The corner-only neighbours of `elem` (sorted).
     #[inline]
     pub fn corner_neighbors(&self, elem: ElemId) -> &[ElemId] {
-        &self.corner_neighbors[elem.index()]
+        let c = &self.corner_neighbors[elem.index()];
+        &c.ids[..c.len as usize]
     }
 
     /// Whether two elements are edge-adjacent.
@@ -229,7 +194,7 @@ impl Topology {
 
     /// Whether two elements share at least a corner point.
     pub fn are_adjacent(&self, a: ElemId, b: ElemId) -> bool {
-        self.are_edge_adjacent(a, b) || self.corner_neighbors[a.index()].contains(&b)
+        self.are_edge_adjacent(a, b) || self.corner_neighbors(a).contains(&b)
     }
 
     /// Iterate over all elements.
@@ -255,36 +220,298 @@ pub fn split_eid(ne: usize, eid: ElemId) -> (FaceId, usize, usize) {
     (face, r % ne, r / ne)
 }
 
-/// Identify which local edges of two edge-adjacent elements coincide, and
-/// whether their canonical orientations disagree.
-fn match_edges(ne: usize, a: ElemId, b: ElemId) -> (LocalEdge, LocalEdge, bool) {
-    let ne_i = ne as i64;
-    let pts = |e: ElemId, le: LocalEdge| -> (IVec3, IVec3) {
-        let (face, i, j) = split_eid(ne, e);
-        let ((c0i, c0j), (c1i, c1j)) = le.endpoints();
+/// What lies across one of the 24 `(face, LocalEdge)` face borders.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Seam {
+    /// The face on the other side of the cube edge.
+    face: FaceId,
+    /// Which of that face's borders is the same cube edge.
+    edge: LocalEdge,
+    /// Whether the two borders run in opposite canonical orientations.
+    reversed: bool,
+}
+
+/// The seam across every face border, indexed `[face][LocalEdge]`.
+type SeamTable = [[Seam; 4]; 6];
+
+/// Derive the seam table from the integer face frames: a face's borders
+/// are the four edges of its single cell on the `Ne = 1` cube, and two
+/// borders are the same cube edge iff their endpoints are equal points.
+fn seam_table() -> SeamTable {
+    let ends = |face: FaceId, edge: LocalEdge| {
+        let ((i0, j0), (i1, j1)) = edge.endpoints();
         (
-            cell_corner_point(face, ne_i, i as i64, j as i64, c0i, c0j),
-            cell_corner_point(face, ne_i, i as i64, j as i64, c1i, c1j),
+            cell_corner_point(face, 1, 0, 0, i0, j0),
+            cell_corner_point(face, 1, 0, 0, i1, j1),
         )
     };
-    for ea in LocalEdge::ALL {
-        let (a0, a1) = pts(a, ea);
-        for eb in LocalEdge::ALL {
-            let (b0, b1) = pts(b, eb);
-            if a0 == b0 && a1 == b1 {
-                return (ea, eb, false);
-            }
-            if a0 == b1 && a1 == b0 {
-                return (ea, eb, true);
-            }
+    FaceId::ALL.map(|face| {
+        LocalEdge::ALL.map(|edge| {
+            let (a0, a1) = ends(face, edge);
+            FaceId::ALL
+                .into_iter()
+                .filter(|&other| other != face)
+                .flat_map(|other| LocalEdge::ALL.map(|other_edge| (other, other_edge)))
+                .find_map(|(other, other_edge)| {
+                    let (b0, b1) = ends(other, other_edge);
+                    let reversed = (a0, a1) == (b1, b0);
+                    (reversed || (a0, a1) == (b0, b1)).then_some(Seam {
+                        face: other,
+                        edge: other_edge,
+                        reversed,
+                    })
+                })
+                .expect("every face border is a cube edge shared with one other face")
+        })
+    })
+}
+
+/// The four diagonals of a cell, as the (lateral, vertical) pair of edges
+/// meeting at each of its corner points.
+const DIAGONALS: [(LocalEdge, LocalEdge); 4] = [
+    (LocalEdge::West, LocalEdge::South),
+    (LocalEdge::East, LocalEdge::South),
+    (LocalEdge::West, LocalEdge::North),
+    (LocalEdge::East, LocalEdge::North),
+];
+
+/// Neighbour arithmetic on the `Ne × Ne` cells of each face.
+struct FaceGrid {
+    ne: usize,
+    seams: SeamTable,
+}
+
+impl FaceGrid {
+    /// The cell one step across `edge` inside the same face, or `None`
+    /// when `(i, j)` sits on that face border.
+    fn step(&self, i: usize, j: usize, edge: LocalEdge) -> Option<(usize, usize)> {
+        let last = self.ne - 1;
+        match edge {
+            LocalEdge::South => (j > 0).then(|| (i, j - 1)),
+            LocalEdge::East => (i < last).then(|| (i + 1, j)),
+            LocalEdge::North => (j < last).then(|| (i, j + 1)),
+            LocalEdge::West => (i > 0).then(|| (i - 1, j)),
         }
     }
-    panic!("elements {a} and {b} share two points but no common edge");
+
+    /// The neighbour of cell `(i, j)` of `face` across its local `edge`.
+    fn across(&self, face: FaceId, i: usize, j: usize, edge: LocalEdge) -> EdgeNeighbor {
+        if let Some((ni, nj)) = self.step(i, j, edge) {
+            return EdgeNeighbor {
+                elem: make_eid(self.ne, face, ni, nj),
+                // The neighbour meets us with its opposite edge.
+                edge: LocalEdge::ALL[(edge.index() + 2) % 4],
+                reversed: false,
+            };
+        }
+        let seam = self.seams[face.index()][edge.index()];
+        let last = self.ne - 1;
+        // Cells along a border count from the edge's endpoint 0.
+        let along = match edge {
+            LocalEdge::South | LocalEdge::North => i,
+            LocalEdge::East | LocalEdge::West => j,
+        };
+        let t = if seam.reversed { last - along } else { along };
+        let (ni, nj) = match seam.edge {
+            LocalEdge::South => (t, 0),
+            LocalEdge::East => (last, t),
+            LocalEdge::North => (t, last),
+            LocalEdge::West => (0, t),
+        };
+        EdgeNeighbor {
+            elem: make_eid(self.ne, seam.face, ni, nj),
+            edge: seam.edge,
+            reversed: seam.reversed,
+        }
+    }
+
+    /// The elements sharing exactly one corner point with cell `(i, j)`
+    /// of `face`: one per diagonal, sorted by id.
+    fn corner_neighbors(&self, face: FaceId, i: usize, j: usize) -> CornerNeighbors {
+        let mut ids = [ElemId(0); 4];
+        let mut len = 0;
+        for (lateral, vertical) in DIAGONALS {
+            // Shift along one edge inside the face, then cross the other:
+            // an in-face diagonal, or the seam neighbour of the shifted
+            // cell when the corner point lies on a cube edge.
+            let diagonal = match (self.step(i, j, lateral), self.step(i, j, vertical)) {
+                (Some((si, sj)), _) => self.across(face, si, sj, vertical),
+                (None, Some((si, sj))) => self.across(face, si, sj, lateral),
+                // A cube vertex: only three elements meet there and the
+                // other two are already edge neighbours.
+                (None, None) => continue,
+            };
+            ids[len] = diagonal.elem;
+            len += 1;
+        }
+        ids[..len].sort_unstable();
+        CornerNeighbors {
+            ids,
+            len: len as u8,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dualgraph::build_dual_graph;
+    use crate::face::IVec3;
+    use rustc_hash::FxHashMap;
+
+    /// The oracle: adjacency straight from the definition. Hash every
+    /// element's four exact-integer corner points, count the points each
+    /// element pair shares (two = edge neighbours, one = corner
+    /// neighbours) and match the shared edge by comparing endpoints.
+    fn reference_build(ne: usize) -> Topology {
+        let nel = 6 * ne * ne;
+        let ne_i = ne as i64;
+
+        let mut at_point: FxHashMap<IVec3, Vec<ElemId>> = FxHashMap::default();
+        for eid in 0..nel {
+            let (face, i, j) = split_eid(ne, ElemId(eid as u32));
+            for cj in 0..2 {
+                for ci in 0..2 {
+                    let p = cell_corner_point(face, ne_i, i as i64, j as i64, ci, cj);
+                    at_point.entry(p).or_default().push(ElemId(eid as u32));
+                }
+            }
+        }
+
+        let mut shared: FxHashMap<(ElemId, ElemId), u8> = FxHashMap::default();
+        for elems in at_point.values() {
+            for (x, &a) in elems.iter().enumerate() {
+                for &b in &elems[x + 1..] {
+                    let key = if a < b { (a, b) } else { (b, a) };
+                    *shared.entry(key).or_default() += 1;
+                }
+            }
+        }
+
+        let mut edge_neighbors: Vec<[Option<EdgeNeighbor>; 4]> = vec![[None; 4]; nel];
+        let mut corner_lists: Vec<Vec<ElemId>> = vec![Vec::new(); nel];
+        for (&(a, b), &count) in &shared {
+            match count {
+                1 => {
+                    corner_lists[a.index()].push(b);
+                    corner_lists[b.index()].push(a);
+                }
+                2 => {
+                    let (ea, eb, reversed) = match_edges(ne, a, b);
+                    edge_neighbors[a.index()][ea.index()] = Some(EdgeNeighbor {
+                        elem: b,
+                        edge: eb,
+                        reversed,
+                    });
+                    edge_neighbors[b.index()][eb.index()] = Some(EdgeNeighbor {
+                        elem: a,
+                        edge: ea,
+                        reversed,
+                    });
+                }
+                n => panic!("elements {a} and {b} share {n} corner points"),
+            }
+        }
+
+        Topology {
+            ne,
+            edge_neighbors: edge_neighbors
+                .into_iter()
+                .map(|nbrs| nbrs.map(|nb| nb.expect("every element has four edge neighbours")))
+                .collect(),
+            corner_neighbors: corner_lists
+                .into_iter()
+                .map(|mut list| {
+                    list.sort_unstable();
+                    let mut ids = [ElemId(0); 4];
+                    ids[..list.len()].copy_from_slice(&list);
+                    CornerNeighbors {
+                        ids,
+                        len: list.len() as u8,
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// Identify which local edges of two edge-adjacent elements coincide,
+    /// and whether their canonical orientations disagree.
+    fn match_edges(ne: usize, a: ElemId, b: ElemId) -> (LocalEdge, LocalEdge, bool) {
+        let ne_i = ne as i64;
+        let pts = |e: ElemId, le: LocalEdge| -> (IVec3, IVec3) {
+            let (face, i, j) = split_eid(ne, e);
+            let ((c0i, c0j), (c1i, c1j)) = le.endpoints();
+            (
+                cell_corner_point(face, ne_i, i as i64, j as i64, c0i, c0j),
+                cell_corner_point(face, ne_i, i as i64, j as i64, c1i, c1j),
+            )
+        };
+        for ea in LocalEdge::ALL {
+            let (a0, a1) = pts(a, ea);
+            for eb in LocalEdge::ALL {
+                let (b0, b1) = pts(b, eb);
+                if a0 == b0 && a1 == b1 {
+                    return (ea, eb, false);
+                }
+                if a0 == b1 && a1 == b0 {
+                    return (ea, eb, true);
+                }
+            }
+        }
+        panic!("elements {a} and {b} share two points but no common edge");
+    }
+
+    #[test]
+    fn closed_form_build_equals_the_corner_point_oracle() {
+        for ne in (1..=24).chain([27, 32, 48, 64, 81]) {
+            let built = Topology::build(ne);
+            let oracle = reference_build(ne);
+            assert_eq!(built.num_elems(), oracle.num_elems(), "ne={ne}");
+            for e in oracle.elems() {
+                assert_eq!(
+                    built.edge_neighbors(e),
+                    oracle.edge_neighbors(e),
+                    "ne={ne} {e}"
+                );
+                assert_eq!(
+                    built.corner_neighbors(e),
+                    oracle.corner_neighbors(e),
+                    "ne={ne} {e}"
+                );
+            }
+            // The CSR arrays (xadj, adjncy, adjwgt) whose adjacency order
+            // every graph partition depends on.
+            assert!(
+                build_dual_graph(&built, Default::default())
+                    == build_dual_graph(&oracle, Default::default()),
+                "ne={ne}: dual graphs differ"
+            );
+        }
+    }
+
+    #[test]
+    fn seam_table_pairs_up_the_twelve_cube_edges() {
+        let seams = seam_table();
+        let mut any_reversed = false;
+        for face in FaceId::ALL {
+            let mut across: Vec<FaceId> = Vec::new();
+            for edge in LocalEdge::ALL {
+                let seam = seams[face.index()][edge.index()];
+                // Crossing back lands on the border we left, and both
+                // sides agree on the orientation.
+                let back = seams[seam.face.index()][seam.edge.index()];
+                assert_eq!((back.face, back.edge), (face, edge), "{face} {edge:?}");
+                assert_eq!(back.reversed, seam.reversed, "{face} {edge:?}");
+                assert!(crate::face::faces_adjacent(face, seam.face));
+                any_reversed |= seam.reversed;
+                across.push(seam.face);
+            }
+            across.sort();
+            across.dedup();
+            assert_eq!(across.len(), 4, "{face} borders four distinct faces");
+        }
+        assert!(any_reversed, "some cube edge must flip the parameter");
+    }
 
     #[test]
     fn eid_roundtrip() {

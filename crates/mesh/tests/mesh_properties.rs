@@ -17,6 +17,9 @@ fn arb_ne() -> impl Strategy<Value = usize> {
         Just(8),
         Just(9),
         Just(12),
+        Just(16),
+        Just(18),
+        Just(24),
     ]
 }
 

@@ -315,6 +315,28 @@ mod tests {
     }
 
     #[test]
+    fn exchange_list_is_the_sorted_per_pair_sum() {
+        // `finish_report` adds message times to `per_rank_comm[from]` in
+        // list order, so the modelled step time is bit-stable only while
+        // the list is the (from, to)-sorted accumulation.
+        let g = sphere_graph(8);
+        let one_each = Partition::new(g.nv(), (0..g.nv() as u32).collect());
+        for p in [sfc_partition(8, 96), one_each] {
+            let mut want = std::collections::BTreeMap::new();
+            for v in 0..g.nv() {
+                for (n, w) in g.neighbors(v) {
+                    let (from, to) = (p.part_of(v) as u32, p.part_of(n) as u32);
+                    if from != to {
+                        *want.entry((from, to)).or_insert(0u64) += w as u64;
+                    }
+                }
+            }
+            let want: Vec<_> = want.into_iter().map(|((a, b), w)| (a, b, w)).collect();
+            assert_eq!(part_exchange_points(&g, &p), want, "{} parts", p.nparts());
+        }
+    }
+
+    #[test]
     fn gflops_equals_flops_over_time() {
         let g = sphere_graph(4);
         let p = sfc_partition(4, 16);

@@ -119,3 +119,49 @@ fn partitions_are_deterministic_across_calls() {
         assert_eq!(a, b, "{method}");
     }
 }
+
+/// `(edgecut, time_us bits, lb_spcv bits, tcv_mbytes bits)` of a report.
+fn quality_bits(ne: usize, method: PartitionMethod, nproc: usize) -> (u64, u64, u64, u64) {
+    let mesh = CubedSphere::new(ne);
+    let r = cubesfc::report::PartitionReport::compute(
+        &mesh,
+        method,
+        nproc,
+        &cubesfc::MachineModel::ncar_p690(),
+        &cubesfc::CostModel::seam_climate(),
+    )
+    .unwrap();
+    (
+        r.edgecut,
+        r.time_us.to_bits(),
+        r.lb_spcv.to_bits(),
+        r.tcv_mbytes.to_bits(),
+    )
+}
+
+#[test]
+fn report_quality_bits_are_pinned() {
+    // The values the tree produced before the fused metrics sweep, the
+    // arithmetic `Topology` and the single CSR type went in (PR 23): the
+    // SFC reports of `big_sfc`'s smallest size and the paper's Table-2
+    // cell. A refactor of metrics, topology or the dual graph must leave
+    // every bit alone; only a deliberate quality change re-pins them.
+    use PartitionMethod::{MetisKway, MetisRb, MetisTv, Sfc};
+    #[rustfmt::skip]
+    let pinned = [
+        (48, Sfc, 6, (0x6a8, 0x414fbe722ead86f7, 0x0, 0x401316e371540032)),
+        (48, Sfc, 96, (0x1fa4, 0x4110150ca99fe80e, 0x3fc71f0229d34a47, 0x40373b96af038e2a)),
+        (48, Sfc, 768, (0x5214, 0x40e099def9ca0969, 0x3fc1bb9611a7b961, 0x404fed245b291b82)),
+        (16, Sfc, 768, (0x14f4, 0x40b073b33f9fa92e, 0x3f42492492492492, 0x4031e19fc2a8869c)),
+        (16, MetisKway, 768, (0x1269, 0x40b8e8b30da96ba1, 0x3fe0620d20d20d21, 0x40303736cdf266ba)),
+        (16, MetisTv, 768, (0x128f, 0x40b8e8b30da96ba1, 0x3fe05e9069069069, 0x40303ad5bee3d5fe)),
+        (16, MetisRb, 768, (0x138f, 0x40b92e6d6bdeab1e, 0x3fd0a2983759f22a, 0x40317f38c5436b90)),
+    ];
+    for (ne, method, nproc, want) in pinned {
+        assert_eq!(
+            quality_bits(ne, method, nproc),
+            want,
+            "Ne={ne} {method} nproc={nproc}"
+        );
+    }
+}

@@ -652,12 +652,11 @@ mod tests {
     use crate::rebalance::IncrementalSfc;
     use crate::trajectory::TrajectoryKind;
     use cubesfc_graph::split_order_weighted;
-    use cubesfc_mesh::{build_dual_graph, CubedSphere, ExchangeWeights, GlobalCurve};
+    use cubesfc_mesh::{CubedSphere, GlobalCurve};
 
     fn setup(ne: usize) -> (CsrGraph, GlobalCurve, CubedSphere) {
         let mesh = CubedSphere::new(ne);
-        let dg = build_dual_graph(mesh.topology(), ExchangeWeights::default());
-        let graph = CsrGraph::new(dg.xadj, dg.adjncy, dg.adjwgt, dg.vwgt).unwrap();
+        let graph = mesh.dual_graph(Default::default());
         let curve = GlobalCurve::build(ne).unwrap();
         (graph, curve, mesh)
     }

@@ -11,7 +11,7 @@
 //! ```
 
 use cubesfc::seam::{greedy_node_packing, internode_traffic_fraction, RankMap};
-use cubesfc::{partition_default, to_csr, CubedSphere, PartitionMethod};
+use cubesfc::{partition_default, CubedSphere, PartitionMethod};
 use cubesfc_bench::paper_models;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     );
 
     let mesh = CubedSphere::new(16); // K = 1536
-    let g = to_csr(&mesh.dual_graph(Default::default()));
+    let g = mesh.dual_graph(Default::default());
     for nproc in [96usize, 192, 384, 768] {
         for method in [
             PartitionMethod::Sfc,

@@ -19,7 +19,7 @@
 //! ```
 
 use cubesfc::graph::metrics::{metis_volume, send_points_per_part};
-use cubesfc::{partition, to_csr, CubedSphere, PartitionMethod, PartitionOptions};
+use cubesfc::{partition, CubedSphere, PartitionMethod, PartitionOptions};
 
 fn main() {
     println!("TV vs KWAY communication volume across seeds (the paper's anomaly)");
@@ -34,7 +34,7 @@ fn main() {
     for ne in [8usize, 16] {
         let mesh = CubedSphere::new(ne);
         let k = mesh.num_elems();
-        let g = to_csr(&mesh.dual_graph(Default::default()));
+        let g = mesh.dual_graph(Default::default());
         for nproc in [k / 8, k / 4, k / 2] {
             for seed in [1u64, 2, 3, 4, 5] {
                 let mut opts = PartitionOptions::default();

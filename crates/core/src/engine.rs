@@ -22,7 +22,7 @@
 //! determinism tests compare against.
 
 use crate::experiment::Resolution;
-use crate::partitioner::{partition_with_graph, to_csr, PartitionMethod, PartitionOptions};
+use crate::partitioner::{partition_with_graph, PartitionMethod, PartitionOptions};
 use crate::report::PartitionReport;
 use crate::PartitionError;
 use cubesfc_graph::{CsrGraph, Partition};
@@ -51,7 +51,7 @@ impl MeshBundle {
     pub fn build(ne: usize, exchange: ExchangeWeights) -> MeshBundle {
         let _span = cubesfc_obs::span("mesh_bundle");
         let mesh = CubedSphere::new(ne);
-        let graph = to_csr(&mesh.dual_graph(exchange));
+        let graph = mesh.dual_graph(exchange);
         MeshBundle { ne, mesh, graph }
     }
 }

@@ -3,7 +3,7 @@
 use crate::error::PartitionError;
 use crate::sfc_partition::{partition_curve, partition_curve_weighted};
 use cubesfc_graph::{kway, kway_volume, recursive_bisection, CsrGraph, Partition, PartitionConfig};
-use cubesfc_mesh::{CubedSphere, DualGraph, ExchangeWeights, GlobalCurve};
+use cubesfc_mesh::{CubedSphere, ExchangeWeights, GlobalCurve};
 use cubesfc_sfc::Schedule;
 use std::fmt;
 
@@ -101,15 +101,12 @@ impl Default for PartitionOptions {
     }
 }
 
-/// Convert the mesh dual graph into the partitioner's CSR form.
-pub fn to_csr(dg: &DualGraph) -> CsrGraph {
-    CsrGraph::new(
-        dg.xadj.clone(),
-        dg.adjncy.clone(),
-        dg.adjwgt.clone(),
-        dg.vwgt.clone(),
-    )
-    .expect("mesh dual graphs are valid by construction")
+/// A plain `clone()`, kept only because callers outside this repository
+/// still write `to_csr(&mesh.dual_graph(..))`: the mesh builds (and
+/// validates) the partitioner's [`CsrGraph`] directly, so there is nothing
+/// left to convert. Use `mesh.dual_graph(..)` as is.
+pub fn to_csr(dg: &CsrGraph) -> CsrGraph {
+    dg.clone()
 }
 
 /// Partition a cubed-sphere into `nproc` parts with the chosen method.
@@ -209,7 +206,7 @@ fn partition_impl(
                     if let Some(vwgt) = vwgt {
                         dg.vwgt = vwgt;
                     }
-                    owned = Some(to_csr(&dg));
+                    owned = Some(dg);
                     owned.as_ref().unwrap()
                 }
             };
@@ -387,7 +384,7 @@ mod tests {
     #[test]
     fn partition_with_graph_matches_partition() {
         let mesh = CubedSphere::new(4);
-        let g = to_csr(&mesh.dual_graph(Default::default()));
+        let g = mesh.dual_graph(Default::default());
         let opts = PartitionOptions::default();
         for m in PartitionMethod::ALL {
             let a = partition(&mesh, m, 8, &opts).unwrap();
@@ -418,7 +415,7 @@ mod tests {
     #[test]
     fn morton_partitions_are_valid_but_less_compact() {
         let mesh = CubedSphere::new(8);
-        let g = to_csr(&mesh.dual_graph(Default::default()));
+        let g = mesh.dual_graph(Default::default());
         let sfc = partition_default(&mesh, PartitionMethod::Sfc, 48).unwrap();
         let mor = partition_default(&mesh, PartitionMethod::Morton, 48).unwrap();
         let cut_sfc = cubesfc_graph::metrics::edgecut(&g, &sfc);

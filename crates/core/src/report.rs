@@ -1,6 +1,6 @@
 //! Partition quality reports in the paper's Table 2 format.
 
-use crate::partitioner::{partition, to_csr, PartitionMethod, PartitionOptions};
+use crate::partitioner::{partition, PartitionMethod, PartitionOptions};
 use crate::PartitionError;
 use cubesfc_graph::{CsrGraph, Partition};
 use cubesfc_mesh::CubedSphere;
@@ -42,13 +42,13 @@ impl PartitionReport {
     ) -> PartitionReport {
         let g = {
             let _span = cubesfc_obs::span("dualgraph");
-            to_csr(&mesh.dual_graph(Default::default()))
+            mesh.dual_graph(Default::default())
         };
         PartitionReport::from_partition_with_graph(&g, method, part, machine, cost)
     }
 
     /// Evaluate a ready-made partition against a pre-built dual graph
-    /// (`mesh.dual_graph(Default::default())` in CSR form).
+    /// (`mesh.dual_graph(Default::default())`).
     ///
     /// All the Table-2 metrics are functions of the dual graph and the
     /// partition alone; passing the graph in lets sweeps that evaluate

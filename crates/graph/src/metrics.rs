@@ -6,6 +6,16 @@
 //!   vertices whose edges are cut by the partition"; the SEAM-calibrated
 //!   byte volume is derived from cut edge *weights* (points exchanged).
 //! * load balance, Eq. (1): `LB(S) = (max{S} − avg{S}) / max{S}`.
+//!
+//! Nothing here is stored between calls. A whole report — the
+//! [`PartitionStats`] bundle *and* the per-pair exchange list the
+//! performance model prices — comes out of one pass over the graph,
+//! [`cut_sweep`]: vertices are visited grouped by owning part, and each
+//! cut half-edge updates the send volume, the cut count, the METIS volume
+//! and a dense per-remote-part accumulator in the same step.
+//! [`edgecut`], [`edgecut_weight`], [`metis_volume`] and
+//! [`send_points_per_part`] are the single-purpose definitions the sweep
+//! is tested against.
 
 use crate::csr::CsrGraph;
 use crate::marker::Marker;
@@ -29,21 +39,16 @@ pub fn load_balance(values: &[u64]) -> f64 {
 }
 
 /// Eq. (1) load balance over real-valued per-part loads (the
-/// time-varying-weight analogue of [`load_balance`]). Non-finite or
-/// non-positive maxima degenerate to 0, matching the integer variant.
+/// time-varying-weight analogue of [`load_balance`]). Non-finite loads
+/// are left out of both the maximum and the average; no finite load, or
+/// a non-positive maximum, degenerates to 0, matching the integer variant.
 pub fn load_balance_f64(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let max = values
-        .iter()
-        .cloned()
-        .filter(|v| v.is_finite())
-        .fold(0.0f64, f64::max);
+    let finite = || values.iter().copied().filter(|v| v.is_finite());
+    let max = finite().fold(0.0f64, f64::max);
     if max <= 0.0 {
         return 0.0;
     }
-    let avg = values.iter().sum::<f64>() / values.len() as f64;
+    let avg = finite().sum::<f64>() / finite().count() as f64;
     (max - avg) / max
 }
 
@@ -127,36 +132,9 @@ pub fn send_points_per_part(g: &CsrGraph, p: &Partition) -> Vec<u64> {
 /// Number of distinct neighbouring parts of each part (message count per
 /// step when exchanges are aggregated per neighbour pair, as SEAM does).
 pub fn neighbor_parts(g: &CsrGraph, p: &Partition) -> Vec<usize> {
-    let k = p.nparts();
-    // Group vertices by owning part (counting sort) so each part's
-    // distinct-neighbour set is one epoch of a single stamped marker,
-    // instead of a per-part Vec with an O(parts-touched) contains scan.
-    let mut offsets = vec![0usize; k + 1];
-    for v in 0..g.nv() {
-        offsets[p.part_of(v) + 1] += 1;
-    }
-    for i in 0..k {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut members = vec![0u32; g.nv()];
-    let mut cursor = offsets.clone();
-    for v in 0..g.nv() {
-        let pv = p.part_of(v);
-        members[cursor[pv]] = v as u32;
-        cursor[pv] += 1;
-    }
-    let mut seen = Marker::new(k);
-    let mut counts = vec![0usize; k];
-    for pv in 0..k {
-        seen.clear();
-        for &v in &members[offsets[pv]..offsets[pv + 1]] {
-            for (n, _) in g.neighbors(v as usize) {
-                let pn = p.part_of(n);
-                if pn != pv && seen.mark(pn) {
-                    counts[pv] += 1;
-                }
-            }
-        }
+    let mut counts = vec![0usize; p.nparts()];
+    for (from, _, _) in part_exchange_points(g, p) {
+        counts[from as usize] += 1;
     }
     counts
 }
@@ -165,28 +143,7 @@ pub fn neighbor_parts(g: &CsrGraph, p: &Partition) -> Vec<usize> {
 /// adjacent pair, as a sparse list `(from, to, points)` sorted by
 /// `(from, to)`.
 pub fn part_exchange_points(g: &CsrGraph, p: &Partition) -> Vec<(u32, u32, u64)> {
-    // One record per cut half-edge, keyed `from << 32 | to` so that the
-    // integer order is the `(from, to)` order; sort, then merge each run.
-    let mut cut: Vec<(u64, u64)> = Vec::new();
-    for v in 0..g.nv() {
-        let pv = p.part_of(v) as u64;
-        for (n, w) in g.neighbors(v) {
-            let pn = p.part_of(n) as u64;
-            if pn != pv {
-                cut.push((pv << 32 | pn, w as u64));
-            }
-        }
-    }
-    cut.sort_unstable();
-    let mut out: Vec<(u32, u32, u64)> = Vec::new();
-    for (key, w) in cut {
-        let (from, to) = ((key >> 32) as u32, key as u32);
-        match out.last_mut() {
-            Some((a, b, points)) if (*a, *b) == (from, to) => *points += w,
-            _ => out.push((from, to, w)),
-        }
-    }
-    out
+    cut_sweep(g, p).1
 }
 
 /// A bundle of the Table 2 statistics for one partition.
@@ -211,18 +168,85 @@ pub struct PartitionStats {
 
 /// Compute the full statistics bundle.
 pub fn partition_stats(g: &CsrGraph, p: &Partition) -> PartitionStats {
-    let nelemd = p.part_weights(g);
-    let spcv = send_points_per_part(g, p);
-    let total_points = spcv.iter().sum();
-    PartitionStats {
+    cut_sweep(g, p).0
+}
+
+/// One pass over the graph yielding the statistics bundle and the
+/// exchange list of [`part_exchange_points`].
+///
+/// Vertices are visited grouped by owning part (a counting sort), so the
+/// points a part sends to each remote part accumulate in one dense array
+/// that is reused from part to part; the remote parts a part touched are
+/// sorted before they are emitted, which makes the list `(from, to)`-sorted
+/// with no global sort. A cut edge of weight 0 still yields its entry, and
+/// a part with no members yields none.
+pub fn cut_sweep(g: &CsrGraph, p: &Partition) -> (PartitionStats, Vec<(u32, u32, u64)>) {
+    let k = p.nparts();
+    let mut offsets = vec![0usize; k + 1];
+    for &part in p.assignment() {
+        offsets[part as usize + 1] += 1;
+    }
+    for i in 0..k {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut members = vec![0u32; g.nv()];
+    let mut cursor = offsets.clone();
+    for (v, &part) in p.assignment().iter().enumerate() {
+        members[cursor[part as usize]] = v as u32;
+        cursor[part as usize] += 1;
+    }
+
+    let mut nelemd = vec![0u64; k];
+    let mut spcv = vec![0u64; k];
+    let (mut edgecut, mut metis_volume) = (0u64, 0u64);
+    let mut exchange = Vec::new();
+    // Points the current part sends to each remote part; `touched` lists
+    // the entries in use (stamped in `sent_to`), `seen` is the distinct
+    // remote parts of the current vertex.
+    let mut points = vec![0u64; k];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut sent_to = Marker::new(k);
+    let mut seen = Marker::new(k);
+    for pv in 0..k {
+        sent_to.clear();
+        touched.clear();
+        for &v in &members[offsets[pv]..offsets[pv + 1]] {
+            let v = v as usize;
+            nelemd[pv] += g.vwgt[v] as u64;
+            seen.clear();
+            for (n, w) in g.neighbors(v) {
+                let pn = p.part_of(n);
+                if pn == pv {
+                    continue;
+                }
+                spcv[pv] += w as u64;
+                edgecut += (n > v) as u64;
+                metis_volume += seen.mark(pn) as u64;
+                if sent_to.mark(pn) {
+                    touched.push(pn as u32);
+                    points[pn] = 0;
+                }
+                points[pn] += w as u64;
+            }
+        }
+        touched.sort_unstable();
+        exchange.extend(
+            touched
+                .iter()
+                .map(|&to| (pv as u32, to, points[to as usize])),
+        );
+    }
+
+    let stats = PartitionStats {
         lb_nelemd: load_balance(&nelemd),
         lb_spcv: load_balance(&spcv),
         nelemd,
-        total_points,
+        total_points: spcv.iter().sum(),
         spcv,
-        edgecut: edgecut(g, p),
-        metis_volume: metis_volume(g, p),
-    }
+        edgecut,
+        metis_volume,
+    };
+    (stats, exchange)
 }
 
 #[cfg(test)]
@@ -250,6 +274,19 @@ mod tests {
         assert_eq!(load_balance(&[0, 0]), 0.0);
         // Empty parts count toward the average: LB({2, 0}) = 0.5.
         assert!((load_balance(&[2, 0]) - 0.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn eq1_load_balance_f64_ignores_non_finite_loads() {
+        assert_eq!(load_balance_f64(&[]), 0.0);
+        assert_eq!(load_balance_f64(&[0.0, 0.0]), 0.0);
+        assert!((load_balance_f64(&[3.0, 1.0]) - 1.0 / 3.0).abs() < 1e-15);
+        // One NaN load used to make the average NaN, one +∞ made it +∞
+        // (a result of −∞): both are now left out of max and average.
+        assert_eq!(load_balance_f64(&[1.0, f64::NAN]), 0.0);
+        assert_eq!(load_balance_f64(&[1.0, f64::INFINITY]), 0.0);
+        assert!((load_balance_f64(&[3.0, f64::NAN, 1.0]) - 1.0 / 3.0).abs() < 1e-15);
+        assert_eq!(load_balance_f64(&[f64::NAN, f64::NEG_INFINITY]), 0.0);
     }
 
     #[test]

@@ -10,8 +10,18 @@
 //! element edge of GLL points; corner-adjacent elements exchange a single
 //! point. Weights are expressed in *points exchanged per step*; the
 //! machine model converts points to bytes.
+//!
+//! There is one CSR type in the workspace: the builders here fill a
+//! [`CsrGraph`] (`xadj`, `adjncy`, `adjwgt`, `vwgt`) straight from the
+//! arithmetic [`Topology`] and validate it once, so the partitioners and
+//! the metrics consume what is built with no conversion in between. A
+//! vertex lists its edge neighbours in South, East, North, West order,
+//! then its corner neighbours by ascending id — the order every graph
+//! partition depends on.
 
-use crate::topology::{ElemId, Topology};
+use crate::face::FaceId;
+use crate::topology::{ElemId, LocalEdge, Topology};
+use cubesfc_graph::CsrGraph;
 
 /// Exchange weights for the dual graph, in GLL points.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,59 +42,9 @@ impl Default for ExchangeWeights {
     }
 }
 
-/// A CSR-form undirected weighted graph of the elements.
-///
-/// The arrays follow the classic `(xadj, adjncy, adjwgt, vwgt)` layout so
-/// any partitioner can consume them directly: the neighbours of vertex `v`
-/// are `adjncy[xadj[v] .. xadj[v+1]]` with weights in the same positions of
-/// `adjwgt`. Every edge appears twice (once from each endpoint).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DualGraph {
-    /// Row pointers, length `K + 1`.
-    pub xadj: Vec<u32>,
-    /// Flattened neighbour lists.
-    pub adjncy: Vec<u32>,
-    /// Edge weights, parallel to `adjncy`.
-    pub adjwgt: Vec<u32>,
-    /// Vertex (computation) weights, length `K`.
-    pub vwgt: Vec<u32>,
-}
-
-impl DualGraph {
-    /// Number of vertices (elements).
-    pub fn num_vertices(&self) -> usize {
-        self.vwgt.len()
-    }
-
-    /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
-        self.adjncy.len() / 2
-    }
-
-    /// Neighbours of vertex `v` with weights.
-    pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
-        let lo = self.xadj[v] as usize;
-        let hi = self.xadj[v + 1] as usize;
-        self.adjncy[lo..hi]
-            .iter()
-            .zip(&self.adjwgt[lo..hi])
-            .map(|(&n, &w)| (n as usize, w))
-    }
-
-    /// Degree of vertex `v`.
-    pub fn degree(&self, v: usize) -> usize {
-        (self.xadj[v + 1] - self.xadj[v]) as usize
-    }
-
-    /// Sum of all vertex weights.
-    pub fn total_vwgt(&self) -> u64 {
-        self.vwgt.iter().map(|&w| w as u64).sum()
-    }
-}
-
 /// Build the dual graph of the cubed-sphere with uniform unit vertex
 /// weights (every spectral element costs the same — the paper's case).
-pub fn build_dual_graph(topo: &Topology, w: ExchangeWeights) -> DualGraph {
+pub fn build_dual_graph(topo: &Topology, w: ExchangeWeights) -> CsrGraph {
     let vwgt = vec![1u32; topo.num_elems()];
     build_dual_graph_weighted(topo, w, vwgt)
 }
@@ -95,7 +55,7 @@ pub fn build_dual_graph(topo: &Topology, w: ExchangeWeights) -> DualGraph {
 /// # Panics
 ///
 /// Panics if `vwgt.len() != K`.
-pub fn build_dual_graph_weighted(topo: &Topology, w: ExchangeWeights, vwgt: Vec<u32>) -> DualGraph {
+pub fn build_dual_graph_weighted(topo: &Topology, w: ExchangeWeights, vwgt: Vec<u32>) -> CsrGraph {
     let k = topo.num_elems();
     assert_eq!(vwgt.len(), k, "vertex weight length mismatch");
 
@@ -104,29 +64,30 @@ pub fn build_dual_graph_weighted(topo: &Topology, w: ExchangeWeights, vwgt: Vec<
     let mut adjncy = Vec::with_capacity(8 * k);
     let mut adjwgt = Vec::with_capacity(8 * k);
     xadj.push(0u32);
-    for e in topo.elems() {
-        for nb in topo.edge_neighbors(e) {
-            adjncy.push(nb.elem.0);
-            adjwgt.push(w.edge_points);
+    // Element ids ascend in (face, j, i) order.
+    let ne = topo.ne();
+    for face in FaceId::ALL {
+        for j in 0..ne {
+            for i in 0..ne {
+                for edge in LocalEdge::ALL {
+                    adjncy.push(topo.across(face, i, j, edge).elem.0);
+                    adjwgt.push(w.edge_points);
+                }
+                for c in topo.diagonals(face, i, j).iter() {
+                    adjncy.push(c.0);
+                    adjwgt.push(w.corner_points);
+                }
+                xadj.push(adjncy.len() as u32);
+            }
         }
-        for &c in topo.corner_neighbors(e) {
-            adjncy.push(c.0);
-            adjwgt.push(w.corner_points);
-        }
-        xadj.push(adjncy.len() as u32);
     }
-    DualGraph {
-        xadj,
-        adjncy,
-        adjwgt,
-        vwgt,
-    }
+    CsrGraph::new(xadj, adjncy, adjwgt, vwgt).expect("mesh dual graphs are valid by construction")
 }
 
 /// The communication volume, in points, that element `e` sends each step
 /// (sum of its incident edge weights) — independent of any partition; used
 /// to bound per-processor communication.
-pub fn elem_send_points(g: &DualGraph, e: ElemId) -> u64 {
+pub fn elem_send_points(g: &CsrGraph, e: ElemId) -> u64 {
     g.neighbors(e.index()).map(|(_, w)| w as u64).sum()
 }
 
@@ -134,7 +95,7 @@ pub fn elem_send_points(g: &DualGraph, e: ElemId) -> u64 {
 mod tests {
     use super::*;
 
-    fn graph(ne: usize) -> (Topology, DualGraph) {
+    fn graph(ne: usize) -> (Topology, CsrGraph) {
         let t = Topology::build(ne);
         let g = build_dual_graph(&t, ExchangeWeights::default());
         (t, g)
@@ -143,21 +104,21 @@ mod tests {
     #[test]
     fn vertex_count_matches_elements() {
         let (t, g) = graph(4);
-        assert_eq!(g.num_vertices(), t.num_elems());
+        assert_eq!(g.nv(), t.num_elems());
         assert_eq!(g.total_vwgt(), t.num_elems() as u64);
     }
 
     #[test]
     fn csr_is_consistent() {
         let (_, g) = graph(3);
-        assert_eq!(g.xadj.len(), g.num_vertices() + 1);
+        assert_eq!(g.xadj.len(), g.nv() + 1);
         assert_eq!(*g.xadj.last().unwrap() as usize, g.adjncy.len());
         assert_eq!(g.adjncy.len(), g.adjwgt.len());
         // No self-loops, no out-of-range neighbours.
-        for v in 0..g.num_vertices() {
+        for v in 0..g.nv() {
             for (n, _) in g.neighbors(v) {
                 assert_ne!(n, v);
-                assert!(n < g.num_vertices());
+                assert!(n < g.nv());
             }
         }
     }
@@ -165,7 +126,7 @@ mod tests {
     #[test]
     fn graph_is_symmetric_with_equal_weights() {
         let (_, g) = graph(3);
-        for v in 0..g.num_vertices() {
+        for v in 0..g.nv() {
             for (n, w) in g.neighbors(v) {
                 let back = g
                     .neighbors(n)
@@ -180,7 +141,7 @@ mod tests {
     fn degrees_are_seven_or_eight() {
         // 4 edge neighbours + 3..4 corner neighbours for Ne >= 2.
         let (_, g) = graph(4);
-        for v in 0..g.num_vertices() {
+        for v in 0..g.nv() {
             let d = g.degree(v);
             assert!(d == 7 || d == 8, "vertex {v} degree {d}");
         }
@@ -197,7 +158,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(w, 8);
             }
-            for &c in t.corner_neighbors(e) {
+            for &c in t.corner_neighbors(e).iter() {
                 let (_, w) = g
                     .neighbors(e.index())
                     .find(|&(n, _)| n == c.index())

@@ -304,11 +304,18 @@ mod tests {
 
     #[test]
     fn global_curve_is_continuous_on_the_sphere() {
-        for ne in [1usize, 2, 3, 4, 6, 8, 9, 12] {
+        // Every size of the topology oracle's sweep that admits a curve:
+        // all `2^a·3^b·5^c ≤ 64`, and 81.
+        let mut curves = 0;
+        for ne in crate::topology::tests::swept_sizes() {
+            let Ok(c) = GlobalCurve::build(ne) else {
+                continue;
+            };
             let topo = Topology::build(ne);
-            let c = GlobalCurve::build(ne).unwrap();
             assert!(c.is_continuous(&topo), "ne={ne}: curve breaks at a seam");
+            curves += 1;
         }
+        assert_eq!(curves, 28);
     }
 
     #[test]

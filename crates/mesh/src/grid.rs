@@ -1,11 +1,12 @@
 //! The [`CubedSphere`] façade: one struct owning the mesh pieces a
 //! partitioner or solver needs.
 
-use crate::dualgraph::{build_dual_graph, DualGraph, ExchangeWeights};
+use crate::dualgraph::{build_dual_graph, ExchangeWeights};
 use crate::face::FaceId;
 use crate::geometry::{all_areas, all_centers, SpherePoint};
 use crate::global_curve::GlobalCurve;
 use crate::topology::{make_eid, split_eid, ElemId, Topology};
+use cubesfc_graph::CsrGraph;
 use cubesfc_sfc::{Schedule, SfcError};
 
 /// A cubed-sphere mesh of `K = 6·Ne²` spectral elements, with its
@@ -71,8 +72,8 @@ impl CubedSphere {
             .ok_or(SfcError::UnsupportedSize { side: self.ne })
     }
 
-    /// Build the weighted dual graph for partitioning.
-    pub fn dual_graph(&self, w: ExchangeWeights) -> DualGraph {
+    /// Build the weighted dual graph for partitioning (validated CSR).
+    pub fn dual_graph(&self, w: ExchangeWeights) -> CsrGraph {
         build_dual_graph(&self.topology, w)
     }
 
@@ -134,7 +135,7 @@ mod tests {
     fn dual_graph_size() {
         let m = CubedSphere::new(4);
         let g = m.dual_graph(Default::default());
-        assert_eq!(g.num_vertices(), m.num_elems());
+        assert_eq!(g.nv(), m.num_elems());
     }
 
     #[test]

@@ -34,10 +34,12 @@ pub mod grid;
 pub mod mapping;
 pub mod topology;
 
-pub use dualgraph::{build_dual_graph, build_dual_graph_weighted, DualGraph, ExchangeWeights};
+pub use dualgraph::{build_dual_graph, build_dual_graph_weighted, ExchangeWeights};
 pub use face::{FaceFrame, FaceId, IVec3};
 pub use geometry::SpherePoint;
 pub use global_curve::{GlobalCurve, FACE_ORDER};
 pub use grid::CubedSphere;
 pub use mapping::Mapping;
-pub use topology::{make_eid, split_eid, EdgeNeighbor, ElemId, LocalEdge, Topology};
+pub use topology::{
+    make_eid, split_eid, CornerNeighbors, EdgeNeighbor, ElemId, LocalEdge, Topology,
+};

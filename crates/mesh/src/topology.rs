@@ -15,14 +15,23 @@
 //! directions. Position `t` along a seam lands on `t`, or on `Ne−1−t`
 //! when the seam reverses.
 //!
+//! Nothing per element is stored: a [`Topology`] is `Ne` plus the seam
+//! table (under 100 bytes for any mesh size) and every query is computed
+//! when asked, the way Burstedde & Holke's forest-of-trees keeps
+//! neighbours as coordinates plus an inter-tree table. The readers are
+//! all set-up code (the dual-graph build, the DSS numbering, the curve's
+//! continuity check), each visiting an element once.
+//!
 //! The seam table is derived from the exact integer frames of
 //! [`crate::face`] by comparing cube vertices for equality, and the frames
-//! are affine in the cell index, so the build stays free of floating-point
-//! tolerances: it returns what hashing all `4K` integer corner points
-//! would (the tests keep that construction as the oracle).
+//! are affine in the cell index, so the answers stay free of
+//! floating-point tolerances: they are what hashing all `4K` integer
+//! corner points would give (the tests keep that construction, and the
+//! stored per-element arrays of earlier versions, as oracles).
 
 use crate::face::{cell_corner_point, FaceId};
 use std::fmt;
+use std::ops::Deref;
 
 /// Identifier of a spectral element: `eid = face·Ne² + j·Ne + i`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -104,24 +113,31 @@ pub struct EdgeNeighbor {
     pub reversed: bool,
 }
 
-/// An element's corner-only neighbours, stored inline: an element has
-/// four corner points and at most one such neighbour through each.
+/// An element's corner-only neighbours: an element has four corner points
+/// and at most one such neighbour through each. Dereferences to the
+/// sorted slice of ids.
 #[derive(Clone, Copy, Debug)]
-struct CornerNeighbors {
+pub struct CornerNeighbors {
     /// The first `len` entries are valid, sorted ascending.
     ids: [ElemId; 4],
     len: u8,
 }
 
-/// Full adjacency of the `K = 6·Ne²` cubed-sphere elements.
+impl Deref for CornerNeighbors {
+    type Target = [ElemId];
+
+    #[inline]
+    fn deref(&self) -> &[ElemId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+/// Full adjacency of the `K = 6·Ne²` cubed-sphere elements, computed on
+/// demand from `Ne` and the seam table.
 #[derive(Clone, Debug)]
 pub struct Topology {
     ne: usize,
-    /// Per element, per local edge: the neighbour across that edge.
-    edge_neighbors: Vec<[EdgeNeighbor; 4]>,
-    /// Per element: elements sharing exactly one corner point
-    /// (3 or 4 of them; none when `Ne = 1`).
-    corner_neighbors: Vec<CornerNeighbors>,
+    seams: SeamTable,
 }
 
 impl Topology {
@@ -133,26 +149,9 @@ impl Topology {
     pub fn build(ne: usize) -> Topology {
         let _span = cubesfc_obs::span("topology");
         assert!(ne >= 1, "Ne must be at least 1");
-        let grid = FaceGrid {
-            ne,
-            seams: seam_table(),
-        };
-        let nel = 6 * ne * ne;
-        let mut edge_neighbors = Vec::with_capacity(nel);
-        let mut corner_neighbors = Vec::with_capacity(nel);
-        // Element ids ascend in (face, j, i) order.
-        for face in FaceId::ALL {
-            for j in 0..ne {
-                for i in 0..ne {
-                    edge_neighbors.push(LocalEdge::ALL.map(|edge| grid.across(face, i, j, edge)));
-                    corner_neighbors.push(grid.corner_neighbors(face, i, j));
-                }
-            }
-        }
         Topology {
             ne,
-            edge_neighbors,
-            corner_neighbors,
+            seams: seam_table(),
         }
     }
 
@@ -165,31 +164,34 @@ impl Topology {
     /// Total number of elements, `K = 6·Ne²`.
     #[inline]
     pub fn num_elems(&self) -> usize {
-        self.edge_neighbors.len()
+        6 * self.ne * self.ne
     }
 
     /// The neighbour across `edge` of `elem`.
     #[inline]
     pub fn edge_neighbor(&self, elem: ElemId, edge: LocalEdge) -> EdgeNeighbor {
-        self.edge_neighbors[elem.index()][edge.index()]
+        let (face, i, j) = split_eid(self.ne, elem);
+        self.across(face, i, j, edge)
     }
 
     /// All four edge neighbours of `elem`, indexed by [`LocalEdge`].
     #[inline]
-    pub fn edge_neighbors(&self, elem: ElemId) -> &[EdgeNeighbor; 4] {
-        &self.edge_neighbors[elem.index()]
+    pub fn edge_neighbors(&self, elem: ElemId) -> [EdgeNeighbor; 4] {
+        let (face, i, j) = split_eid(self.ne, elem);
+        LocalEdge::ALL.map(|edge| self.across(face, i, j, edge))
     }
 
-    /// The corner-only neighbours of `elem` (sorted).
+    /// The corner-only neighbours of `elem` (sorted): 3 or 4 of them,
+    /// none when `Ne = 1`.
     #[inline]
-    pub fn corner_neighbors(&self, elem: ElemId) -> &[ElemId] {
-        let c = &self.corner_neighbors[elem.index()];
-        &c.ids[..c.len as usize]
+    pub fn corner_neighbors(&self, elem: ElemId) -> CornerNeighbors {
+        let (face, i, j) = split_eid(self.ne, elem);
+        self.diagonals(face, i, j)
     }
 
     /// Whether two elements are edge-adjacent.
     pub fn are_edge_adjacent(&self, a: ElemId, b: ElemId) -> bool {
-        self.edge_neighbors[a.index()].iter().any(|n| n.elem == b)
+        self.edge_neighbors(a).iter().any(|n| n.elem == b)
     }
 
     /// Whether two elements share at least a corner point.
@@ -276,12 +278,7 @@ const DIAGONALS: [(LocalEdge, LocalEdge); 4] = [
 ];
 
 /// Neighbour arithmetic on the `Ne × Ne` cells of each face.
-struct FaceGrid {
-    ne: usize,
-    seams: SeamTable,
-}
-
-impl FaceGrid {
+impl Topology {
     /// The cell one step across `edge` inside the same face, or `None`
     /// when `(i, j)` sits on that face border.
     fn step(&self, i: usize, j: usize, edge: LocalEdge) -> Option<(usize, usize)> {
@@ -295,7 +292,7 @@ impl FaceGrid {
     }
 
     /// The neighbour of cell `(i, j)` of `face` across its local `edge`.
-    fn across(&self, face: FaceId, i: usize, j: usize, edge: LocalEdge) -> EdgeNeighbor {
+    pub(crate) fn across(&self, face: FaceId, i: usize, j: usize, edge: LocalEdge) -> EdgeNeighbor {
         if let Some((ni, nj)) = self.step(i, j, edge) {
             return EdgeNeighbor {
                 elem: make_eid(self.ne, face, ni, nj),
@@ -327,7 +324,7 @@ impl FaceGrid {
 
     /// The elements sharing exactly one corner point with cell `(i, j)`
     /// of `face`: one per diagonal, sorted by id.
-    fn corner_neighbors(&self, face: FaceId, i: usize, j: usize) -> CornerNeighbors {
+    pub(crate) fn diagonals(&self, face: FaceId, i: usize, j: usize) -> CornerNeighbors {
         let mut ids = [ElemId(0); 4];
         let mut len = 0;
         for (lateral, vertical) in DIAGONALS {
@@ -353,17 +350,80 @@ impl FaceGrid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::dualgraph::build_dual_graph;
+    use crate::dualgraph::{build_dual_graph, ExchangeWeights};
     use crate::face::IVec3;
     use rustc_hash::FxHashMap;
 
-    /// The oracle: adjacency straight from the definition. Hash every
-    /// element's four exact-integer corner points, count the points each
-    /// element pair shares (two = edge neighbours, one = corner
+    /// The sizes the oracles sweep: every `Ne ≤ 24`, every
+    /// `Ne = 2^a·3^b·5^c ≤ 64` (the sizes that admit a curve), and 81.
+    pub(crate) fn swept_sizes() -> Vec<usize> {
+        let smooth = |mut n: usize| {
+            for p in [2, 3, 5] {
+                while n.is_multiple_of(p) {
+                    n /= p;
+                }
+            }
+            n == 1
+        };
+        (1..=64)
+            .filter(|&ne| ne <= 24 || smooth(ne))
+            .chain([81])
+            .collect()
+    }
+
+    /// The per-element answers as a table — what `Topology` itself held
+    /// before it became arithmetic, and what the oracles fill.
+    struct Stored {
+        edge_neighbors: Vec<[EdgeNeighbor; 4]>,
+        /// Sorted ascending.
+        corner_neighbors: Vec<Vec<ElemId>>,
+    }
+
+    impl Stored {
+        /// The `(xadj, adjncy, adjwgt)` of the dual graph these tables
+        /// describe: edge neighbours S, E, N, W, then the corners.
+        fn dual_graph(&self, w: ExchangeWeights) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+            let (mut xadj, mut adjncy, mut adjwgt) = (vec![0u32], Vec::new(), Vec::new());
+            for (edges, corners) in self.edge_neighbors.iter().zip(&self.corner_neighbors) {
+                adjncy.extend(edges.iter().map(|nb| nb.elem.0));
+                adjwgt.extend([w.edge_points; 4]);
+                adjncy.extend(corners.iter().map(|c| c.0));
+                adjwgt.extend(corners.iter().map(|_| w.corner_points));
+                xadj.push(adjncy.len() as u32);
+            }
+            (xadj, adjncy, adjwgt)
+        }
+    }
+
+    /// The first oracle, the stored build the arithmetic replaced: walk
+    /// the cells in element-id order `(face, j, i)` — never through
+    /// `split_eid` — and keep every answer.
+    fn stored_build(ne: usize) -> Stored {
+        let grid = Topology::build(ne);
+        let mut stored = Stored {
+            edge_neighbors: Vec::new(),
+            corner_neighbors: Vec::new(),
+        };
+        for face in FaceId::ALL {
+            for j in 0..ne {
+                for i in 0..ne {
+                    let edges = LocalEdge::ALL.map(|edge| grid.across(face, i, j, edge));
+                    stored.edge_neighbors.push(edges);
+                    let corners = grid.diagonals(face, i, j).to_vec();
+                    stored.corner_neighbors.push(corners);
+                }
+            }
+        }
+        stored
+    }
+
+    /// The second oracle: adjacency straight from the definition. Hash
+    /// every element's four exact-integer corner points, count the points
+    /// each element pair shares (two = edge neighbours, one = corner
     /// neighbours) and match the shared edge by comparing endpoints.
-    fn reference_build(ne: usize) -> Topology {
+    fn reference_build(ne: usize) -> Stored {
         let nel = 6 * ne * ne;
         let ne_i = ne as i64;
 
@@ -389,12 +449,12 @@ mod tests {
         }
 
         let mut edge_neighbors: Vec<[Option<EdgeNeighbor>; 4]> = vec![[None; 4]; nel];
-        let mut corner_lists: Vec<Vec<ElemId>> = vec![Vec::new(); nel];
+        let mut corner_neighbors: Vec<Vec<ElemId>> = vec![Vec::new(); nel];
         for (&(a, b), &count) in &shared {
             match count {
                 1 => {
-                    corner_lists[a.index()].push(b);
-                    corner_lists[b.index()].push(a);
+                    corner_neighbors[a.index()].push(b);
+                    corner_neighbors[b.index()].push(a);
                 }
                 2 => {
                     let (ea, eb, reversed) = match_edges(ne, a, b);
@@ -412,25 +472,16 @@ mod tests {
                 n => panic!("elements {a} and {b} share {n} corner points"),
             }
         }
+        corner_neighbors
+            .iter_mut()
+            .for_each(|list| list.sort_unstable());
 
-        Topology {
-            ne,
+        Stored {
             edge_neighbors: edge_neighbors
                 .into_iter()
                 .map(|nbrs| nbrs.map(|nb| nb.expect("every element has four edge neighbours")))
                 .collect(),
-            corner_neighbors: corner_lists
-                .into_iter()
-                .map(|mut list| {
-                    list.sort_unstable();
-                    let mut ids = [ElemId(0); 4];
-                    ids[..list.len()].copy_from_slice(&list);
-                    CornerNeighbors {
-                        ids,
-                        len: list.len() as u8,
-                    }
-                })
-                .collect(),
+            corner_neighbors,
         }
     }
 
@@ -463,27 +514,29 @@ mod tests {
 
     #[test]
     fn closed_form_build_equals_the_corner_point_oracle() {
-        for ne in (1..=24).chain([27, 32, 48, 64, 81]) {
-            let built = Topology::build(ne);
+        let weights = ExchangeWeights::default();
+        for ne in swept_sizes() {
+            let topo = Topology::build(ne);
+            let stored = stored_build(ne);
             let oracle = reference_build(ne);
-            assert_eq!(built.num_elems(), oracle.num_elems(), "ne={ne}");
-            for e in oracle.elems() {
-                assert_eq!(
-                    built.edge_neighbors(e),
-                    oracle.edge_neighbors(e),
-                    "ne={ne} {e}"
-                );
-                assert_eq!(
-                    built.corner_neighbors(e),
-                    oracle.corner_neighbors(e),
-                    "ne={ne} {e}"
-                );
+            assert_eq!(topo.num_elems(), oracle.edge_neighbors.len(), "ne={ne}");
+            assert_eq!(topo.num_elems(), stored.edge_neighbors.len(), "ne={ne}");
+            for e in topo.elems() {
+                let want = oracle.edge_neighbors[e.index()];
+                assert_eq!(topo.edge_neighbors(e), want, "ne={ne} {e}");
+                assert_eq!(stored.edge_neighbors[e.index()], want, "ne={ne} {e}");
+                for edge in LocalEdge::ALL {
+                    assert_eq!(topo.edge_neighbor(e, edge), want[edge.index()]);
+                }
+                let want = &oracle.corner_neighbors[e.index()];
+                assert_eq!(&topo.corner_neighbors(e)[..], want, "ne={ne} {e}");
+                assert_eq!(&stored.corner_neighbors[e.index()], want, "ne={ne} {e}");
             }
             // The CSR arrays (xadj, adjncy, adjwgt) whose adjacency order
             // every graph partition depends on.
+            let g = build_dual_graph(&topo, weights);
             assert!(
-                build_dual_graph(&built, Default::default())
-                    == build_dual_graph(&oracle, Default::default()),
+                (g.xadj, g.adjncy, g.adjwgt) == oracle.dual_graph(weights),
                 "ne={ne}: dual graphs differ"
             );
         }
@@ -593,7 +646,7 @@ mod tests {
     fn corner_adjacency_is_symmetric() {
         let t = Topology::build(4);
         for e in t.elems() {
-            for &c in t.corner_neighbors(e) {
+            for &c in t.corner_neighbors(e).iter() {
                 assert!(t.corner_neighbors(c).contains(&e));
                 assert!(!t.are_edge_adjacent(e, c));
             }

@@ -35,7 +35,7 @@ proptest! {
                 let nb = t.edge_neighbor(e, le);
                 prop_assert!(t.are_edge_adjacent(nb.elem, e));
             }
-            for &c in t.corner_neighbors(e) {
+            for &c in t.corner_neighbors(e).iter() {
                 prop_assert!(t.corner_neighbors(c).contains(&e));
             }
         }
@@ -110,8 +110,8 @@ proptest! {
     fn dual_graph_degrees_and_symmetry(ne in arb_ne()) {
         let m = CubedSphere::new(ne);
         let g = m.dual_graph(Default::default());
-        prop_assert_eq!(g.num_vertices(), m.num_elems());
-        for v in 0..g.num_vertices() {
+        prop_assert_eq!(g.nv(), m.num_elems());
+        for v in 0..g.nv() {
             for (n, w) in g.neighbors(v) {
                 let back = g.neighbors(n).find(|&(x, _)| x == v);
                 prop_assert!(back.map(|b| b.1) == Some(w));

@@ -11,7 +11,7 @@
 
 use crate::cost::CostModel;
 use crate::machine::MachineModel;
-use cubesfc_graph::metrics::{part_exchange_points, partition_stats, PartitionStats};
+use cubesfc_graph::metrics::{cut_sweep, PartitionStats};
 use cubesfc_graph::{CsrGraph, Partition};
 
 /// The modelled performance of one partition on one machine.
@@ -50,7 +50,7 @@ pub fn evaluate(
     cost: &CostModel,
 ) -> PerfReport {
     let _span = cubesfc_obs::span("evaluate");
-    let stats = partition_stats(graph, partition);
+    let (stats, exchange) = cut_sweep(graph, partition);
 
     // Compute time: element count × flops per element / sustained rate.
     let fe = cost.flops_per_element_step();
@@ -62,11 +62,10 @@ pub fn evaluate(
     let total_elems = graph.total_vwgt() as f64;
 
     finish_report(
-        graph,
-        partition,
         machine,
         cost,
         stats,
+        &exchange,
         per_rank_compute,
         total_elems,
     )
@@ -91,7 +90,7 @@ pub fn evaluate_weighted(
 ) -> PerfReport {
     let _span = cubesfc_obs::span("evaluate");
     assert_eq!(weights.len(), graph.nv(), "one weight per element required");
-    let stats = partition_stats(graph, partition);
+    let (stats, exchange) = cut_sweep(graph, partition);
 
     let fe = cost.flops_per_element_step();
     let mut per_rank_compute = vec![0.0f64; partition.nparts()];
@@ -101,11 +100,10 @@ pub fn evaluate_weighted(
     let total_work: f64 = weights.iter().sum();
 
     finish_report(
-        graph,
-        partition,
         machine,
         cost,
         stats,
+        &exchange,
         per_rank_compute,
         total_work,
     )
@@ -113,24 +111,26 @@ pub fn evaluate_weighted(
 
 /// Shared tail of the model: alpha-beta communication per neighbour
 /// rank, then the max-over-ranks step time and derived rates.
-/// `total_elems` is in element-equivalents (weighted or counted).
+/// `exchange` is the `(from, to)`-sorted list of [`cut_sweep`] — message
+/// times are added to a rank in that order, so the order is part of the
+/// result's bits. `total_elems` is in element-equivalents (weighted or
+/// counted).
 fn finish_report(
-    graph: &CsrGraph,
-    partition: &Partition,
     machine: &MachineModel,
     cost: &CostModel,
     stats: PartitionStats,
+    exchange: &[(u32, u32, u64)],
     per_rank_compute: Vec<f64>,
     total_elems: f64,
 ) -> PerfReport {
-    let nproc = partition.nparts();
+    let nproc = per_rank_compute.len();
     let fe = cost.flops_per_element_step();
 
     // Communication time: one aggregated message per neighbour rank per
     // stage, alpha-beta per route.
     let bytes_per_point_stage = cost.bytes_per_point_per_stage();
     let mut per_rank_comm = vec![0.0f64; nproc];
-    for (from, to, points) in part_exchange_points(graph, partition) {
+    for &(from, to, points) in exchange {
         let bytes = points as f64 * bytes_per_point_stage;
         // Distribution of modelled per-neighbour message sizes: exposes
         // whether a partition exchanges few large or many small messages.
@@ -171,13 +171,12 @@ fn finish_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cubesfc_graph::metrics::part_exchange_points;
     use cubesfc_graph::PartitionConfig;
     use cubesfc_mesh::CubedSphere;
 
     fn sphere_graph(ne: usize) -> CsrGraph {
-        let mesh = CubedSphere::new(ne);
-        let dg = mesh.dual_graph(Default::default());
-        CsrGraph::new(dg.xadj, dg.adjncy, dg.adjwgt, dg.vwgt).unwrap()
+        CubedSphere::new(ne).dual_graph(Default::default())
     }
 
     fn sfc_partition(ne: usize, nproc: usize) -> Partition {

@@ -2,7 +2,7 @@
 //! cubed-sphere meshes for every method.
 
 use cubesfc::graph::metrics::{edgecut, load_balance, partition_stats};
-use cubesfc::{partition_default, to_csr, CubedSphere, PartitionMethod};
+use cubesfc::{partition_default, CubedSphere, PartitionMethod};
 
 #[test]
 fn every_method_assigns_every_element_exactly_once() {
@@ -63,7 +63,7 @@ fn sfc_balance_is_optimal_for_all_table1_divisors() {
 #[test]
 fn metis_methods_respect_their_tolerance() {
     let mesh = CubedSphere::new(8);
-    let g = to_csr(&mesh.dual_graph(Default::default()));
+    let g = mesh.dual_graph(Default::default());
     for method in PartitionMethod::METIS {
         for nproc in [6usize, 24, 96, 384] {
             let p = partition_default(&mesh, method, nproc).unwrap();
@@ -81,7 +81,7 @@ fn kway_cuts_less_than_sfc_cuts() {
     // The trade the whole paper is about: KWAY wins edgecut, SFC wins
     // balance.
     let mesh = CubedSphere::new(16);
-    let g = to_csr(&mesh.dual_graph(Default::default()));
+    let g = mesh.dual_graph(Default::default());
     for nproc in [24usize, 96, 384] {
         let sfc = partition_default(&mesh, PartitionMethod::Sfc, nproc).unwrap();
         let kw = partition_default(&mesh, PartitionMethod::MetisKway, nproc).unwrap();

@@ -6,7 +6,7 @@
 //! O(K²) accidents would show.
 
 use cubesfc::graph::metrics::partition_stats;
-use cubesfc::{partition_default, to_csr, CubedSphere, PartitionMethod};
+use cubesfc::{partition_default, CubedSphere, PartitionMethod};
 
 #[test]
 fn k13824_full_pipeline() {
@@ -27,7 +27,7 @@ fn k13824_full_pipeline() {
     assert!(max - min <= 1, "{min}..{max}");
 
     // Graph partition at 256: valid, balanced within tolerance.
-    let g = to_csr(&mesh.dual_graph(Default::default()));
+    let g = mesh.dual_graph(Default::default());
     let kw = partition_default(&mesh, PartitionMethod::MetisKway, 256).unwrap();
     let stats = partition_stats(&g, &kw);
     assert!(stats.lb_nelemd < 0.08, "LB = {}", stats.lb_nelemd);

@@ -147,7 +147,6 @@ impl Topology {
     ///
     /// Panics if `ne == 0`.
     pub fn build(ne: usize) -> Topology {
-        let _span = cubesfc_obs::span("topology");
         assert!(ne >= 1, "Ne must be at least 1");
         Topology {
             ne,

@@ -165,3 +165,125 @@ fn report_quality_bits_are_pinned() {
         );
     }
 }
+
+/// FNV-1a over every graph cell (KWAY, TV, RB) of `paper_grid(max_points)`:
+/// each cell's assignment words, then its `report.time_us` bits.
+fn graph_grid_fingerprint(
+    max_points: usize,
+    exchange: cubesfc::mesh::ExchangeWeights,
+    seed: u64,
+    weight_of: Option<fn(usize) -> f64>,
+) -> (usize, u64) {
+    let machine = cubesfc::MachineModel::ncar_p690();
+    let cost = cubesfc::CostModel::seam_climate();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64, bytes: usize| {
+        for b in &word.to_le_bytes()[..bytes] {
+            hash = (hash ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut cells = 0;
+    let mut built: Option<(usize, CubedSphere, cubesfc::graph::CsrGraph)> = None;
+    for cell in cubesfc::paper_grid(max_points) {
+        if cell.method == PartitionMethod::Sfc {
+            continue;
+        }
+        if built.as_ref().is_none_or(|(ne, _, _)| *ne != cell.ne) {
+            let mesh = CubedSphere::new(cell.ne);
+            let g = mesh.dual_graph(exchange);
+            built = Some((cell.ne, mesh, g));
+        }
+        let (_, mesh, g) = built.as_ref().unwrap();
+        let mut opts = cubesfc::PartitionOptions {
+            exchange,
+            weights: weight_of.map(|f| (0..mesh.num_elems()).map(f).collect()),
+            ..Default::default()
+        };
+        opts.graph_config.seed = seed;
+        let p = cubesfc::partition_with_graph(mesh, g, cell.method, cell.nproc, &opts).unwrap();
+        let r = cubesfc::PartitionReport::from_partition_with_graph(
+            g,
+            cell.method,
+            &p,
+            &machine,
+            &cost,
+        );
+        for &a in p.assignment() {
+            eat(a as u64, 4);
+        }
+        eat(r.time_us.to_bits(), 8);
+        cells += 1;
+    }
+    (cells, hash)
+}
+
+/// The guard rail of the FM / graph-growing / scratch rework (PR 24):
+/// every multilevel partition of the paper grid, under every input shape
+/// that reaches a different branch of the bisection machinery, hashed and
+/// pinned to what the tree produced *before* that rework. A change to
+/// `crates/graph` that is meant to keep partitions must leave every value
+/// alone; only a deliberate quality change (ROADMAP item 1) re-pins them.
+mod graph_fingerprint {
+    use super::graph_grid_fingerprint;
+    use cubesfc::mesh::ExchangeWeights;
+
+    #[test]
+    fn default_seed_full_grid() {
+        assert_eq!(
+            graph_grid_fingerprint(usize::MAX, ExchangeWeights::default(), 0x5EED, None),
+            (207, 12396402889382892977)
+        );
+    }
+
+    #[test]
+    fn one_job_matches_default_jobs() {
+        // Both halves in one test: `set_jobs` is process-global, and the
+        // other tests of this binary do not care which value they see.
+        let pooled = graph_grid_fingerprint(6, ExchangeWeights::default(), 0x5EED, None);
+        cubesfc::set_jobs(1);
+        let serial = graph_grid_fingerprint(6, ExchangeWeights::default(), 0x5EED, None);
+        cubesfc::set_jobs(0);
+        assert_eq!(pooled, (72, 4448211649226004680));
+        assert_eq!(serial, pooled, "set_jobs(1)");
+    }
+
+    #[test]
+    fn seed_1_full_grid() {
+        assert_eq!(
+            graph_grid_fingerprint(usize::MAX, ExchangeWeights::default(), 1, None),
+            (207, 18242216872731176475)
+        );
+    }
+
+    #[test]
+    fn seed_42_full_grid() {
+        assert_eq!(
+            graph_grid_fingerprint(usize::MAX, ExchangeWeights::default(), 42, None),
+            (207, 1287216411701474060)
+        );
+    }
+
+    #[test]
+    fn non_uniform_vertex_weights() {
+        // Weights 1, 1.5, 2, 3.25 by element id: integer vwgt 17, 25, 33, 53.
+        let w = |e: usize| [1.0, 1.5, 2.0, 3.25][(e * 7 + e / 5) % 4];
+        assert_eq!(
+            graph_grid_fingerprint(6, ExchangeWeights::default(), 0x5EED, Some(w)),
+            (72, 16412202898634137761)
+        );
+    }
+
+    #[test]
+    fn zero_weight_corner_edges() {
+        // `corner_points: 0` keeps the corner edges in the graph at weight
+        // zero, so FM and `kway_refine` see zero-weight neighbours.
+        let exchange = ExchangeWeights {
+            corner_points: 0,
+            ..Default::default()
+        };
+        assert_eq!(
+            graph_grid_fingerprint(6, exchange, 0x5EED, None),
+            (72, 7292690453941048302)
+        );
+    }
+}

@@ -40,6 +40,7 @@ pub mod bisect;
 pub mod coarsen;
 pub mod csr;
 pub mod fm;
+mod gainq;
 pub mod initial;
 pub mod kway;
 pub mod marker;
@@ -48,6 +49,8 @@ pub mod migration;
 pub mod partition;
 pub mod rng;
 pub mod split;
+#[cfg(test)]
+mod testgraphs;
 pub mod tv;
 
 pub use bisect::{multilevel_bisect, recursive_bisection, recursive_bisection_serial};

@@ -4,6 +4,10 @@
 //! matching prefers the heaviest incident edge so that large edge weights
 //! are hidden inside coarse vertices and the coarse graph's total exposed
 //! edge weight shrinks quickly.
+//!
+//! [`contract`] builds each coarse row straight from the matching (a
+//! vertex, then its mate); the version that first gathered a member list
+//! per coarse vertex is kept under `#[cfg(test)]` as the reference.
 
 use crate::csr::CsrGraph;
 use crate::rng::SplitMix64;
@@ -46,8 +50,14 @@ pub fn heavy_edge_matching(g: &CsrGraph, rng: &mut SplitMix64) -> Vec<u32> {
 }
 
 /// Collapse a matching into a coarse graph.
+///
+/// `mate` must be an involution (`mate[mate[v]] == v`, as
+/// [`heavy_edge_matching`] returns). Coarse ids go out in order of first
+/// appearance, and a coarse vertex's row is built from its first fine
+/// vertex and then that vertex's mate — ascending fine ids.
 pub fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
     let nv = g.nv();
+    debug_assert!((0..nv).all(|v| mate[mate[v] as usize] as usize == v));
     // Assign coarse ids in order of first appearance.
     let mut cmap = vec![u32::MAX; nv];
     let mut nc = 0u32;
@@ -61,23 +71,30 @@ pub fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
     let ncs = nc as usize;
 
     let mut xadj = Vec::with_capacity(ncs + 1);
-    let mut adjncy: Vec<u32> = Vec::new();
-    let mut adjwgt: Vec<u32> = Vec::new();
-    let mut vwgt = vec![0u32; ncs];
+    let mut adjncy: Vec<u32> = Vec::with_capacity(g.adjncy.len());
+    let mut adjwgt: Vec<u32> = Vec::with_capacity(g.adjncy.len());
+    let mut vwgt = Vec::with_capacity(ncs);
     // Scratch accumulator: position of coarse neighbour in the current row.
     let mut pos = vec![u32::MAX; ncs];
     xadj.push(0u32);
 
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); ncs];
-    for v in 0..nv {
-        members[cmap[v] as usize].push(v as u32);
-    }
-
-    for (c, mem) in members.iter().enumerate() {
+    for (first, &second) in mate.iter().enumerate() {
+        let second = second as usize;
+        if second < first {
+            continue; // the row was built when `second` came by
+        }
+        let c = vwgt.len();
         let row_start = adjncy.len();
-        for &v in mem {
-            vwgt[c] += g.vwgt[v as usize];
-            for (n, w) in g.neighbors(v as usize) {
+        let members = [first, second];
+        let members = if second == first {
+            &members[..1]
+        } else {
+            &members[..]
+        };
+        let mut weight = 0u32;
+        for &v in members {
+            weight += g.vwgt[v];
+            for (n, w) in g.neighbors(v) {
                 let cn = cmap[n];
                 if cn as usize == c {
                     continue; // internal edge disappears
@@ -91,6 +108,7 @@ pub fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
                 }
             }
         }
+        vwgt.push(weight);
         for &n in &adjncy[row_start..] {
             pos[n as usize] = u32::MAX;
         }
@@ -134,6 +152,75 @@ pub fn coarsen(g: &CsrGraph, coarsen_to: usize, rng: &mut SplitMix64) -> Vec<Coa
         levels.push(level);
     }
     levels
+}
+
+#[cfg(test)]
+mod reference {
+    //! Contraction as it was: one `Vec` of members per coarse vertex.
+    use super::{CoarseLevel, CsrGraph};
+
+    /// Collapse a matching into a coarse graph.
+    pub(super) fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
+        let nv = g.nv();
+        // Assign coarse ids in order of first appearance.
+        let mut cmap = vec![u32::MAX; nv];
+        let mut nc = 0u32;
+        for v in 0..nv {
+            if cmap[v] == u32::MAX {
+                cmap[v] = nc;
+                cmap[mate[v] as usize] = nc;
+                nc += 1;
+            }
+        }
+        let ncs = nc as usize;
+
+        let mut xadj = Vec::with_capacity(ncs + 1);
+        let mut adjncy: Vec<u32> = Vec::new();
+        let mut adjwgt: Vec<u32> = Vec::new();
+        let mut vwgt = vec![0u32; ncs];
+        // Scratch accumulator: position of coarse neighbour in the current row.
+        let mut pos = vec![u32::MAX; ncs];
+        xadj.push(0u32);
+
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); ncs];
+        for v in 0..nv {
+            members[cmap[v] as usize].push(v as u32);
+        }
+
+        for (c, mem) in members.iter().enumerate() {
+            let row_start = adjncy.len();
+            for &v in mem {
+                vwgt[c] += g.vwgt[v as usize];
+                for (n, w) in g.neighbors(v as usize) {
+                    let cn = cmap[n];
+                    if cn as usize == c {
+                        continue; // internal edge disappears
+                    }
+                    if pos[cn as usize] == u32::MAX {
+                        pos[cn as usize] = adjncy.len() as u32;
+                        adjncy.push(cn);
+                        adjwgt.push(w);
+                    } else {
+                        adjwgt[pos[cn as usize] as usize] += w;
+                    }
+                }
+            }
+            for &n in &adjncy[row_start..] {
+                pos[n as usize] = u32::MAX;
+            }
+            xadj.push(adjncy.len() as u32);
+        }
+
+        CoarseLevel {
+            graph: CsrGraph {
+                xadj,
+                adjncy,
+                adjwgt,
+                vwgt,
+            },
+            cmap,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -237,6 +324,23 @@ mod tests {
         let lvl = contract(&g, &mate);
         for &c in &lvl.cmap {
             assert!((c as usize) < lvl.graph.nv());
+        }
+    }
+
+    #[test]
+    fn contraction_equals_the_member_list_reference_at_every_level() {
+        use crate::testgraphs::wide_graph;
+        for seed in 0..300u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut current = wide_graph(seed);
+            for level in 0..4 {
+                let mate = heavy_edge_matching(&current, &mut rng);
+                let got = contract(&current, &mate);
+                let want = reference::contract(&current, &mate);
+                assert_eq!(got.graph, want.graph, "graph {seed} level {level}");
+                assert_eq!(got.cmap, want.cmap, "graph {seed} level {level}");
+                current = got.graph;
+            }
         }
     }
 }

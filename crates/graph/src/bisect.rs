@@ -7,10 +7,11 @@
 
 use crate::coarsen::coarsen;
 use crate::csr::CsrGraph;
-use crate::fm::{fm_refine, BisectTargets};
-use crate::initial::greedy_graph_growing;
+use crate::fm::{fm_refine_with, BisectTargets};
+use crate::initial::greedy_graph_growing_with;
 use crate::partition::{Partition, PartitionConfig};
 use crate::rng::SplitMix64;
+use crate::scratch::Scratch;
 
 /// Multilevel 2-way partition of `g` with part-0 weight target
 /// `t0 = round(frac0 × total)`.
@@ -23,6 +24,20 @@ pub fn multilevel_bisect(
     cfg: &PartitionConfig,
     rng: &mut SplitMix64,
 ) -> Vec<u32> {
+    let mut scratch = Scratch::default();
+    multilevel_bisect_with(g, frac0, cfg, rng, &mut scratch);
+    scratch.parts
+}
+
+/// [`multilevel_bisect`] on the caller's buffers; the bisection is left
+/// in `scratch.parts`.
+fn multilevel_bisect_with(
+    g: &CsrGraph,
+    frac0: f64,
+    cfg: &PartitionConfig,
+    rng: &mut SplitMix64,
+    scratch: &mut Scratch,
+) {
     let total = g.total_vwgt();
     let t0 = ((total as f64) * frac0).round() as u64;
     let t1 = total - t0.min(total);
@@ -31,22 +46,24 @@ pub fn multilevel_bisect(
     let coarsest = levels.last().map(|l| &l.graph).unwrap_or(g);
 
     let targets = BisectTargets::with_ub(t0, t1, cfg.ub_factor, coarsest.max_vwgt());
-    let mut parts = greedy_graph_growing(coarsest, &targets, cfg.init_tries, rng);
-    fm_refine(coarsest, &mut parts, &targets, cfg.refine_passes);
+    greedy_graph_growing_with(coarsest, &targets, cfg.init_tries, rng, scratch);
+    let Scratch {
+        fm,
+        parts,
+        parts_next,
+        ..
+    } = scratch;
+    fm_refine_with(coarsest, parts, &targets, cfg.refine_passes, fm);
 
     // Uncoarsen: project through each level, refining as we go.
     for li in (0..levels.len()).rev() {
         let fine_graph = if li == 0 { g } else { &levels[li - 1].graph };
-        let cmap = &levels[li].cmap;
-        let mut fine_parts = vec![0u32; fine_graph.nv()];
-        for (v, &c) in cmap.iter().enumerate() {
-            fine_parts[v] = parts[c as usize];
-        }
+        parts_next.clear();
+        parts_next.extend(levels[li].cmap.iter().map(|&c| parts[c as usize]));
+        std::mem::swap(parts, parts_next);
         let targets = BisectTargets::with_ub(t0, t1, cfg.ub_factor, fine_graph.max_vwgt());
-        fm_refine(fine_graph, &mut fine_parts, &targets, cfg.refine_passes);
-        parts = fine_parts;
+        fm_refine_with(fine_graph, parts, &targets, cfg.refine_passes, fm);
     }
-    parts
 }
 
 /// Below this many vertices a sub-bisection is not worth a fork: the
@@ -82,7 +99,14 @@ fn rb_partition(g: &CsrGraph, cfg: &PartitionConfig, parallel: bool) -> Partitio
     assert!(cfg.nparts >= 1, "nparts must be positive");
     let all: Vec<u32> = (0..g.nv() as u32).collect();
     let mut assign = vec![0u32; g.nv()];
-    for (v, p) in rb_recurse(g, &all, 0, cfg.nparts, cfg, 1, parallel) {
+    let root = TreeNode {
+        lo: 0,
+        k: cfg.nparts,
+        path: 1,
+        parallel,
+    };
+    let mut scratch = Scratch::default();
+    for (v, p) in rb_recurse(g, &all, cfg, root, &mut scratch) {
         assign[v as usize] = p;
     }
     // Per-level slack can still stack through ~log2(k) levels; enforce the
@@ -107,25 +131,39 @@ fn branch_rng(seed: u64, path: u64) -> SplitMix64 {
     SplitMix64::new(derived)
 }
 
+/// Where a node of the bisection tree sits: its part range, its root
+/// path (the RNG stream) and whether its subtrees may fork.
+#[derive(Clone, Copy)]
+struct TreeNode {
+    lo: usize,
+    k: usize,
+    path: u64,
+    parallel: bool,
+}
+
 /// Bisect `verts` into parts `[lo, lo + k)`; returns `(vertex, part)`
-/// assignments. Pure in `(g, verts, lo, k, cfg, path)` — execution
-/// interleaving cannot change the result.
+/// assignments. Pure in `(g, verts, cfg, node)` — execution interleaving
+/// cannot change the result, and `scratch` carries buffers, never state.
 fn rb_recurse(
     g: &CsrGraph,
     verts: &[u32],
-    lo: usize,
-    k: usize,
     cfg: &PartitionConfig,
-    path: u64,
-    parallel: bool,
+    node: TreeNode,
+    scratch: &mut Scratch,
 ) -> Vec<(u32, u32)> {
+    let TreeNode {
+        lo,
+        k,
+        path,
+        parallel,
+    } = node;
     if k == 1 || verts.is_empty() {
         // Degenerate recursion: fewer vertices than parts leaves the
         // remaining parts empty (possible when k approaches n, as in the
         // paper's one-element-per-processor runs).
         return verts.iter().map(|&v| (v, lo as u32)).collect();
     }
-    let (sub, map) = g.subgraph(verts);
+    let sub = g.subgraph_into(verts, &mut scratch.global_to_local);
     let k0 = k / 2;
     let frac0 = k0 as f64 / k as f64;
     // Per-level balance must be tight: deviations compound multiplicatively
@@ -137,23 +175,39 @@ fn rb_recurse(
         ..*cfg
     };
     let mut rng = branch_rng(cfg.seed, path);
-    let parts = multilevel_bisect(&sub, frac0, &level_cfg, &mut rng);
+    multilevel_bisect_with(&sub, frac0, &level_cfg, &mut rng, scratch);
 
     let mut side0 = Vec::new();
     let mut side1 = Vec::new();
-    for (l, &p) in parts.iter().enumerate() {
+    for (&v, &p) in verts.iter().zip(&scratch.parts) {
         if p == 0 {
-            side0.push(map[l]);
+            side0.push(v);
         } else {
-            side1.push(map[l]);
+            side1.push(v);
         }
     }
-    let recurse0 = || rb_recurse(g, &side0, lo, k0, cfg, path << 1, parallel);
-    let recurse1 = || rb_recurse(g, &side1, lo + k0, k - k0, cfg, (path << 1) | 1, parallel);
+    let child0 = TreeNode {
+        k: k0,
+        path: path << 1,
+        ..node
+    };
+    let child1 = TreeNode {
+        lo: lo + k0,
+        k: k - k0,
+        path: (path << 1) | 1,
+        ..node
+    };
     let (mut r0, r1) = if parallel && verts.len() >= RB_PARALLEL_MIN_VERTS && k >= 4 {
-        rayon::join(recurse0, recurse1)
+        // The forked half cannot share this thread's buffers.
+        rayon::join(
+            || rb_recurse(g, &side0, cfg, child0, scratch),
+            || rb_recurse(g, &side1, cfg, child1, &mut Scratch::default()),
+        )
     } else {
-        (recurse0(), recurse1())
+        (
+            rb_recurse(g, &side0, cfg, child0, scratch),
+            rb_recurse(g, &side1, cfg, child1, scratch),
+        )
     };
     r0.extend(r1);
     r0

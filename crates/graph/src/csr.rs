@@ -199,14 +199,26 @@ impl CsrGraph {
     ///
     /// Returns the subgraph and the mapping `local -> global`.
     pub fn subgraph(&self, verts: &[u32]) -> (CsrGraph, Vec<u32>) {
-        let mut global_to_local = vec![u32::MAX; self.nv()];
+        (self.subgraph_into(verts, &mut Vec::new()), verts.to_vec())
+    }
+
+    /// [`CsrGraph::subgraph`] with the caller's global → local map, which
+    /// must be all `u32::MAX` (or shorter than `nv`) on entry and is left
+    /// that way, so a recursion extracting thousands of small subgraphs
+    /// of one graph fills an `nv`-long table once.
+    pub(crate) fn subgraph_into(&self, verts: &[u32], global_to_local: &mut Vec<u32>) -> CsrGraph {
+        if global_to_local.len() < self.nv() {
+            global_to_local.resize(self.nv(), u32::MAX);
+        }
+        let mut degree_sum = 0usize;
         for (l, &g) in verts.iter().enumerate() {
             debug_assert_eq!(global_to_local[g as usize], u32::MAX);
             global_to_local[g as usize] = l as u32;
+            degree_sum += self.degree(g as usize);
         }
         let mut xadj = Vec::with_capacity(verts.len() + 1);
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
+        let mut adjncy = Vec::with_capacity(degree_sum);
+        let mut adjwgt = Vec::with_capacity(degree_sum);
         let mut vwgt = Vec::with_capacity(verts.len());
         xadj.push(0u32);
         for &g in verts {
@@ -220,15 +232,15 @@ impl CsrGraph {
             }
             xadj.push(adjncy.len() as u32);
         }
-        (
-            CsrGraph {
-                xadj,
-                adjncy,
-                adjwgt,
-                vwgt,
-            },
-            verts.to_vec(),
-        )
+        for &g in verts {
+            global_to_local[g as usize] = u32::MAX;
+        }
+        CsrGraph {
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        }
     }
 }
 
@@ -315,5 +327,17 @@ mod tests {
         let g = CsrGraph::new(vec![0], vec![], vec![], vec![]).unwrap();
         assert_eq!(g.nv(), 0);
         assert!(g.is_connected());
+    }
+
+    #[test]
+    fn subgraph_into_leaves_its_map_reusable() {
+        let g = cycle4();
+        let mut map = Vec::new();
+        let a = g.subgraph_into(&[0, 1, 2], &mut map);
+        assert_eq!(map, vec![u32::MAX; 4]);
+        let b = g.subgraph_into(&[3, 2], &mut map);
+        assert_eq!(a, g.subgraph(&[0, 1, 2]).0);
+        assert_eq!(b, g.subgraph(&[3, 2]).0);
+        assert_eq!(b.adjncy, vec![1, 0]); // local ids follow `verts` order
     }
 }

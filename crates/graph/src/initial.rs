@@ -14,8 +14,9 @@
 //! kept under `#[cfg(test)]` as the reference.
 
 use crate::csr::CsrGraph;
-use crate::fm::{fm_refine, BisectTargets};
+use crate::fm::{fm_refine_with, BisectTargets};
 use crate::rng::SplitMix64;
+use crate::scratch::Scratch;
 
 /// The buffers the tries of one [`greedy_graph_growing`] call share.
 #[derive(Clone, Debug, Default)]
@@ -98,27 +99,44 @@ pub fn greedy_graph_growing(
     tries: usize,
     rng: &mut SplitMix64,
 ) -> Vec<u32> {
+    let mut scratch = Scratch::default();
+    greedy_graph_growing_with(g, targets, tries, rng, &mut scratch);
+    scratch.parts
+}
+
+/// [`greedy_graph_growing`] on the caller's buffers; the winning
+/// bisection is left in `scratch.parts`.
+pub(crate) fn greedy_graph_growing_with(
+    g: &CsrGraph,
+    targets: &BisectTargets,
+    tries: usize,
+    rng: &mut SplitMix64,
+    scratch: &mut Scratch,
+) {
     let _span = cubesfc_obs::span("initial");
     let nv = g.nv();
     assert!(nv > 0, "cannot bisect an empty graph");
-    let mut scratch = GrowScratch::default();
-    scratch.prepare(g);
-    let mut parts = vec![1u32; nv];
-    let mut best: Option<(u64, Vec<u32>)> = None;
+    let Scratch {
+        fm,
+        grow,
+        parts: best,
+        parts_next: candidate,
+        ..
+    } = scratch;
+    grow.prepare(g);
+    candidate.clear();
+    candidate.resize(nv, 1);
+    let mut best_cut: Option<u64> = None;
     for _ in 0..tries.max(1) {
         let seed = rng.below(nv);
-        grow_from(g, seed, targets.t0, &mut parts, &mut scratch);
-        let cut = fm_refine(g, &mut parts, targets, 2);
-        match &mut best {
-            Some((bc, bp)) if cut < *bc => {
-                *bc = cut;
-                std::mem::swap(bp, &mut parts);
-            }
-            Some(_) => {}
-            None => best = Some((cut, std::mem::replace(&mut parts, vec![1u32; nv]))),
+        grow_from(g, seed, targets.t0, candidate, grow);
+        let cut = fm_refine_with(g, candidate, targets, 2, fm);
+        if best_cut.is_none_or(|bc| cut < bc) {
+            best_cut = Some(cut);
+            std::mem::swap(best, candidate);
+            candidate.resize(nv, 1); // what was in `best` may be another graph's
         }
     }
-    best.expect("at least one try").1
 }
 
 #[cfg(test)]

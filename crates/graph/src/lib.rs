@@ -48,6 +48,7 @@ pub mod metrics;
 pub mod migration;
 pub mod partition;
 pub mod rng;
+mod scratch;
 pub mod split;
 #[cfg(test)]
 mod testgraphs;

@@ -95,17 +95,19 @@ pub(crate) struct FmScratch {
 /// input violated the caps, in which case the balance is restored first
 /// at whatever cut cost is needed.
 pub fn fm_refine(g: &CsrGraph, parts: &mut [u32], targets: &BisectTargets, passes: usize) -> u64 {
-    fm_refine_with(g, parts, targets, passes, &mut FmScratch::default())
+    fm_refine_with(g, parts, targets, passes, &mut FmScratch::default());
+    cut_weight_2way(g, parts)
 }
 
-/// [`fm_refine`] on the caller's buffers.
+/// [`fm_refine`] on the caller's buffers, without the closing cut sweep
+/// (only graph growing reads the cut, and asks for it itself).
 pub(crate) fn fm_refine_with(
     g: &CsrGraph,
     parts: &mut [u32],
     targets: &BisectTargets,
     passes: usize,
     scratch: &mut FmScratch,
-) -> u64 {
+) {
     let _span = cubesfc_obs::span("fm");
     debug_assert_eq!(parts.len(), g.nv());
     let mut weights = [0u64; 2];
@@ -120,7 +122,6 @@ pub(crate) fn fm_refine_with(
             break;
         }
     }
-    cut_weight_2way(g, parts)
 }
 
 /// Force the partition back under its caps with minimum-damage moves.

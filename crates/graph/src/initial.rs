@@ -14,7 +14,7 @@
 //! kept under `#[cfg(test)]` as the reference.
 
 use crate::csr::CsrGraph;
-use crate::fm::{fm_refine_with, BisectTargets};
+use crate::fm::{cut_weight_2way, fm_refine_with, BisectTargets};
 use crate::rng::SplitMix64;
 use crate::scratch::Scratch;
 
@@ -130,7 +130,8 @@ pub(crate) fn greedy_graph_growing_with(
     for _ in 0..tries.max(1) {
         let seed = rng.below(nv);
         grow_from(g, seed, targets.t0, candidate, grow);
-        let cut = fm_refine_with(g, candidate, targets, 2, fm);
+        fm_refine_with(g, candidate, targets, 2, fm);
+        let cut = cut_weight_2way(g, candidate);
         if best_cut.is_none_or(|bc| cut < bc) {
             best_cut = Some(cut);
             std::mem::swap(best, candidate);
@@ -211,7 +212,6 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fm::cut_weight_2way;
 
     fn grid(w: usize, h: usize) -> CsrGraph {
         let idx = |x: usize, y: usize| (y * w + x) as u32;

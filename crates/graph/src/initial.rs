@@ -28,6 +28,8 @@ pub(crate) struct GrowScratch {
     gain: Vec<i64>,
     in_frontier: Vec<bool>,
     frontier: Vec<u32>,
+    /// Seed vertices already grown in this call.
+    tried: Vec<usize>,
 }
 
 impl GrowScratch {
@@ -127,8 +129,16 @@ pub(crate) fn greedy_graph_growing_with(
     candidate.clear();
     candidate.resize(nv, 1);
     let mut best_cut: Option<u64> = None;
+    grow.tried.clear();
     for _ in 0..tries.max(1) {
+        // The seed is drawn either way (the stream must not shift), but a
+        // seed vertex grown before gives the same bisection and the same
+        // cut, which the strict `<` below would turn down.
         let seed = rng.below(nv);
+        if grow.tried.contains(&seed) {
+            continue;
+        }
+        grow.tried.push(seed);
         grow_from(g, seed, targets.t0, candidate, grow);
         fm_refine_with(g, candidate, targets, 2, fm);
         let cut = cut_weight_2way(g, candidate);

@@ -46,14 +46,18 @@ fn multilevel_bisect_with(
     let coarsest = levels.last().map(|l| &l.graph).unwrap_or(g);
 
     let targets = BisectTargets::with_ub(t0, t1, cfg.ub_factor, coarsest.max_vwgt());
-    greedy_graph_growing_with(coarsest, &targets, cfg.init_tries, rng, scratch);
+    let settled = greedy_graph_growing_with(coarsest, &targets, cfg.init_tries, rng, scratch);
     let Scratch {
         fm,
         parts,
         parts_next,
         ..
     } = scratch;
-    fm_refine_with(coarsest, parts, &targets, cfg.refine_passes, fm);
+    // Same graph, same targets: after a polish that settled, this
+    // refinement would repeat the polish's last, fully rolled-back pass.
+    if !settled {
+        fm_refine_with(coarsest, parts, &targets, cfg.refine_passes, fm);
+    }
 
     // Uncoarsen: project through each level, refining as we go.
     for li in (0..levels.len()).rev() {
@@ -322,5 +326,67 @@ mod tests {
         assert!(cut <= 6, "ring cut = {cut}");
         let w0 = parts.iter().filter(|&&p| p == 0).count();
         assert!((236..=276).contains(&w0), "w0 = {w0}");
+    }
+
+    /// `multilevel_bisect` as it was: the coarsest graph is always refined
+    /// after growing, and every piece is the pre-rework reference.
+    fn reference_multilevel_bisect(
+        g: &CsrGraph,
+        frac0: f64,
+        cfg: &PartitionConfig,
+        rng: &mut SplitMix64,
+    ) -> Vec<u32> {
+        use crate::fm::reference::fm_refine;
+        let total = g.total_vwgt();
+        let t0 = ((total as f64) * frac0).round() as u64;
+        let t1 = total - t0.min(total);
+        let levels = coarsen(g, cfg.coarsen_to.max(32), rng);
+        let coarsest = levels.last().map(|l| &l.graph).unwrap_or(g);
+        let targets = BisectTargets::with_ub(t0, t1, cfg.ub_factor, coarsest.max_vwgt());
+        let mut parts = crate::initial::reference::greedy_graph_growing(
+            coarsest,
+            &targets,
+            cfg.init_tries,
+            rng,
+        );
+        fm_refine(coarsest, &mut parts, &targets, cfg.refine_passes);
+        for li in (0..levels.len()).rev() {
+            let fine_graph = if li == 0 { g } else { &levels[li - 1].graph };
+            let mut fine_parts: Vec<u32> =
+                levels[li].cmap.iter().map(|&c| parts[c as usize]).collect();
+            let targets = BisectTargets::with_ub(t0, t1, cfg.ub_factor, fine_graph.max_vwgt());
+            fm_refine(fine_graph, &mut fine_parts, &targets, cfg.refine_passes);
+            parts = fine_parts;
+        }
+        parts
+    }
+
+    #[test]
+    fn multilevel_bisect_equals_the_reference_pipeline() {
+        // One Scratch across graphs of every size, as a bisection tree
+        // uses it: small graphs (no coarsening) and grids deep enough for
+        // two or three levels, at the fractions and tolerances RB uses.
+        use crate::testgraphs::wide_graph;
+        let mut scratch = Scratch::default();
+        let graphs = (0..150u64)
+            .map(wide_graph)
+            .chain([grid(12, 12), grid(20, 17), grid(31, 9)]);
+        for (i, g) in graphs.enumerate() {
+            for (frac0, ub) in [(0.5, 1.001), (1.0 / 3.0, 1.03), (3.0 / 7.0, 1.001)] {
+                let cfg = PartitionConfig {
+                    coarsen_to: 40,
+                    ..PartitionConfig::new(2).with_ub_factor(ub)
+                };
+                let (mut ra, mut rb) = (SplitMix64::new(i as u64), SplitMix64::new(i as u64));
+                multilevel_bisect_with(&g, frac0, &cfg, &mut ra, &mut scratch);
+                let want = reference_multilevel_bisect(&g, frac0, &cfg, &mut rb);
+                assert_eq!(scratch.parts, want, "graph {i} frac0 {frac0}");
+                assert_eq!(
+                    ra.next_u64(),
+                    rb.next_u64(),
+                    "graph {i}: rng streams diverged"
+                );
+            }
+        }
     }
 }

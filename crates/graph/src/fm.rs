@@ -101,13 +101,19 @@ pub fn fm_refine(g: &CsrGraph, parts: &mut [u32], targets: &BisectTargets, passe
 
 /// [`fm_refine`] on the caller's buffers, without the closing cut sweep
 /// (only graph growing reads the cut, and asks for it itself).
+///
+/// Returns whether the refinement *settled*: its last pass improved
+/// nothing (so it was rolled back whole) and both sides are within their
+/// caps. Refining a settled assignment again on the same graph with the
+/// same targets rebalances nothing and repeats that pass, so it is a
+/// no-op the caller may skip.
 pub(crate) fn fm_refine_with(
     g: &CsrGraph,
     parts: &mut [u32],
     targets: &BisectTargets,
     passes: usize,
     scratch: &mut FmScratch,
-) {
+) -> bool {
     let _span = cubesfc_obs::span("fm");
     debug_assert_eq!(parts.len(), g.nv());
     let mut weights = [0u64; 2];
@@ -117,11 +123,14 @@ pub(crate) fn fm_refine_with(
 
     rebalance(g, parts, &mut weights, targets);
 
+    let mut stalled = false;
     for _ in 0..passes {
         if !fm_pass(g, parts, &mut weights, targets, scratch) {
+            stalled = true;
             break;
         }
     }
+    stalled && weights[0] <= targets.cap0 && weights[1] <= targets.cap1
 }
 
 /// Force the partition back under its caps with minimum-damage moves.
@@ -256,8 +265,29 @@ pub(crate) mod reference {
     //! The pass as it was before the gain queue: every gain recomputed
     //! from the adjacency, `(gain, v)` tuples on a lazy binary heap. Kept
     //! as the oracle of the pop-order contract.
-    use super::{gain_of, BisectTargets, CsrGraph};
+    use super::{cut_weight_2way, gain_of, rebalance, BisectTargets, CsrGraph};
     use std::collections::BinaryHeap;
+
+    /// `fm_refine` as it was: rebalance, passes until one does not
+    /// improve, then the cut.
+    pub(crate) fn fm_refine(
+        g: &CsrGraph,
+        parts: &mut [u32],
+        targets: &BisectTargets,
+        passes: usize,
+    ) -> u64 {
+        let mut weights = [0u64; 2];
+        for (v, &p) in parts.iter().enumerate() {
+            weights[p as usize] += g.vwgt[v] as u64;
+        }
+        rebalance(g, parts, &mut weights, targets);
+        for _ in 0..passes {
+            if !fm_pass(g, parts, &mut weights, targets) {
+                break;
+            }
+        }
+        cut_weight_2way(g, parts)
+    }
 
     /// One FM pass. Returns whether the pass improved (cut, balance).
     pub(crate) fn fm_pass(
@@ -477,31 +507,31 @@ mod tests {
 
     #[test]
     fn refine_equals_the_reference_driver() {
-        // The whole of `fm_refine` (rebalance, then passes until one does
-        // not improve) against the same loop over the reference pass.
+        // The whole of `fm_refine` (rebalance, passes until one does not
+        // improve, cut), and what "settled" promises: refining again
+        // changes nothing.
         use crate::rng::SplitMix64;
         use crate::testgraphs::{random_sides, wide_graph};
-        for seed in 1000..1300u64 {
+        let mut scratch = FmScratch::default();
+        let mut settled_runs = 0;
+        for seed in 1000..1400u64 {
             let g = wide_graph(seed);
             let mut rng = SplitMix64::new(seed);
             let skew = [8, 2, 15][rng.below(3)];
             let mut pa = random_sides(g.nv(), skew, &mut rng);
             let mut pb = pa.clone();
             let t = targets_for(&g, 0.5, 1.03, rng.below(2) == 0);
-            let cut = fm_refine(&g, &mut pa, &t, 8);
-
-            let mut wb = [0u64; 2];
-            for (v, &p) in pb.iter().enumerate() {
-                wb[p as usize] += g.vwgt[v] as u64;
-            }
-            rebalance(&g, &mut pb, &mut wb, &t);
-            for _ in 0..8 {
-                if !reference::fm_pass(&g, &mut pb, &mut wb, &t) {
-                    break;
-                }
-            }
+            let passes = [2, 8][rng.below(2)];
+            let settled = fm_refine_with(&g, &mut pa, &t, passes, &mut scratch);
+            let cut = reference::fm_refine(&g, &mut pb, &t, passes);
             assert_eq!(pa, pb, "seed {seed}");
-            assert_eq!(cut, cut_weight_2way(&g, &pb), "seed {seed}");
+            assert_eq!(cut_weight_2way(&g, &pa), cut, "seed {seed}");
+            if settled {
+                settled_runs += 1;
+                reference::fm_refine(&g, &mut pb, &t, 8);
+                assert_eq!(pa, pb, "seed {seed}: a settled refinement moved again");
+            }
         }
+        assert!(settled_runs > 100, "only {settled_runs} settled");
     }
 }

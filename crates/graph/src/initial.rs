@@ -107,14 +107,15 @@ pub fn greedy_graph_growing(
 }
 
 /// [`greedy_graph_growing`] on the caller's buffers; the winning
-/// bisection is left in `scratch.parts`.
+/// bisection is left in `scratch.parts`. Returns whether the winner's
+/// polish settled (see [`fm_refine_with`]).
 pub(crate) fn greedy_graph_growing_with(
     g: &CsrGraph,
     targets: &BisectTargets,
     tries: usize,
     rng: &mut SplitMix64,
     scratch: &mut Scratch,
-) {
+) -> bool {
     let _span = cubesfc_obs::span("initial");
     let nv = g.nv();
     assert!(nv > 0, "cannot bisect an empty graph");
@@ -129,6 +130,7 @@ pub(crate) fn greedy_graph_growing_with(
     candidate.clear();
     candidate.resize(nv, 1);
     let mut best_cut: Option<u64> = None;
+    let mut best_settled = false;
     grow.tried.clear();
     for _ in 0..tries.max(1) {
         // The seed is drawn either way (the stream must not shift), but a
@@ -140,24 +142,47 @@ pub(crate) fn greedy_graph_growing_with(
         }
         grow.tried.push(seed);
         grow_from(g, seed, targets.t0, candidate, grow);
-        fm_refine_with(g, candidate, targets, 2, fm);
+        let settled = fm_refine_with(g, candidate, targets, 2, fm);
         let cut = cut_weight_2way(g, candidate);
         if best_cut.is_none_or(|bc| cut < bc) {
             best_cut = Some(cut);
+            best_settled = settled;
             std::mem::swap(best, candidate);
             candidate.resize(nv, 1); // what was in `best` may be another graph's
         }
     }
+    best_settled
 }
 
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     //! Growing as it was: a fresh set of vectors per try and every
     //! frontier vertex's gain recomputed from its adjacency per absorption.
-    use super::CsrGraph;
+    use super::{BisectTargets, CsrGraph, SplitMix64};
+    use crate::fm::reference::fm_refine;
+
+    /// `greedy_graph_growing` as it was: every try grown and polished.
+    pub(crate) fn greedy_graph_growing(
+        g: &CsrGraph,
+        targets: &BisectTargets,
+        tries: usize,
+        rng: &mut SplitMix64,
+    ) -> Vec<u32> {
+        let nv = g.nv();
+        let mut best: Option<(u64, Vec<u32>)> = None;
+        for _ in 0..tries.max(1) {
+            let seed = rng.below(nv);
+            let mut parts = grow_from(g, seed, targets.t0);
+            let cut = fm_refine(g, &mut parts, targets, 2);
+            if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
+                best = Some((cut, parts));
+            }
+        }
+        best.unwrap().1
+    }
 
     /// Grow one candidate bisection from `seed`.
-    pub(super) fn grow_from(g: &CsrGraph, seed: usize, t0: u64) -> Vec<u32> {
+    pub(crate) fn grow_from(g: &CsrGraph, seed: usize, t0: u64) -> Vec<u32> {
         let nv = g.nv();
         let mut parts = vec![1u32; nv];
         let mut w0 = 0u64;
@@ -324,5 +349,30 @@ mod tests {
             fell_back += !g.is_connected() as usize;
         }
         assert!(fell_back > 40, "only {fell_back} disconnected graphs");
+    }
+
+    #[test]
+    fn the_winning_try_equals_the_reference_and_draws_as_many_seeds() {
+        // Few vertices against four tries: repeated seeds are the rule.
+        use crate::testgraphs::wide_graph;
+        let mut scratch = Scratch::default();
+        let mut repeats = 0;
+        for seed in 0..400u64 {
+            let g = wide_graph(seed);
+            let total = g.total_vwgt();
+            let t0 = total / 2;
+            let t = BisectTargets::with_ub(t0, total - t0, 1.001, g.max_vwgt());
+            let (mut ra, mut rb) = (SplitMix64::new(seed), SplitMix64::new(seed));
+            greedy_graph_growing_with(&g, &t, 4, &mut ra, &mut scratch);
+            let want = reference::greedy_graph_growing(&g, &t, 4, &mut rb);
+            assert_eq!(scratch.parts, want, "graph {seed}");
+            assert_eq!(
+                ra.next_u64(),
+                rb.next_u64(),
+                "graph {seed}: rng streams diverged"
+            );
+            repeats += (scratch.grow.tried.len() < 4) as usize;
+        }
+        assert!(repeats > 20, "only {repeats} calls met a repeated seed");
     }
 }

@@ -71,8 +71,8 @@ pub fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
     let ncs = nc as usize;
 
     let mut xadj = Vec::with_capacity(ncs + 1);
-    let mut adjncy: Vec<u32> = Vec::with_capacity(g.adjncy.len());
-    let mut adjwgt: Vec<u32> = Vec::with_capacity(g.adjncy.len());
+    let mut adjncy: Vec<u32> = Vec::new();
+    let mut adjwgt: Vec<u32> = Vec::new();
     let mut vwgt = Vec::with_capacity(ncs);
     // Scratch accumulator: position of coarse neighbour in the current row.
     let mut pos = vec![u32::MAX; ncs];

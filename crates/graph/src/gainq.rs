@@ -9,7 +9,11 @@
 //! this queue replaced, and a vertex whose gain changes moves between two
 //! buckets instead of leaving a stale entry behind.
 //!
-//! **Sized for:** `(2·span + 1) · ⌈nv/64⌉` words, at most
+//! Each bucket also keeps one summary bit per word (set iff the word is
+//! non-zero), so finding the highest set bit reads `⌈nv/4096⌉` summary
+//! words and one bitset word instead of scanning the bucket.
+//!
+//! **Sized for:** `(2·span + 1) · (⌈nv/64⌉ + ⌈nv/4096⌉)` words, at most
 //! [`MAX_QUEUE_WORDS`]. On the cubed-sphere dual graph `span` is 36 (four
 //! edges × 8 points + four corners × 1) and a few hundred on the coarsest
 //! levels — a couple of thousand words. Edge weights only ever come from
@@ -17,21 +21,25 @@
 //! outside input; a graph whose weights push the table past the bound is
 //! refused with a panic that says so rather than by exhausting memory.
 
-/// The most memory one queue may take, in 64-bit words (128 MiB).
+/// The most memory one queue's bitsets may take, in 64-bit words (128 MiB).
 pub(crate) const MAX_QUEUE_WORDS: usize = 1 << 24;
 
 /// A bucket-per-gain, bitset-per-bucket max-queue over `(gain, vertex)`.
 ///
 /// Every pass drains the queue, so between uses all bits are zero and
-/// [`GainQueue::reset`] only has to make the table large enough.
+/// [`GainQueue::reset`] only has to make the tables large enough.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct GainQueue {
     /// Words per bucket: `⌈nv/64⌉`.
     words: usize,
+    /// Summary words per bucket: `⌈words/64⌉`.
+    summary_words: usize,
     /// Bucket `b` holds gain `b − span`.
     span: i64,
     /// Bit `v` of bucket `b` is set iff `v` is queued at that gain.
     bits: Vec<u64>,
+    /// Bit `w` of bucket `b` is set iff word `w` of that bucket is non-zero.
+    summary: Vec<u64>,
     /// Vertices queued per bucket.
     count: Vec<u32>,
     /// No bucket above this one holds a vertex.
@@ -44,31 +52,36 @@ impl GainQueue {
     ///
     /// # Panics
     ///
-    /// When the table would exceed [`MAX_QUEUE_WORDS`].
+    /// When the tables would exceed [`MAX_QUEUE_WORDS`].
     pub(crate) fn reset(&mut self, nv: usize, span: i64) {
         debug_assert!(self.count.iter().all(|&c| c == 0), "queue not drained");
         debug_assert!(span >= 0);
         let words = nv.div_ceil(64);
+        let summary_words = words.div_ceil(64);
         let buckets = usize::try_from(span)
             .ok()
             .and_then(|s| s.checked_mul(2))
             .and_then(|s| s.checked_add(1));
-        let need = buckets
-            .and_then(|b| b.checked_mul(words))
-            .filter(|&n| n <= MAX_QUEUE_WORDS);
-        let (Some(buckets), Some(need)) = (buckets, need) else {
+        let fits = buckets
+            .and_then(|b| b.checked_mul(words + summary_words))
+            .is_some_and(|n| n <= MAX_QUEUE_WORDS);
+        let Some(buckets) = buckets.filter(|_| fits) else {
             panic!(
                 "FM gain queue: weighted degree {span} on {nv} vertices needs more than \
                  {MAX_QUEUE_WORDS} words; edge weights are out of the supported range"
             );
         };
-        if self.bits.len() < need {
-            self.bits.resize(need, 0);
+        if self.bits.len() < buckets * words {
+            self.bits.resize(buckets * words, 0);
+        }
+        if self.summary.len() < buckets * summary_words {
+            self.summary.resize(buckets * summary_words, 0);
         }
         if self.count.len() < buckets {
             self.count.resize(buckets, 0);
         }
         self.words = words;
+        self.summary_words = summary_words;
         self.span = span;
         self.top = 0;
     }
@@ -87,10 +100,12 @@ impl GainQueue {
     #[inline]
     pub(crate) fn insert(&mut self, v: usize, gain: i64) {
         let b = self.bucket(gain);
-        let word = &mut self.bits[b * self.words + v / 64];
+        let wi = v / 64;
+        let word = &mut self.bits[b * self.words + wi];
         let bit = 1u64 << (v % 64);
         if *word & bit == 0 {
             *word |= bit;
+            self.summary[b * self.summary_words + wi / 64] |= 1u64 << (wi % 64);
             self.count[b] += 1;
             self.top = self.top.max(b);
         }
@@ -100,10 +115,14 @@ impl GainQueue {
     #[inline]
     pub(crate) fn remove(&mut self, v: usize, gain: i64) {
         let b = self.bucket(gain);
-        let word = &mut self.bits[b * self.words + v / 64];
+        let wi = v / 64;
+        let word = &mut self.bits[b * self.words + wi];
         let bit = 1u64 << (v % 64);
         if *word & bit != 0 {
             *word &= !bit;
+            if *word == 0 {
+                self.summary[b * self.summary_words + wi / 64] &= !(1u64 << (wi % 64));
+            }
             self.count[b] -= 1;
         }
     }
@@ -117,17 +136,17 @@ impl GainQueue {
             self.top -= 1;
         }
         let b = self.top;
-        let row = &mut self.bits[b * self.words..(b + 1) * self.words];
-        let (wi, word) = row
-            .iter_mut()
+        let row = &self.summary[b * self.summary_words..(b + 1) * self.summary_words];
+        let (si, summary) = row
+            .iter()
             .enumerate()
             .rev()
-            .find(|(_, w)| **w != 0)
-            .expect("a counted bucket has a set bit");
-        let bit = 63 - word.leading_zeros() as usize;
-        *word &= !(1u64 << bit);
-        self.count[b] -= 1;
-        Some((b as i64 - self.span, wi * 64 + bit))
+            .find(|(_, s)| **s != 0)
+            .expect("a counted bucket has a non-zero word");
+        let wi = si * 64 + 63 - summary.leading_zeros() as usize;
+        let v = wi * 64 + 63 - self.bits[b * self.words + wi].leading_zeros() as usize;
+        self.remove(v, b as i64 - self.span);
+        Some((b as i64 - self.span, v))
     }
 }
 
@@ -174,7 +193,9 @@ mod tests {
         let mut q = GainQueue::default();
         for seed in 0..40u64 {
             let mut rng = SplitMix64::new(seed);
-            let nv = 1 + rng.below(300);
+            // Up to three summary words per bucket.
+            let bound = [300, 300, 10_000][rng.below(3)];
+            let nv = 1 + rng.below(bound);
             let span = rng.below(40) as i64;
             q.reset(nv, span);
             let mut set: BTreeSet<(i64, usize)> = BTreeSet::new();

@@ -227,7 +227,9 @@ fn partition_impl(
 /// graph partitioner uses, validating them first: a NaN would pass the
 /// old `x.max(0.0)` clamp as 0 and an infinity would saturate the `u32`
 /// cast and overflow the `+ 1` — both silently corrupting the balance
-/// targets instead of erroring.
+/// targets instead of erroring. Finite weights whose scaled sum does not
+/// fit `u32` are refused too: the partitioner's coarse vertex weights are
+/// `u32` sums of these.
 fn integer_vertex_weights(w: &[f64], k: usize) -> Result<Vec<u32>, PartitionError> {
     if w.len() != k {
         return Err(PartitionError::BadWeights {
@@ -237,9 +239,18 @@ fn integer_vertex_weights(w: &[f64], k: usize) -> Result<Vec<u32>, PartitionErro
     if let Some(index) = w.iter().position(|x| !x.is_finite()) {
         return Err(PartitionError::NonFiniteWeight { index });
     }
-    Ok(w.iter()
+    let vwgt: Vec<u32> = w
+        .iter()
         .map(|&x| (x.max(0.0) * 16.0).round().min(u32::MAX as f64 - 1.0) as u32 + 1)
-        .collect())
+        .collect();
+    // Coarsening adds matched vertices' weights in `u32`; a sum that fits
+    // is what keeps every coarse weight in range.
+    if vwgt.iter().map(|&x| x as u64).sum::<u64>() > u32::MAX as u64 {
+        return Err(PartitionError::BadWeights {
+            reason: "scaled vertex weights (16 x weight + 1) must sum to at most u32::MAX",
+        });
+    }
+    Ok(vwgt)
 }
 
 /// A Morton-order "curve" over the six faces: each face in the standard
@@ -378,6 +389,40 @@ mod tests {
                     "method {m}, weight {bad}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn vertex_weights_past_the_u32_sum_are_rejected_on_the_graph_methods() {
+        // 3.0e8 is finite and accepted entry by entry (it saturates to
+        // u32::MAX), but coarsening then added two such weights in u32:
+        // a debug-build panic, a silent wrap in release.
+        let mesh = CubedSphere::new(8);
+        let opts = PartitionOptions {
+            weights: Some(vec![3.0e8; 384]),
+            ..Default::default()
+        };
+        for m in PartitionMethod::METIS {
+            assert!(
+                matches!(
+                    partition(&mesh, m, 8, &opts),
+                    Err(crate::PartitionError::BadWeights { .. })
+                ),
+                "method {m}"
+            );
+        }
+        // The curve split works in f64 and keeps accepting them ...
+        assert!(partition(&mesh, PartitionMethod::Sfc, 8, &opts).is_ok());
+        // ... and the largest uniform weight whose scaled sum still fits
+        // goes through every graph method.
+        let fits = (((u32::MAX as u64 / 384) - 1) / 16) as f64;
+        let opts = PartitionOptions {
+            weights: Some(vec![fits; 384]),
+            ..Default::default()
+        };
+        for m in PartitionMethod::METIS {
+            let p = partition(&mesh, m, 8, &opts).unwrap();
+            assert_eq!(p.nonempty_parts(), 8, "method {m}");
         }
     }
 

@@ -389,4 +389,30 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn every_driver_partitions_the_wide_graphs() {
+        // Zero-weight edges, coarse-level weights and disconnected graphs
+        // through the public drivers: the queue's bucket arithmetic holds
+        // (debug assertions) and every vertex lands in a part.
+        use crate::testgraphs::wide_graph;
+        for seed in 0..120u64 {
+            let g = wide_graph(seed);
+            let k = 2 + (seed as usize % 6);
+            if k > g.nv() {
+                continue;
+            }
+            let cfg = PartitionConfig::new(k).with_seed(seed);
+            let rb = recursive_bisection(&g, &cfg);
+            assert_eq!(rb, recursive_bisection_serial(&g, &cfg), "graph {seed}");
+            for p in [rb, crate::kway(&g, &cfg), crate::kway_volume(&g, &cfg)] {
+                assert_eq!(p.len(), g.nv());
+                assert_eq!(
+                    p.part_weights(&g).iter().sum::<u64>(),
+                    g.total_vwgt(),
+                    "graph {seed}"
+                );
+            }
+        }
+    }
 }

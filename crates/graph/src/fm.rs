@@ -10,8 +10,14 @@
 //! then on a move only adds `±2w` to each unlocked neighbour's gain and
 //! moves that neighbour between two buckets of the [`GainQueue`]. What a
 //! pass pops, and so every partition it produces, is pinned by the
-//! pop-order contract in DESIGN.md §7; the lazy-heap pass this replaced is
+//! pop-order contract in DESIGN.md §5; the lazy-heap pass this replaced is
 //! kept under `#[cfg(test)]` as the reference the tests compare against.
+//!
+//! The `±2w` update reads the mover's adjacency where the sweep read the
+//! neighbour's own. The two agree when every `(u, v, w)` entry has its
+//! own reverse entry — true of every graph this workspace builds (dual
+//! graphs, `contract`, `subgraph`, `from_lists` of a simple graph);
+//! `CsrGraph::validate` only checks that *a* reverse entry exists.
 
 use crate::csr::CsrGraph;
 use crate::gainq::GainQueue;

@@ -9,11 +9,10 @@
 //! this queue replaced, and a vertex whose gain changes moves between two
 //! buckets instead of leaving a stale entry behind.
 //!
-//! Each bucket also keeps one summary bit per word (set iff the word is
-//! non-zero), so finding the highest set bit reads `⌈nv/4096⌉` summary
-//! words and one bitset word instead of scanning the bucket.
+//! Each bucket remembers a word index above which it is empty, so a pop
+//! scans down from there instead of from the top of the bitset.
 //!
-//! **Sized for:** `(2·span + 1) · (⌈nv/64⌉ + ⌈nv/4096⌉)` words, at most
+//! **Sized for:** `(2·span + 1) · ⌈nv/64⌉` words, at most
 //! [`MAX_QUEUE_WORDS`]. On the cubed-sphere dual graph `span` is 36 (four
 //! edges × 8 points + four corners × 1) and a few hundred on the coarsest
 //! levels — a couple of thousand words. Edge weights only ever come from
@@ -24,6 +23,15 @@
 /// The most memory one queue's bitsets may take, in 64-bit words (128 MiB).
 pub(crate) const MAX_QUEUE_WORDS: usize = 1 << 24;
 
+/// What the queue keeps per bucket besides its bits.
+#[derive(Clone, Copy, Debug, Default)]
+struct Bucket {
+    /// Vertices queued at this gain.
+    count: u32,
+    /// No word of the bucket above this index is non-zero; 0 when empty.
+    high: u32,
+}
+
 /// A bucket-per-gain, bitset-per-bucket max-queue over `(gain, vertex)`.
 ///
 /// Every pass drains the queue, so between uses all bits are zero and
@@ -32,16 +40,11 @@ pub(crate) const MAX_QUEUE_WORDS: usize = 1 << 24;
 pub(crate) struct GainQueue {
     /// Words per bucket: `⌈nv/64⌉`.
     words: usize,
-    /// Summary words per bucket: `⌈words/64⌉`.
-    summary_words: usize,
     /// Bucket `b` holds gain `b − span`.
     span: i64,
     /// Bit `v` of bucket `b` is set iff `v` is queued at that gain.
     bits: Vec<u64>,
-    /// Bit `w` of bucket `b` is set iff word `w` of that bucket is non-zero.
-    summary: Vec<u64>,
-    /// Vertices queued per bucket.
-    count: Vec<u32>,
+    buckets: Vec<Bucket>,
     /// No bucket above this one holds a vertex.
     top: usize,
 }
@@ -52,18 +55,20 @@ impl GainQueue {
     ///
     /// # Panics
     ///
-    /// When the tables would exceed [`MAX_QUEUE_WORDS`].
+    /// When the table would exceed [`MAX_QUEUE_WORDS`].
     pub(crate) fn reset(&mut self, nv: usize, span: i64) {
-        debug_assert!(self.count.iter().all(|&c| c == 0), "queue not drained");
+        debug_assert!(
+            self.buckets.iter().all(|b| b.count == 0 && b.high == 0),
+            "queue not drained"
+        );
         debug_assert!(span >= 0);
         let words = nv.div_ceil(64);
-        let summary_words = words.div_ceil(64);
         let buckets = usize::try_from(span)
             .ok()
             .and_then(|s| s.checked_mul(2))
             .and_then(|s| s.checked_add(1));
         let fits = buckets
-            .and_then(|b| b.checked_mul(words + summary_words))
+            .and_then(|b| b.checked_mul(words))
             .is_some_and(|n| n <= MAX_QUEUE_WORDS);
         let Some(buckets) = buckets.filter(|_| fits) else {
             panic!(
@@ -74,14 +79,10 @@ impl GainQueue {
         if self.bits.len() < buckets * words {
             self.bits.resize(buckets * words, 0);
         }
-        if self.summary.len() < buckets * summary_words {
-            self.summary.resize(buckets * summary_words, 0);
-        }
-        if self.count.len() < buckets {
-            self.count.resize(buckets, 0);
+        if self.buckets.len() < buckets {
+            self.buckets.resize(buckets, Bucket::default());
         }
         self.words = words;
-        self.summary_words = summary_words;
         self.span = span;
         self.top = 0;
     }
@@ -105,8 +106,9 @@ impl GainQueue {
         let bit = 1u64 << (v % 64);
         if *word & bit == 0 {
             *word |= bit;
-            self.summary[b * self.summary_words + wi / 64] |= 1u64 << (wi % 64);
-            self.count[b] += 1;
+            let bucket = &mut self.buckets[b];
+            bucket.count += 1;
+            bucket.high = bucket.high.max(wi as u32);
             self.top = self.top.max(b);
         }
     }
@@ -115,36 +117,34 @@ impl GainQueue {
     #[inline]
     pub(crate) fn remove(&mut self, v: usize, gain: i64) {
         let b = self.bucket(gain);
-        let wi = v / 64;
-        let word = &mut self.bits[b * self.words + wi];
+        let word = &mut self.bits[b * self.words + v / 64];
         let bit = 1u64 << (v % 64);
         if *word & bit != 0 {
             *word &= !bit;
-            if *word == 0 {
-                self.summary[b * self.summary_words + wi / 64] &= !(1u64 << (wi % 64));
+            let bucket = &mut self.buckets[b];
+            bucket.count -= 1;
+            if bucket.count == 0 {
+                bucket.high = 0; // stays valid under the next layout
             }
-            self.count[b] -= 1;
         }
     }
 
     /// Remove and return the maximum `(gain, vertex)` pair.
     pub(crate) fn pop_max(&mut self) -> Option<(i64, usize)> {
-        while self.count[self.top] == 0 {
+        while self.buckets[self.top].count == 0 {
             if self.top == 0 {
                 return None;
             }
             self.top -= 1;
         }
         let b = self.top;
-        let row = &self.summary[b * self.summary_words..(b + 1) * self.summary_words];
-        let (si, summary) = row
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, s)| **s != 0)
-            .expect("a counted bucket has a non-zero word");
-        let wi = si * 64 + 63 - summary.leading_zeros() as usize;
-        let v = wi * 64 + 63 - self.bits[b * self.words + wi].leading_zeros() as usize;
+        let row = &self.bits[b * self.words..(b + 1) * self.words];
+        let mut wi = self.buckets[b].high as usize;
+        while row[wi] == 0 {
+            wi -= 1; // a counted bucket has a set bit at or below `high`
+        }
+        self.buckets[b].high = wi as u32;
+        let v = wi * 64 + 63 - row[wi].leading_zeros() as usize;
         self.remove(v, b as i64 - self.span);
         Some((b as i64 - self.span, v))
     }
@@ -193,7 +193,6 @@ mod tests {
         let mut q = GainQueue::default();
         for seed in 0..40u64 {
             let mut rng = SplitMix64::new(seed);
-            // Up to three summary words per bucket.
             let bound = [300, 300, 10_000][rng.below(3)];
             let nv = 1 + rng.below(bound);
             let span = rng.below(40) as i64;

@@ -85,14 +85,8 @@ pub fn contract(g: &CsrGraph, mate: &[u32]) -> CoarseLevel {
         }
         let c = vwgt.len();
         let row_start = adjncy.len();
-        let members = [first, second];
-        let members = if second == first {
-            &members[..1]
-        } else {
-            &members[..]
-        };
         let mut weight = 0u32;
-        for &v in members {
+        for &v in &[first, second][..1 + (second != first) as usize] {
             weight += g.vwgt[v];
             for (n, w) in g.neighbors(v) {
                 let cn = cmap[n];

@@ -84,6 +84,15 @@ fn gain_of(g: &CsrGraph, parts: &[u32], v: usize) -> i64 {
     gain
 }
 
+/// The vertex weight on each side of a 2-way assignment.
+fn side_weights(g: &CsrGraph, parts: &[u32]) -> [u64; 2] {
+    let mut weights = [0u64; 2];
+    for (v, &p) in parts.iter().enumerate() {
+        weights[p as usize] += g.vwgt[v] as u64;
+    }
+    weights
+}
+
 /// The buffers FM passes reuse: the gain queue, one gain and one lock
 /// flag per vertex, and the move log.
 #[derive(Clone, Debug, Default)]
@@ -122,10 +131,7 @@ pub(crate) fn fm_refine_with(
 ) -> bool {
     let _span = cubesfc_obs::span("fm");
     debug_assert_eq!(parts.len(), g.nv());
-    let mut weights = [0u64; 2];
-    for (v, &p) in parts.iter().enumerate() {
-        weights[p as usize] += g.vwgt[v] as u64;
-    }
+    let mut weights = side_weights(g, parts);
 
     rebalance(g, parts, &mut weights, targets);
 
@@ -271,7 +277,7 @@ pub(crate) mod reference {
     //! The pass as it was before the gain queue: every gain recomputed
     //! from the adjacency, `(gain, v)` tuples on a lazy binary heap. Kept
     //! as the oracle of the pop-order contract.
-    use super::{cut_weight_2way, gain_of, rebalance, BisectTargets, CsrGraph};
+    use super::{cut_weight_2way, gain_of, rebalance, side_weights, BisectTargets, CsrGraph};
     use std::collections::BinaryHeap;
 
     /// `fm_refine` as it was: rebalance, passes until one does not
@@ -282,10 +288,7 @@ pub(crate) mod reference {
         targets: &BisectTargets,
         passes: usize,
     ) -> u64 {
-        let mut weights = [0u64; 2];
-        for (v, &p) in parts.iter().enumerate() {
-            weights[p as usize] += g.vwgt[v] as u64;
-        }
+        let mut weights = side_weights(g, parts);
         rebalance(g, parts, &mut weights, targets);
         for _ in 0..passes {
             if !fm_pass(g, parts, &mut weights, targets) {
@@ -488,10 +491,7 @@ mod tests {
             let t = targets_for(&g, frac0, [1.03, 1.001][rng.below(2)], at_target);
             tight += at_target as usize;
 
-            let mut weights = [0u64; 2];
-            for (v, &p) in start.iter().enumerate() {
-                weights[p as usize] += g.vwgt[v] as u64;
-            }
+            let weights = side_weights(&g, &start);
             over_cap += (weights[0] > t.cap0 || weights[1] > t.cap1) as usize;
             let (mut pa, mut wa) = (start.clone(), weights);
             let (mut pb, mut wb) = (start, weights);

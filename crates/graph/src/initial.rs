@@ -127,11 +127,8 @@ pub(crate) fn greedy_graph_growing_with(
         ..
     } = scratch;
     grow.prepare(g);
-    candidate.clear();
-    candidate.resize(nv, 1);
-    let mut best_cut: Option<u64> = None;
-    let mut best_settled = false;
     grow.tried.clear();
+    let mut best_found: Option<(u64, bool)> = None; // (cut, polish settled)
     for _ in 0..tries.max(1) {
         // The seed is drawn either way (the stream must not shift), but a
         // seed vertex grown before gives the same bisection and the same
@@ -141,17 +138,16 @@ pub(crate) fn greedy_graph_growing_with(
             continue;
         }
         grow.tried.push(seed);
+        candidate.resize(nv, 1); // its contents may be another graph's
         grow_from(g, seed, targets.t0, candidate, grow);
         let settled = fm_refine_with(g, candidate, targets, 2, fm);
         let cut = cut_weight_2way(g, candidate);
-        if best_cut.is_none_or(|bc| cut < bc) {
-            best_cut = Some(cut);
-            best_settled = settled;
+        if best_found.is_none_or(|(bc, _)| cut < bc) {
+            best_found = Some((cut, settled));
             std::mem::swap(best, candidate);
-            candidate.resize(nv, 1); // what was in `best` may be another graph's
         }
     }
-    best_settled
+    best_found.expect("at least one try").1
 }
 
 #[cfg(test)]

@@ -129,6 +129,8 @@ pub(crate) fn rebalance_kway(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64
             lightest_first.extend(0..nparts);
         }
         lightest_first.sort_unstable_by_key(|&p| (weights[p], p));
+        // Require the move to strictly reduce the imbalance.
+        let room = cap.min(weights[from] - 1);
         // Best (vertex, destination): smallest cut damage, then lightest
         // destination; the first such pair in (vertex, part) order.
         let mut best: Option<((i64, Reverse<u64>), usize, usize)> = None;
@@ -136,8 +138,6 @@ pub(crate) fn rebalance_kway(g: &CsrGraph, parts: &mut [u32], weights: &mut [u64
             if parts[v] as usize != from {
                 continue;
             }
-            // Require the move to strictly reduce the imbalance.
-            let room = cap.min(weights[from] - 1);
             let vw = g.vwgt[v] as u64;
             touched.clear();
             touched_list.clear();

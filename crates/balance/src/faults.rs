@@ -722,22 +722,23 @@ impl Checkpoint {
 
     fn from_doc(doc: &JsonValue) -> Result<Checkpoint, String> {
         doc.expect_schema(CHECKPOINT_SCHEMA)?;
+        let nproc = doc.req_u64("nproc", "checkpoint")? as usize;
         let ck = Checkpoint {
             step: doc.req_u64("step", "checkpoint")? as usize,
-            nproc: doc.req_u64("nproc", "checkpoint")? as usize,
+            nproc,
+            // Range-check the wire value before narrowing, so a label
+            // past `u32::MAX` cannot wrap into range.
             assignment: doc
                 .req_u64s("assignment", "checkpoint")?
                 .into_iter()
-                .map(|a| a as u32)
-                .collect(),
+                .map(|a| u32::try_from(a).ok().filter(|&a| (a as usize) < nproc))
+                .collect::<Option<_>>()
+                .ok_or("assignment label out of range")?,
             armed: doc.req_bool("armed", "checkpoint")?,
             dead: indices(doc.req_u64s("dead", "checkpoint")?),
         };
         if ck.dead.iter().any(|&r| r >= ck.nproc) {
             return Err("dead rank out of range".to_string());
-        }
-        if ck.assignment.iter().any(|&a| a as usize >= ck.nproc) {
-            return Err("assignment label out of range".to_string());
         }
         Ok(ck)
     }
@@ -1115,6 +1116,13 @@ mod tests {
         assert!(Checkpoint::from_json("not json").is_err());
         let bad = text.replace("\"dead\": [2]", "\"dead\": [9]");
         assert!(Checkpoint::from_json(&bad).is_err());
+        let labels = "[0, 1, 2, 3, 0, 1]";
+        assert!(text.contains(labels), "{text}");
+        for bad_labels in ["[0, 4, 2, 3, 0, 1]", "[0, 4294967297, 2, 3, 0, 1]"] {
+            // 2^32 + 1 would wrap to label 1 if narrowed before the check.
+            let err = Checkpoint::from_json(&text.replace(labels, bad_labels)).unwrap_err();
+            assert!(err.contains("assignment label out of range"), "{err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Shared harness code for the table/figure regeneration binaries.
+//! Shared harness code for the table/figure regeneration experiments.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md`'s per-experiment index); this library holds the
-//! sweep and formatting machinery they share.
+//! Each module of the `paper` binary (`src/bin/paper/`) regenerates one
+//! table or figure of the paper, or one ablation or extension (see
+//! `DESIGN.md`'s per-experiment index); this library holds the sweep and
+//! formatting machinery they share.
 
 use cubesfc::report::PartitionReport;
 use cubesfc::{CostModel, CubedSphere, MachineModel, PartitionMethod};
@@ -161,7 +162,7 @@ pub fn write_csv(path: &str, rows: &[SweepRow]) -> io::Result<()> {
 }
 
 /// If `CUBESFC_CSV` is set, write the sweep to that path as CSV and note
-/// it on stdout. Lets every figure binary double as a plot-data exporter.
+/// it on stdout. Lets every figure experiment double as a plot-data exporter.
 /// Write failures are reported on stderr, never panicked on — a bad path
 /// must not lose the figure that was just computed.
 pub fn maybe_write_csv(rows: &[SweepRow]) {

@@ -13,7 +13,6 @@
 //!                   [--faults SPEC] [--chaos-json FILE] [--checkpoint[=PATH]]
 //!                   [--checkpoint-every N] [--resume PATH.json]
 //! cubesfc chaos FILE.json [--report-only]
-//! cubesfc compare OLD.json NEW.json [--threshold PCT] [--report-only]
 //! cubesfc telemetry report FILE.ndjson [--report-only]
 //! cubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]
 //!                       [--threshold PCT] [--report-only]
@@ -63,10 +62,6 @@
 //! trace additionally includes a short parallel mini-solve over the
 //! computed partition, so each virtual rank gets its own timeline lane.
 //!
-//! `compare` diffs two `cubesfc-profile-v1` snapshots (per-span wall
-//! time and counters) and exits nonzero when any span regresses past the
-//! threshold — unless `--report-only` is given.
-//!
 //! Any command also accepts `--telemetry` (live health summary on
 //! stderr at exit) or `--telemetry=FILE` (additionally stream the
 //! sampled time series as `cubesfc-telemetry-v1` NDJSON to `FILE`). The
@@ -84,7 +79,7 @@
 //! wait fraction regress past `--threshold` (default 25%), unless
 //! `--report-only` is given.
 //!
-//! The replay commands (`compare`, `telemetry report`, `trace analyze`)
+//! The replay commands (`telemetry report`, `trace analyze`)
 //! share one exit-code contract: 0 clean, 1 for runtime failures
 //! (missing file, wrong schema, a tripped gate), 2 for input that is
 //! not JSON at all — reported with the parser's line/column diagnostic,
@@ -142,7 +137,7 @@ struct Args {
     telemetry: bool,
     /// `--telemetry=PATH` (NDJSON stream + summary).
     telemetry_path: Option<String>,
-    /// Positional operands (the two snapshot paths for `compare`).
+    /// Positional operands (subcommand words, replay paths, the `top` URL).
     paths: Vec<String>,
     threshold: Option<f64>,
     report_only: bool,
@@ -229,7 +224,6 @@ fn usage() -> ExitCode {
          \t  (SPEC: 'death:R@S; slow:R@A..BxF; stall:R@SxT; delay:R@SxT;\n\
          \t         loss:R@S; random:N@SEED' — ranks R, steps S/A/B, factor F)\n\
          \tcubesfc chaos FILE.json [--report-only]\n\
-         \tcubesfc compare OLD.json NEW.json [--threshold PCT] [--report-only]\n\
          \tcubesfc telemetry report FILE.ndjson [--report-only]\n\
          \tcubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]\n\
          \t  [--threshold PCT] [--report-only]\n\
@@ -411,11 +405,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     match args.command.as_str() {
-        "compare" => {
-            if args.paths.len() != 2 {
-                return Err("compare needs exactly two snapshot paths: OLD.json NEW.json".into());
-            }
-        }
         "telemetry" => {
             if args.paths.len() != 2 || args.paths[0] != "report" {
                 return Err("telemetry needs a subcommand: telemetry report FILE.ndjson".into());
@@ -629,33 +618,6 @@ fn load<T>(
     shape: impl FnOnce(&cubesfc_obs::JsonValue) -> Result<T, String>,
 ) -> Result<T, CliError> {
     cubesfc_obs::load_doc(&read_input(path)?, shape).map_err(|e| CliError::load(path, e))
-}
-
-/// Diff two `cubesfc-profile-v1` snapshots; `Err` carries the regression
-/// verdict (runtime error, exit 1) unless `--report-only` was given.
-fn run_compare(args: &Args) -> Result<(), CliError> {
-    let side = |label: &str, path: &str| {
-        load(path, |doc| {
-            cubesfc_obs::Snapshot::from_json(doc).map_err(|e| format!("{label} snapshot: {e}"))
-        })
-    };
-    let old = side("old", &args.paths[0])?;
-    let new = side("new", &args.paths[1])?;
-    let mut cfg = cubesfc_obs::CompareConfig::default();
-    if let Some(t) = args.threshold {
-        cfg.threshold_pct = t;
-    }
-    let report = cubesfc_obs::compare_snapshots(&old, &new, &cfg);
-    print!("{}", report.render());
-    let n = report.regressions();
-    if n > 0 && !args.report_only {
-        return Err(format!(
-            "{n} regression(s) beyond {:.1}% threshold",
-            cfg.threshold_pct
-        )
-        .into());
-    }
-    Ok(())
 }
 
 /// Replay a recorded `cubesfc-telemetry-v1` NDJSON stream into the
@@ -1004,9 +966,6 @@ fn run_top_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn run(args: Args) -> Result<(), CliError> {
-    if args.command == "compare" {
-        return run_compare(&args);
-    }
     if args.command == "telemetry" {
         return run_telemetry_report(&args);
     }

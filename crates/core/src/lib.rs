@@ -51,7 +51,6 @@ pub mod error;
 pub mod experiment;
 pub mod partitioner;
 pub mod rcb;
-pub mod repartition;
 pub mod report;
 pub mod service;
 pub mod sfc_partition;
@@ -70,17 +69,16 @@ pub use partitioner::{
     PartitionMethod, PartitionOptions,
 };
 pub use rcb::partition_rcb;
-pub use repartition::{
-    match_labels, matched_migration, migration_fraction, raw_migration, MigrationError,
-    EXACT_MATCH_LIMIT,
-};
 pub use report::{best_metis, PartitionReport};
 pub use service::{method_from_name, EngineBackend};
 pub use sfc_partition::{partition_curve, partition_curve_weighted, segment_ranges};
 
 // Re-export the sub-crates so downstream users need only one dependency.
 pub use cubesfc_balance as balance;
-pub use cubesfc_graph::{self as graph, Partition, PartitionConfig};
+pub use cubesfc_graph::{
+    self as graph, match_labels, matched_migration, migration_fraction, raw_migration,
+    MigrationError, Partition, PartitionConfig, EXACT_MATCH_LIMIT,
+};
 pub use cubesfc_mesh::{self as mesh, CubedSphere, ElemId, GlobalCurve, Topology};
 pub use cubesfc_obs as obs;
 pub use cubesfc_seam::{self as seam, CostModel, MachineModel, PerfReport};

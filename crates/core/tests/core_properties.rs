@@ -1,8 +1,9 @@
-//! Property-based tests for the top-level partitioning API.
+//! Property-based tests for the top-level partitioning API, plus the
+//! migration-volume cases it re-exports from `cubesfc_graph::migration`.
 
 use cubesfc::{
-    matched_migration, partition_curve, partition_curve_weighted, partition_default, CubedSphere,
-    PartitionMethod,
+    matched_migration, migration_fraction, partition, partition_curve, partition_curve_weighted,
+    partition_default, CubedSphere, Partition, PartitionMethod, PartitionOptions,
 };
 use proptest::prelude::*;
 
@@ -103,4 +104,72 @@ proptest! {
             prop_assert!(p.assignment().iter().all(|&x| x == 0), "{}", m);
         }
     }
+}
+
+#[test]
+fn single_move_counts_once() {
+    let a = Partition::new(2, vec![0, 0, 1, 1]);
+    let b = Partition::new(2, vec![0, 1, 1, 1]);
+    assert_eq!(matched_migration(&a, &b).unwrap(), 1);
+}
+
+#[test]
+fn part_count_change_is_handled() {
+    let a = Partition::new(2, vec![0, 0, 1, 1]);
+    let b = Partition::new(4, vec![0, 1, 2, 3]);
+    // Best matching keeps 2 elements in place.
+    assert_eq!(matched_migration(&a, &b).unwrap(), 2);
+}
+
+#[test]
+fn sfc_weight_perturbation_migrates_few_elements() {
+    // Perturb per-element weights slightly: the weighted SFC split
+    // moves only boundary elements, while a reseeded KWAY partition
+    // reshuffles a large fraction.
+    let mesh = CubedSphere::new(8); // K = 384
+    let nproc = 48;
+    let curve = mesh.curve().unwrap();
+    let k = mesh.num_elems();
+
+    let w0 = vec![1.0; k];
+    let mut w1 = w0.clone();
+    // 10% heavier in one octant.
+    for e in mesh.elems() {
+        if mesh.center(e).xyz[0] > 0.5 {
+            w1[e.index()] = 1.1;
+        }
+    }
+    let sfc_a = partition_curve_weighted(curve, nproc, &w0).unwrap();
+    let sfc_b = partition_curve_weighted(curve, nproc, &w1).unwrap();
+    let sfc_moved = migration_fraction(&sfc_a, &sfc_b).unwrap();
+    assert!(
+        sfc_moved < 0.20,
+        "SFC migration should be incremental: {sfc_moved}"
+    );
+
+    // Graph partitioner with a different seed (modelling the "from
+    // scratch" repartition an adaptive step would trigger).
+    let mut o1 = PartitionOptions::default();
+    o1.graph_config.seed = 1;
+    let mut o2 = PartitionOptions::default();
+    o2.graph_config.seed = 2;
+    let kw_a = partition(&mesh, PartitionMethod::MetisKway, nproc, &o1).unwrap();
+    let kw_b = partition(&mesh, PartitionMethod::MetisKway, nproc, &o2).unwrap();
+    let kw_moved = migration_fraction(&kw_a, &kw_b).unwrap();
+    assert!(
+        sfc_moved < kw_moved,
+        "SFC ({sfc_moved}) should migrate less than reseeded KWAY ({kw_moved})"
+    );
+}
+
+#[test]
+fn processor_count_change_migration_is_bounded() {
+    // Going from P to 2P processors with an SFC split: every old part
+    // splits in two, so after matching at most half the elements move.
+    let mesh = CubedSphere::new(8);
+    let curve = mesh.curve().unwrap();
+    let a = partition_curve(curve, 48).unwrap();
+    let b = partition_curve(curve, 96).unwrap();
+    let frac = migration_fraction(&a, &b).unwrap();
+    assert!(frac <= 0.5 + 1e-12, "doubling procs moved {frac}");
 }

@@ -33,7 +33,7 @@
 //! `cubesfc-analysis-v1`) is byte-identical across replays of the same
 //! trace, and pinnable in tests. [`compare_analyses`] diffs two
 //! analysis documents and gates on critical-path-seconds and
-//! wait-fraction regressions, mirroring `compare_profiles`.
+//! wait-fraction regressions.
 
 use crate::chrome::TRACE_SCHEMA;
 use crate::json::{JsonWriter, Layout};
@@ -960,9 +960,8 @@ impl GateMetrics {
         })
     }
 
-    /// Diff against a baseline, mirroring `compare_profiles`: critical-
-    /// path seconds regress when they grow by more than `threshold_pct`
-    /// percent, the rank wait fraction when it grows by more than
+    /// Diff against a baseline: critical-path seconds regress when they
+    /// grow by more than `threshold_pct` percent, the rank wait fraction when it grows by more than
     /// `threshold_pct` percentage *points*; total rank seconds are an
     /// informational row.
     pub fn compare(&self, baseline: &GateMetrics, threshold_pct: f64) -> AnalysisCompare {

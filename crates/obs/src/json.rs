@@ -10,7 +10,7 @@
 //! schema's code, never by the user:
 //!
 //! * [`Layout::Compact`] — no whitespace (profile, trace, telemetry,
-//!   access, analysis, serve, serve-bench).
+//!   access, analysis, serve).
 //! * [`Layout::Document`] — rebalance, chaos, checkpoint: one top-level
 //!   member per two-space-indented line, `": "` after keys, nested
 //!   values inline with `", "`, except that objects listed directly in

@@ -17,10 +17,9 @@
 //!   *lanes* ([`Lane`]), so logical actors (virtual ranks, the DSS
 //!   exchange) get their own timeline rows; [`Tracer::export_chrome`]
 //!   writes Chrome Trace Event Format JSON openable in Perfetto.
-//! * **Exporters & diffing** — `Snapshot::render_table()` (human-readable
-//!   profile tree), `Snapshot::to_json()` (hand-rolled, stable
-//!   `cubesfc-profile-v1` schema), and [`compare_profiles`], which diffs
-//!   two profile documents against regression thresholds.
+//! * **Exporters** — `Snapshot::render_table()` (human-readable profile
+//!   tree) and `Snapshot::to_json()` (stable `cubesfc-profile-v1`
+//!   schema, read back by [`Snapshot::from_json`]).
 //!
 //! The global registry and tracer are **disabled by default**: every
 //! [`span`] / [`counter_add`] / [`histogram_record`] / [`trace_lane`]
@@ -33,7 +32,6 @@ mod access;
 mod analysis;
 mod chrome;
 mod clock;
-mod compare;
 mod events;
 mod health;
 mod json;
@@ -52,9 +50,6 @@ pub use analysis::{
 };
 pub use chrome::TRACE_SCHEMA;
 pub use clock::{Clock, MockClock, MonotonicClock};
-pub use compare::{
-    compare_profiles, compare_snapshots, CompareConfig, CompareReport, Delta, DeltaStatus,
-};
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};
 pub use health::{default_rules, straggler_z, AlertEngine, AlertRule};
 pub use json::{escape as json_escape, JsonScalar, JsonWriter, Layout};

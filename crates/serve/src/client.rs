@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client, shared by the integration tests
-//! and the `serve_loadgen` bench harness. One request per connection
+//! and the `serve_probe` smoke binary. One request per connection
 //! (the server replies `connection: close`).
 
 use std::io::{Read, Write};

@@ -2,9 +2,9 @@
 //!
 //! Partition quality of an SFC partition is governed by how *compact* the
 //! curve's contiguous segments are: a segment of `c` cells with a small
-//! perimeter cuts few dual-graph edges. These metrics let the ablation
-//! benches compare Hilbert, m-Peano, nested, and Morton orders without
-//! running the full partitioner.
+//! perimeter cuts few dual-graph edges. These metrics compare Hilbert,
+//! m-Peano, nested, and Morton orders without running the full
+//! partitioner.
 
 use crate::curve::SfcCurve;
 

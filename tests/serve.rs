@@ -12,8 +12,8 @@
 //! `/metrics` (including the scrape observing itself before it
 //! snapshots), request-ID echo on the success, shed, and deadline
 //! paths, `/readyz` and `/statusz`, access-log totals agreeing with
-//! Prometheus `_count` series, and a `top` dashboard frame computed
-//! over live HTTP.
+//! Prometheus `_count` series and with a closed-loop client's own books,
+//! and a `top` dashboard frame computed over live HTTP.
 //!
 //! The mechanics tests use a gated mock backend so concurrency is
 //! *controlled*, not raced: the gate holds computations open until the
@@ -26,12 +26,22 @@ use cubesfc::serve::{
     RebalanceStepRequest, ServeConfig, Server, ServerHandle,
 };
 use cubesfc::EngineBackend;
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The acceptor's 429 lines in the process-global access log carry
+/// server-assigned ids, so no id prefix tells one test's sheds from
+/// another's: the tests that shed and the one that counts sheds hold
+/// this lock.
+fn shed_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A backend whose computations block until the test opens the gate,
 /// counting every invocation.
@@ -185,6 +195,7 @@ fn identical_concurrent_requests_compute_exactly_once() {
 
 #[test]
 fn saturating_the_queue_sheds_429_while_admitted_work_completes() {
+    let _shed = shed_lock();
     let backend = Arc::new(GatedBackend::new());
     let (handle, addr) = start(
         ServeConfig {
@@ -434,6 +445,7 @@ fn metrics_negotiates_prometheus_text_and_pins_its_own_observation() {
 
 #[test]
 fn request_ids_are_echoed_on_success_shed_and_deadline_paths() {
+    let _shed = shed_lock();
     let (handle, addr) = start(ServeConfig::default(), Arc::new(EngineBackend::new()));
     let body = "{\"ne\": 4, \"nproc\": 6, \"method\": \"sfc\"}";
 
@@ -627,6 +639,101 @@ fn access_log_counts_agree_with_prometheus_totals() {
     };
     assert_eq!(count_of("serve_latency_partition_us_count"), partitions);
     assert_eq!(count_of("serve_latency_metrics_us_count"), metrics);
+}
+
+#[test]
+fn access_log_agrees_with_the_clients_books_under_load() {
+    // Closed-loop clients keep their own books (request id → latency
+    // they measured, sheds they saw); after the drain the access log
+    // must agree: every `ok` line's id was sent by a client, the ok and
+    // 429 line counts equal the client's, and each line's `queue_us +
+    // service_us` fits inside the client's latency. That bound holds
+    // structurally — the client's clock starts before connect and stops
+    // after the full read — so the slack only covers clock granularity.
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 20;
+    const SLACK_US: u64 = 1_000;
+    let _shed = shed_lock();
+    cubesfc::obs::set_access_enabled(true);
+    let log = cubesfc::obs::access_log();
+    let first_seq = log.records().last().map_or(0, |r| r.seq + 1);
+    let (handle, addr) = start(
+        ServeConfig {
+            workers: CLIENTS,
+            ..ServeConfig::default()
+        },
+        Arc::new(EngineBackend::new()),
+    );
+    let prefix = "books5";
+    let ladder: Vec<usize> = (1..=384).filter(|p| 384 % p == 0).collect();
+    let books: Mutex<HashMap<String, u64>> = Mutex::new(HashMap::new());
+    let shed = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (ladder, books, shed) = (&ladder, &books, &shed);
+            scope.spawn(move || {
+                for r in 0..REQUESTS {
+                    // Stride the ladder per client so identical requests
+                    // overlap (coalescing) while the mix spans cold and
+                    // warm keys.
+                    let nproc = ladder[(c + r) % ladder.len()];
+                    let body = format!("{{\"ne\": 8, \"nproc\": {nproc}, \"method\": \"sfc\"}}");
+                    let id = format!("{prefix}-c{c}-r{r}");
+                    let t0 = Instant::now();
+                    let resp = http_request_with_headers(
+                        addr,
+                        "POST",
+                        "/v1/partition",
+                        &[("x-cubesfc-request-id", &id)],
+                        Some(&body),
+                        TIMEOUT,
+                    )
+                    .unwrap();
+                    let us = t0.elapsed().as_micros() as u64;
+                    match resp.status {
+                        200 => {
+                            assert_eq!(resp.header("x-cubesfc-request-id"), Some(id.as_str()));
+                            books.lock().unwrap().insert(id, us);
+                        }
+                        429 => {
+                            shed.fetch_add(1, Ordering::SeqCst);
+                        }
+                        status => panic!("unexpected status {status} for {body}"),
+                    }
+                }
+            });
+        }
+    });
+    // Drain before reading the log: access lines are written after the
+    // response bytes.
+    let stats = handle.shutdown();
+    assert_eq!(stats.completed, stats.accepted, "drain dropped work");
+    assert_eq!(log.dropped(), 0, "the access ring shed records");
+
+    let books = books.into_inner().unwrap();
+    let records = cubesfc::obs::parse_access(&log.export_ndjson()).unwrap();
+    let window: Vec<_> = records.iter().filter(|r| r.seq >= first_seq).collect();
+    let ok_lines: Vec<_> = window
+        .iter()
+        .filter(|r| r.id.starts_with(prefix) && r.endpoint == "partition" && r.outcome == "ok")
+        .collect();
+    let shed_lines = window.iter().filter(|r| r.status == 429).count();
+    assert_eq!(ok_lines.len(), books.len(), "ok lines vs client's ok count");
+    assert_eq!(shed_lines, shed.into_inner(), "429 lines vs client's sheds");
+    for r in ok_lines {
+        let client = *books
+            .get(&r.id)
+            .unwrap_or_else(|| panic!("access log id {:?} was never sent by a client", r.id));
+        let server = r.queue_us + r.service_us;
+        assert!(
+            server <= client + SLACK_US,
+            "id {:?}: server accounts for {server}us (queue {} + service {}) \
+             but the client only measured {client}us",
+            r.id,
+            r.queue_us,
+            r.service_us
+        );
+    }
 }
 
 #[test]

@@ -194,7 +194,6 @@ fn malformed_replay_input_exits_2_with_line_and_column() {
 
     let argvs: Vec<Vec<&str>> = vec![
         vec!["trace", "analyze", bad_s],
-        vec!["compare", bad_s, bad_s],
         vec!["telemetry", "report", bad_s],
     ];
     for argv in argvs {

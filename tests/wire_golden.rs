@@ -11,8 +11,6 @@
 //! On a mismatch the actual bytes are written under the test binary's
 //! scratch directory (the failure message names the file) so a deliberate
 //! change is reviewed as a diff and copied over the fixture by hand.
-//! `cubesfc-serve-bench-v1` carries wall-clock numbers; its key order is
-//! pinned by `crates/bench/tests/serve_bench_shape.rs`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -117,11 +117,8 @@ fn rb_partition(g: &CsrGraph, cfg: &PartitionConfig, parallel: bool) -> Partitio
     // *global* tolerance at the end, as METIS does.
     let target = g.total_vwgt() / cfg.nparts as u64;
     let cap = crate::partition::weight_cap(target, cfg.ub_factor, g.max_vwgt());
-    let mut weights = vec![0u64; cfg.nparts];
-    for (v, &p) in assign.iter().enumerate() {
-        weights[p as usize] += g.vwgt[v] as u64;
-    }
-    crate::kway::rebalance_kway(g, &mut assign, &mut weights, cap);
+    let mut weights = crate::refine::part_weights(g, &assign, cfg.nparts);
+    crate::refine::rebalance(g, &mut assign, &mut weights, cap);
     Partition::new(cfg.nparts, assign)
 }
 
@@ -221,30 +218,7 @@ fn rb_recurse(
 mod tests {
     use super::*;
     use crate::metrics::{edgecut, load_balance};
-
-    fn grid(w: usize, h: usize) -> CsrGraph {
-        let idx = |x: usize, y: usize| (y * w + x) as u32;
-        let mut lists = vec![Vec::new(); w * h];
-        for y in 0..h {
-            for x in 0..w {
-                let mut l = Vec::new();
-                if x > 0 {
-                    l.push((idx(x - 1, y), 1));
-                }
-                if x + 1 < w {
-                    l.push((idx(x + 1, y), 1));
-                }
-                if y > 0 {
-                    l.push((idx(x, y - 1), 1));
-                }
-                if y + 1 < h {
-                    l.push((idx(x, y + 1), 1));
-                }
-                lists[idx(x, y) as usize] = l;
-            }
-        }
-        CsrGraph::from_lists(&lists).unwrap()
-    }
+    use crate::testgraphs::grid;
 
     #[test]
     fn rb_4way_on_grid_is_balanced_and_cheap() {

@@ -16,8 +16,9 @@
 //! The `±2w` update reads the mover's adjacency where the sweep read the
 //! neighbour's own. The two agree when every `(u, v, w)` entry has its
 //! own reverse entry — true of every graph this workspace builds (dual
-//! graphs, `contract`, `subgraph`, `from_lists` of a simple graph);
-//! `CsrGraph::validate` only checks that *a* reverse entry exists.
+//! graphs, `contract`, `subgraph`, `from_lists` of a simple graph).
+//! `CsrGraph::validate` checks that an equal-weight reverse entry exists,
+//! but not that a repeated `(u, v, w)` entry has a reverse of its own.
 
 use crate::csr::CsrGraph;
 use crate::gainq::GainQueue;

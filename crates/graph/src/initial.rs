@@ -243,30 +243,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn grid(w: usize, h: usize) -> CsrGraph {
-        let idx = |x: usize, y: usize| (y * w + x) as u32;
-        let mut lists = vec![Vec::new(); w * h];
-        for y in 0..h {
-            for x in 0..w {
-                let mut l = Vec::new();
-                if x > 0 {
-                    l.push((idx(x - 1, y), 1));
-                }
-                if x + 1 < w {
-                    l.push((idx(x + 1, y), 1));
-                }
-                if y > 0 {
-                    l.push((idx(x, y - 1), 1));
-                }
-                if y + 1 < h {
-                    l.push((idx(x, y + 1), 1));
-                }
-                lists[idx(x, y) as usize] = l;
-            }
-        }
-        CsrGraph::from_lists(&lists).unwrap()
-    }
+    use crate::testgraphs::grid;
 
     #[test]
     fn ggg_produces_balanced_bisection() {

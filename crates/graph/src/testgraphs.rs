@@ -1,4 +1,5 @@
-//! Seeded random graphs for the differential tests: the shapes of
+//! Graphs for the in-crate tests: the unit grid, and seeded random
+//! graphs for the differential tests — the shapes of
 //! `tests/partitioner_properties.rs`' generator, widened with what the
 //! bisection machinery meets below the fine level — zero-weight edges,
 //! coarse-level edge and vertex weights, and disconnected graphs.
@@ -55,6 +56,31 @@ pub(crate) fn wide_graph(seed: u64) -> CsrGraph {
         }
     }
     g
+}
+
+/// The `w × h` grid graph with unit weights (4-neighbour stencil).
+pub(crate) fn grid(w: usize, h: usize) -> CsrGraph {
+    let idx = |x: usize, y: usize| (y * w + x) as u32;
+    let mut lists = vec![Vec::new(); w * h];
+    for y in 0..h {
+        for x in 0..w {
+            let mut l = Vec::new();
+            if x > 0 {
+                l.push((idx(x - 1, y), 1));
+            }
+            if x + 1 < w {
+                l.push((idx(x + 1, y), 1));
+            }
+            if y > 0 {
+                l.push((idx(x, y - 1), 1));
+            }
+            if y + 1 < h {
+                l.push((idx(x, y + 1), 1));
+            }
+            lists[idx(x, y) as usize] = l;
+        }
+    }
+    CsrGraph::from_lists(&lists).unwrap()
 }
 
 /// A random 2-way assignment; `skew` of 8 is a fair coin, lower values

@@ -9,7 +9,7 @@
 //!
 //! all generated with the *major/joiner vector* recursion of the paper's
 //! Fig. 2–4 (after Pilkington & Baden), plus a Morton-order baseline and
-//! locality analysis used by the ablation experiments.
+//! a one-face locality analysis of curve segments (`analysis`).
 //!
 //! The key structural fact (paper §3): both primitive refinements travel
 //! through their domain along a single axis — the major vector — entering

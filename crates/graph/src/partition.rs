@@ -55,11 +55,7 @@ impl Partition {
 
     /// Per-part total vertex weight.
     pub fn part_weights(&self, g: &CsrGraph) -> Vec<u64> {
-        let mut w = vec![0u64; self.nparts];
-        for (v, &p) in self.assign.iter().enumerate() {
-            w[p as usize] += g.vwgt[v] as u64;
-        }
-        w
+        crate::refine::part_weights(g, &self.assign, self.nparts)
     }
 
     /// Per-part vertex counts.

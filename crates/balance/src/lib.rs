@@ -2,12 +2,13 @@
 //!
 //! The paper partitions a static load once; real atmospheric runs do
 //! not stay static — refinement regions track storms, physics cost
-//! follows the sun, processors degrade. This crate closes the loop from
-//! *load change* to *migrated partition*:
+//! follows the sun, processors degrade and die. This crate closes the
+//! loop from *load change* to *migrated partition*:
 //!
-//! 1. **Load evolution** ([`trajectory`]): deterministic per-element
-//!    weight trajectories — a moving AMR refinement hotspot, a diurnal
-//!    physics wave driven by element geometry, a rank-slowdown fault.
+//! 1. **Load evolution** ([`trajectory`], [`faults`]): deterministic
+//!    per-element weight trajectories — a moving AMR refinement hotspot,
+//!    a diurnal physics wave driven by element geometry, a rank slowdown
+//!    — and rank death, a trajectory of per-rank capacities.
 //! 2. **Repartitioning** ([`rebalance`]): the [`Repartitioner`] trait
 //!    with the crate's own [`IncrementalSfc`] backend, which re-splits
 //!    the *existing* global space-filling curve with a weighted prefix
@@ -18,7 +19,7 @@
 //! 3. **Policies** ([`policy`]): when to act — imbalance threshold with
 //!    hysteresis, fixed period, or a cost-benefit rule that triggers
 //!    only when the α/β performance model says the step-time saving
-//!    amortizes the modelled migration cost.
+//!    amortizes the modelled migration cost. A rank death always acts.
 //! 4. **Migration planning** ([`planner`]): per-rank send/receive
 //!    manifests with overlap-maximizing relabeling and a conservation
 //!    check.
@@ -37,10 +38,6 @@ pub mod sim;
 pub mod trajectory;
 
 pub use error::BalanceError;
-pub use faults::{
-    ChaosReport, Checkpoint, FaultConfig, FaultEvent, FaultKind, FaultSchedule, RecoveryAction,
-    RecoveryConfig, RecoveryEngine, RecoveryStrategy, CHAOS_SCHEMA, CHECKPOINT_SCHEMA,
-};
 pub use planner::{MigrationPlan, Transfer};
 pub use policy::{migration_seconds, Decision, PolicyEngine, PolicyInput, RebalancePolicy};
 pub use rebalance::{IncrementalSfc, Repartitioner};

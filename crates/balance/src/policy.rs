@@ -138,15 +138,9 @@ impl PolicyEngine {
         }
     }
 
-    /// Whether the trigger is currently armed (checkpointed so a
-    /// restored run resumes with identical hysteresis state).
+    /// Whether the threshold trigger is currently armed.
     pub fn armed(&self) -> bool {
         self.armed
-    }
-
-    /// Restore the arming state (checkpoint/restore path).
-    pub fn set_armed(&mut self, armed: bool) {
-        self.armed = armed;
     }
 
     /// Decide for one step. For the cost-benefit policy, `candidate`

@@ -7,11 +7,10 @@
 //! with one timeline row per phase.
 
 use crate::error::BalanceError;
-use crate::faults::{ChaosReport, Checkpoint, FaultConfig, FaultKind, RecoveryEngine};
 use crate::planner::MigrationPlan;
 use crate::policy::{migration_seconds, PolicyEngine, PolicyInput, RebalancePolicy};
 use crate::rebalance::Repartitioner;
-use crate::trajectory::{begin_phase, LoadModel};
+use crate::trajectory::{begin_phase, LoadModel, TrajectoryKind};
 use cubesfc_graph::metrics::part_exchange_points;
 use cubesfc_graph::{load_balance_f64, part_loads, CsrGraph, Partition};
 use cubesfc_obs::{JsonWriter, Layout};
@@ -32,10 +31,6 @@ pub struct SimConfig {
     pub machine: MachineModel,
     /// Cost model (flops and bytes per element).
     pub cost: CostModel,
-    /// Fault injection and recovery (off by default).
-    pub faults: Option<FaultConfig>,
-    /// Resume from a checkpoint instead of step 0 (off by default).
-    pub resume: Option<Checkpoint>,
 }
 
 /// What happened at one timestep.
@@ -60,10 +55,6 @@ pub struct StepRecord {
     pub step_time: f64,
     /// Modelled one-off migration seconds paid this step.
     pub migration_time: f64,
-    /// Fault events whose window covers this step (0 without faults).
-    pub faults_active: usize,
-    /// Modelled seconds spent recovering from faults this step.
-    pub fault_time: f64,
 }
 
 impl StepRecord {
@@ -80,18 +71,7 @@ impl StepRecord {
         w.field("migration_fraction", self.migration_fraction);
         w.field("moved_bytes", self.moved_bytes);
         w.field("step_time", self.step_time);
-        w.field("migration_time", self.migration_time);
-        w.field("faults_active", self.faults_active);
-        w.field("fault_time", self.fault_time).end_object();
-    }
-
-    /// The record's JSON object, exactly as it appears in
-    /// [`SimReport::to_json`]. Resume tests compare these fragments
-    /// step-for-step to prove checkpoint restore is byte-identical.
-    pub fn to_json_fragment(&self) -> String {
-        let mut w = JsonWriter::fragment(Layout::Document);
-        self.write_json(&mut w);
-        w.finish()
+        w.field("migration_time", self.migration_time).end_object();
     }
 }
 
@@ -112,10 +92,6 @@ pub struct SimReport {
     pub records: Vec<StepRecord>,
     /// The partition in force after the final step.
     pub final_partition: Partition,
-    /// Chaos summary (present only when faults were configured).
-    pub chaos: Option<ChaosReport>,
-    /// Checkpoints captured during the run (`checkpoint_every > 0`).
-    pub checkpoints: Vec<Checkpoint>,
 }
 
 impl SimReport {
@@ -148,11 +124,11 @@ impl SimReport {
     }
 
     /// Modelled total seconds: every step's compute+comm plus every
-    /// migration and every fault recovery paid along the way.
+    /// migration paid along the way (a rank death's evacuation included).
     pub fn modelled_total_seconds(&self) -> f64 {
         self.records
             .iter()
-            .map(|r| r.step_time + r.migration_time + r.fault_time)
+            .map(|r| r.step_time + r.migration_time)
             .sum()
     }
 
@@ -224,6 +200,12 @@ impl SimReport {
 /// `initial` is the step-0 partition (typically the uniform split the
 /// static partitioner would produce); it must cover exactly the
 /// elements of `graph` and `model` with `config.nproc` parts.
+///
+/// A [`TrajectoryKind::RankDeath`] in `model` forces a rebalance at its
+/// step, whatever the policy says: the backend re-splits with the dead
+/// rank's capacity zeroed, and from then on every re-split does, and LB
+/// is measured over the survivors. A run in which no rank survives
+/// fails with the splitter's `ZeroCapacity` error.
 pub fn run_rebalance(
     graph: &CsrGraph,
     model: &LoadModel,
@@ -257,6 +239,18 @@ pub fn run_rebalance(
             config.nproc
         )));
     }
+    if let Some(rank) = model
+        .kinds()
+        .iter()
+        .filter_map(TrajectoryKind::rank)
+        .find(|&r| r >= config.nproc)
+    {
+        return Err(bad(format!(
+            "trajectory {} strikes rank {rank}, config.nproc is {}",
+            model.label(),
+            config.nproc
+        )));
+    }
 
     let _span = cubesfc_obs::span("rebalance_sim");
     let bytes_per_elem = config.cost.element_state_bytes();
@@ -266,111 +260,16 @@ pub fn run_rebalance(
     let mut records = Vec::with_capacity(config.steps);
     let mut timeline = TimelineEmitter::new(config.nproc);
 
-    // Fault-injection state: the recovery engine tracks dead ranks and
-    // recovery actions; checkpoints capture resumable loop state.
-    let fault_cfg = config.faults.as_ref();
-    let mut recovery = fault_cfg.map(|f| RecoveryEngine::new(config.nproc, f.recovery.clone()));
-    let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    let mut last_checkpoint: Option<Checkpoint> = config.resume.clone();
-    let mut triggers_since_ckpt = 0usize;
-
-    let start_step = if let Some(ck) = &config.resume {
-        if ck.nproc != config.nproc {
-            return Err(bad(format!(
-                "checkpoint has {} ranks, config.nproc is {}",
-                ck.nproc, config.nproc
-            )));
-        }
-        if ck.assignment.len() != graph.nv() {
-            return Err(bad(format!(
-                "checkpoint covers {} elements, graph has {}",
-                ck.assignment.len(),
-                graph.nv()
-            )));
-        }
-        if ck.step + 1 >= config.steps {
-            return Err(bad(format!(
-                "checkpoint at step {} leaves nothing to resume (steps = {})",
-                ck.step, config.steps
-            )));
-        }
-        if !ck.dead.is_empty() && recovery.is_none() {
-            return Err(bad(
-                "checkpoint records dead ranks but no fault config is set".into(),
-            ));
-        }
-        current = Partition::new(config.nproc, ck.assignment.clone());
-        engine.set_armed(ck.armed);
-        if let Some(rec) = recovery.as_mut() {
-            for &r in &ck.dead {
-                rec.mark_dead(r);
-            }
-        }
-        ck.step + 1
-    } else {
-        0
-    };
-
-    for step in start_step..config.steps {
-        // Inject this step's faults and run recovery before anything
-        // else sees the step: a death must be answered before weights,
-        // policy, or the proposal consider the partition.
-        let mut faults_active = 0usize;
-        let mut fault_time = 0.0f64;
-        let mut forced_by_death = false;
-        if let (Some(fc), Some(rec)) = (fault_cfg, recovery.as_mut()) {
-            faults_active = fc.schedule.active_at(step);
-            if fc.schedule.starting_at(step).next().is_some() {
-                let _phase = begin_phase("recovery");
-                for ev in fc.schedule.starting_at(step) {
-                    match ev.kind {
-                        FaultKind::Death => {
-                            if !rec.is_dead(ev.rank) {
-                                let dead_elems = current.part_sizes()[ev.rank];
-                                let action = rec.handle_death(
-                                    step,
-                                    ev.rank,
-                                    dead_elems,
-                                    bytes_per_elem,
-                                    last_checkpoint.is_some(),
-                                    &config.machine,
-                                );
-                                fault_time += action.modelled_seconds;
-                                forced_by_death = true;
-                            }
-                        }
-                        // Slowdowns act continuously through the weight
-                        // inflation below, not as a one-shot recovery.
-                        FaultKind::Slowdown { .. } => {}
-                        _ => {
-                            let action =
-                                rec.handle_transient(step, ev, &config.machine, bytes_per_elem);
-                            fault_time += action.modelled_seconds;
-                        }
-                    }
-                }
-            }
-            if rec.alive_count() == 0 {
-                // Every rank is dead: the run cannot continue. The chaos
-                // report records the unrecovered death.
-                break;
-            }
-        }
-        // Dead ranks get zero capacity in every re-split from here on.
-        let capacities: Option<Vec<f64>> = recovery
-            .as_ref()
-            .filter(|r| r.any_dead())
-            .map(|r| r.capacities());
-
-        let mut weights = model.weights_at(step, &current);
-        if let Some(fc) = fault_cfg {
-            fc.schedule
-                .apply_slowdowns(step, |e| current.part_of(e), &mut weights);
-        }
+    for step in 0..config.steps {
+        // Dead ranks get zero capacity in every re-split from their
+        // death on; the death step itself must be answered at once.
+        let capacities = model.capacities_at(step, config.nproc);
+        let forced_by_death = model.death_at(step);
+        let weights = model.weights_at(step, &current);
         // Pre-action per-rank loads: telemetry's straggler signal must
         // see the imbalance the policy reacts to, not the corrected one.
         let loads_before = part_loads(&current, &weights);
-        let lb_before = lb_over_alive(&loads_before, recovery.as_ref());
+        let lb_before = lb_over_alive(&loads_before, capacities.as_deref());
 
         // The cost-benefit policy needs the candidate *before* deciding;
         // the reactive policies decide first and repartition only on a
@@ -414,8 +313,6 @@ pub fn run_rebalance(
             moved_bytes: 0.0,
             step_time: 0.0,
             migration_time: 0.0,
-            faults_active,
-            fault_time,
         };
 
         if triggered {
@@ -437,7 +334,7 @@ pub fn run_rebalance(
             record.moved_bytes = plan.moved_bytes;
             record.migration_time = migration_seconds(plan.moved_bytes, &config.machine);
             current = plan.target;
-            record.lb_after = lb_over_alive(&part_loads(&current, &weights), recovery.as_ref());
+            record.lb_after = lb_over_alive(&part_loads(&current, &weights), capacities.as_deref());
             cubesfc_obs::counter_add("rebalance.triggers", 1);
             cubesfc_obs::counter_add("rebalance.moved_elems", plan.moved_elems as u64);
         }
@@ -449,7 +346,7 @@ pub fn run_rebalance(
             tl.record_step(step, &perf, graph, &current, &config.cost);
         }
         cubesfc_obs::histogram_record("rebalance.lb_permille", (record.lb_after * 1000.0) as u64);
-        let mut gauges: Vec<(&str, f64)> = vec![
+        let gauges = [
             ("lb_before", record.lb_before),
             ("lb_measured", record.lb_after),
             ("migration_fraction", record.migration_fraction),
@@ -457,83 +354,36 @@ pub fn run_rebalance(
             ("migration_time", record.migration_time),
             ("triggered", if record.triggered { 1.0 } else { 0.0 }),
         ];
-        if let Some(rec) = recovery.as_ref() {
-            // Fault gauges ride the same lane, but only when faults are
-            // configured, so fault-free telemetry streams are unchanged.
-            gauges.push(("faults_active", faults_active as f64));
-            gauges.push(("recoveries", rec.recovered_count() as f64));
-            gauges.push(("degraded_ranks", rec.dead_ranks().len() as f64));
-        }
         cubesfc_obs::telemetry_record("rebalance", step as u64, &gauges, &loads_before);
         records.push(record);
-
-        // Checkpoint cadence: capture end-of-step state every
-        // `checkpoint_every` rebalance triggers.
-        if let Some(fc) = fault_cfg {
-            if triggered {
-                triggers_since_ckpt += 1;
-            }
-            let every = fc.recovery.checkpoint_every;
-            if every > 0 && triggered && triggers_since_ckpt >= every {
-                let ck = Checkpoint {
-                    step,
-                    nproc: config.nproc,
-                    assignment: current.assignment().to_vec(),
-                    armed: engine.armed(),
-                    dead: recovery
-                        .as_ref()
-                        .map(|r| r.dead_ranks())
-                        .unwrap_or_default(),
-                };
-                checkpoints.push(ck.clone());
-                last_checkpoint = Some(ck);
-                triggers_since_ckpt = 0;
-            }
-        }
     }
-
-    let completed_steps = records.last().map(|r| r.step + 1).unwrap_or(start_step);
-    let chaos = match (fault_cfg, recovery.as_ref()) {
-        (Some(fc), Some(rec)) => Some(ChaosReport::build(
-            &fc.schedule,
-            rec,
-            graph.nv(),
-            config.nproc,
-            config.steps,
-            completed_steps,
-            current.part_sizes(),
-        )),
-        _ => None,
-    };
 
     Ok(SimReport {
         backend: backend.label(),
         policy: policy.label().to_string(),
-        trajectory: model.kind().label().to_string(),
+        trajectory: model.label(),
         nelems: graph.nv(),
         nproc: config.nproc,
         records,
         final_partition: current,
-        chaos,
-        checkpoints,
     })
 }
 
 /// Eq. (1) LB over the surviving ranks only: a permanently dead rank's
 /// empty part must not read as "perfectly idle processor" and poison
 /// the average.
-fn lb_over_alive(loads: &[f64], recovery: Option<&RecoveryEngine>) -> f64 {
-    match recovery {
-        Some(rec) if rec.any_dead() => {
+fn lb_over_alive(loads: &[f64], capacities: Option<&[f64]>) -> f64 {
+    match capacities {
+        Some(caps) => {
             let alive: Vec<f64> = loads
                 .iter()
-                .enumerate()
-                .filter(|(r, _)| !rec.is_dead(*r))
-                .map(|(_, &l)| l)
+                .zip(caps)
+                .filter(|(_, &c)| c > 0.0)
+                .map(|(&l, _)| l)
                 .collect();
             load_balance_f64(&alive)
         }
-        _ => load_balance_f64(loads),
+        None => load_balance_f64(loads),
     }
 }
 
@@ -650,7 +500,6 @@ fn propose(
 mod tests {
     use super::*;
     use crate::rebalance::IncrementalSfc;
-    use crate::trajectory::TrajectoryKind;
     use cubesfc_graph::split_order_weighted;
     use cubesfc_mesh::{CubedSphere, GlobalCurve};
 
@@ -672,8 +521,6 @@ mod tests {
             nproc,
             machine: MachineModel::ncar_p690(),
             cost: CostModel::seam_climate(),
-            faults: None,
-            resume: None,
         }
     }
 
@@ -756,39 +603,32 @@ mod tests {
 
     #[test]
     fn rank_death_degrades_and_conserves_elements() {
-        use crate::faults::{FaultConfig, FaultSchedule, RecoveryConfig};
         let (graph, curve, mesh) = setup(6);
-        let model = LoadModel::from_mesh(&mesh, TrajectoryKind::named("amr", 20).unwrap());
+        let amr = TrajectoryKind::named("amr", 20).unwrap();
+        let death = TrajectoryKind::RankDeath { rank: 3, step: 10 };
+        let model = LoadModel::overlay(&mesh, vec![amr, death]);
         let initial = uniform_split(&curve, 8);
         let mut backend = IncrementalSfc::new(curve);
-        let mut cfg = config(20, 8);
-        cfg.faults = Some(FaultConfig {
-            schedule: FaultSchedule::parse("death:3@10; stall:1@5x0.1", 8, 20).unwrap(),
-            recovery: RecoveryConfig::default(),
-        });
         let report = run_rebalance(
             &graph,
             &model,
             &mut backend,
             RebalancePolicy::named("threshold").unwrap(),
             initial,
-            &cfg,
+            &config(20, 8),
         )
         .unwrap();
-        let chaos = report.chaos.as_ref().expect("faults configured");
-        assert!(chaos.passed(), "{}", chaos.render_table());
-        assert_eq!(chaos.degraded_ranks, vec![3]);
-        assert!(chaos.conserved);
+        assert_eq!(report.trajectory, "amr+death");
         // Dead rank evacuated at step 10 and stays empty forever.
         assert_eq!(report.final_partition.part_sizes()[3], 0);
         assert_eq!(
             report.final_partition.part_sizes().iter().sum::<usize>(),
             graph.nv()
         );
-        // The death step forced a rebalance.
+        // The death step forced a rebalance; the evacuation is paid as
+        // migration.
         assert!(report.records[10].triggered);
-        assert!(report.records[10].fault_time > 0.0);
-        assert_eq!(report.records[5].faults_active, 1, "stall at step 5");
+        assert!(report.records[10].migration_time > 0.0);
         // Post-death LB is over the 7 survivors, not 8 parts with a hole.
         for r in &report.records[10..] {
             assert!(r.lb_after < 0.9, "step {}: LB {}", r.step, r.lb_after);
@@ -797,103 +637,24 @@ mod tests {
 
     #[test]
     fn fault_runs_are_deterministic() {
-        use crate::faults::{FaultConfig, FaultSchedule, RecoveryConfig};
         let (graph, curve, mesh) = setup(4);
-        let model = LoadModel::from_mesh(&mesh, TrajectoryKind::named("amr", 15).unwrap());
+        let kinds = TrajectoryKind::parse("amr+slow:1@3..9x2.5+death:2@8", 6, 15).unwrap();
+        let model = LoadModel::overlay(&mesh, kinds);
         let run = || {
             let initial = uniform_split(&curve, 6);
             let mut backend = IncrementalSfc::new(curve.clone());
-            let mut cfg = config(15, 6);
-            cfg.faults = Some(FaultConfig {
-                schedule: FaultSchedule::parse("random:4@7; death:2@8", 6, 15).unwrap(),
-                recovery: RecoveryConfig::default(),
-            });
             let report = run_rebalance(
                 &graph,
                 &model,
                 &mut backend,
                 RebalancePolicy::named("threshold").unwrap(),
                 initial,
-                &cfg,
+                &config(15, 6),
             )
             .unwrap();
-            (report.to_json(), report.chaos.as_ref().unwrap().to_json())
+            report.to_json()
         };
-        let (a_rep, a_chaos) = run();
-        let (b_rep, b_chaos) = run();
-        assert_eq!(a_rep, b_rep, "report must be byte-identical");
-        assert_eq!(a_chaos, b_chaos, "chaos JSON must be byte-identical");
-    }
-
-    #[test]
-    fn checkpoint_resume_reproduces_the_tail_byte_for_byte() {
-        use crate::faults::{FaultConfig, FaultSchedule, RecoveryConfig};
-        let (graph, curve, mesh) = setup(4);
-        let model = LoadModel::from_mesh(&mesh, TrajectoryKind::named("amr", 16).unwrap());
-        let faults = FaultConfig {
-            schedule: FaultSchedule::parse("death:1@12", 6, 16).unwrap(),
-            recovery: RecoveryConfig {
-                checkpoint_every: 2,
-                ..RecoveryConfig::default()
-            },
-        };
-        let mut cfg = config(16, 6);
-        cfg.faults = Some(faults.clone());
-        let full = run_rebalance(
-            &graph,
-            &model,
-            &mut IncrementalSfc::new(curve.clone()),
-            RebalancePolicy::named("threshold").unwrap(),
-            uniform_split(&curve, 6),
-            &cfg,
-        )
-        .unwrap();
-        assert!(!full.checkpoints.is_empty(), "cadence must capture some");
-        // Restore from a checkpoint strictly before the death and replay.
-        let ck = full
-            .checkpoints
-            .iter()
-            .rfind(|c| c.step < 12)
-            .unwrap()
-            .clone();
-        // Round-trip through JSON, as the CLI would.
-        let ck = Checkpoint::from_json(&ck.to_json()).unwrap();
-        let mut cfg2 = config(16, 6);
-        cfg2.faults = Some(faults);
-        cfg2.resume = Some(ck.clone());
-        let resumed = run_rebalance(
-            &graph,
-            &model,
-            &mut IncrementalSfc::new(curve.clone()),
-            RebalancePolicy::named("threshold").unwrap(),
-            uniform_split(&curve, 6),
-            &cfg2,
-        )
-        .unwrap();
-        assert_eq!(
-            resumed.final_partition.assignment(),
-            full.final_partition.assignment()
-        );
-        // Every step after the checkpoint matches the uninterrupted run
-        // byte for byte.
-        let tail: Vec<String> = full
-            .records
-            .iter()
-            .filter(|r| r.step > ck.step)
-            .map(|r| r.to_json_fragment())
-            .collect();
-        let resumed_tail: Vec<String> = resumed
-            .records
-            .iter()
-            .map(|r| r.to_json_fragment())
-            .collect();
-        assert_eq!(tail, resumed_tail);
-        // The death after a checkpoint restores instead of degrading.
-        let chaos = resumed.chaos.as_ref().unwrap();
-        assert!(chaos
-            .actions
-            .iter()
-            .any(|a| a.fault == "death" && a.strategy.label() == "restore"));
+        assert_eq!(run(), run(), "report must be byte-identical");
     }
 
     #[test]
@@ -917,10 +678,26 @@ mod tests {
             &model,
             &mut backend,
             RebalancePolicy::named("threshold").unwrap(),
-            initial,
+            initial.clone(),
             &config(4, 5),
         )
         .unwrap_err();
         assert!(matches!(err, BalanceError::BadConfig { .. }));
+        // A fault on a rank the run does not have.
+        let amr = TrajectoryKind::named("amr", 4).unwrap();
+        let dead = LoadModel::overlay(
+            &mesh,
+            vec![amr, TrajectoryKind::RankDeath { rank: 4, step: 1 }],
+        );
+        let err = run_rebalance(
+            &graph,
+            &dead,
+            &mut backend,
+            RebalancePolicy::named("threshold").unwrap(),
+            initial,
+            &config(4, 4),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("strikes rank 4"), "{err}");
     }
 }

@@ -17,6 +17,13 @@
 //!   degrades by a factor during a step window, modelled as inflating
 //!   the effective work of whatever elements it *currently* owns (which
 //!   is why [`LoadModel::weights_at`] takes the live partition).
+//! * [`TrajectoryKind::RankDeath`] — the other fault model: one processor
+//!   dies at a step, and from then on its capacity is zero
+//!   ([`LoadModel::capacities_at`]). See [`crate::faults`].
+//!
+//! A [`LoadModel`] overlays one or more trajectories: their weights
+//! multiply and their deaths accumulate, so `amr+death:3@12` is a moving
+//! hotspot on a machine that loses rank 3 at step 12.
 
 use cubesfc_graph::Partition;
 use cubesfc_mesh::{CubedSphere, SpherePoint};
@@ -61,12 +68,20 @@ pub enum TrajectoryKind {
         /// First unaffected step again.
         end: usize,
     },
+    /// Processor `rank` dies at `step` and stays dead: its capacity is
+    /// zero from then on. Element weights are untouched.
+    RankDeath {
+        /// The dying rank.
+        rank: usize,
+        /// The step it dies at.
+        step: usize,
+    },
 }
 
 impl TrajectoryKind {
     /// The canonical named trajectories the CLI and benchmarks replay,
     /// with window parameters scaled to the `steps` horizon.
-    /// Names: `amr`, `diurnal`, `fault`, `uniform`.
+    /// Names: `amr`, `diurnal`, `fault`, `death`, `uniform`.
     pub fn named(name: &str, steps: usize) -> Option<TrajectoryKind> {
         match name {
             "uniform" => Some(TrajectoryKind::Uniform),
@@ -86,6 +101,10 @@ impl TrajectoryKind {
                 start: steps / 5,
                 end: steps - steps / 5,
             }),
+            "death" => Some(TrajectoryKind::RankDeath {
+                rank: 0,
+                step: steps / 2,
+            }),
             _ => None,
         }
     }
@@ -97,35 +116,64 @@ impl TrajectoryKind {
             TrajectoryKind::Diurnal { .. } => "diurnal",
             TrajectoryKind::Uniform => "uniform",
             TrajectoryKind::RankSlowdown { .. } => "fault",
+            TrajectoryKind::RankDeath { .. } => "death",
+        }
+    }
+
+    /// The rank a fault trajectory strikes (`None` for the load models).
+    pub fn rank(&self) -> Option<usize> {
+        match *self {
+            TrajectoryKind::RankSlowdown { rank, .. } | TrajectoryKind::RankDeath { rank, .. } => {
+                Some(rank)
+            }
+            _ => None,
         }
     }
 }
 
-/// A trajectory bound to a mesh: element centers are precomputed once,
-/// so evaluating a step is a single pass over the elements.
+/// One or more trajectories bound to a mesh: element centers are
+/// precomputed once, so evaluating a step is a single pass over the
+/// elements per trajectory.
 #[derive(Clone, Debug)]
 pub struct LoadModel {
     centers: Vec<SpherePoint>,
-    kind: TrajectoryKind,
+    kinds: Vec<TrajectoryKind>,
 }
 
 impl LoadModel {
     /// Bind `kind` to the elements of `mesh`.
     pub fn from_mesh(mesh: &CubedSphere, kind: TrajectoryKind) -> LoadModel {
+        LoadModel::overlay(mesh, vec![kind])
+    }
+
+    /// Bind the overlay of `kinds` (as [`TrajectoryKind::parse`] returns
+    /// them) to the elements of `mesh`: weights multiply, deaths
+    /// accumulate. Panics on an empty list.
+    pub fn overlay(mesh: &CubedSphere, kinds: Vec<TrajectoryKind>) -> LoadModel {
+        assert!(!kinds.is_empty(), "a load model needs a trajectory");
         LoadModel {
             centers: mesh.centers(),
-            kind,
+            kinds,
         }
     }
 
     /// Bind `kind` to explicit element centers.
     pub fn new(centers: Vec<SpherePoint>, kind: TrajectoryKind) -> LoadModel {
-        LoadModel { centers, kind }
+        LoadModel {
+            centers,
+            kinds: vec![kind],
+        }
     }
 
-    /// The bound trajectory.
-    pub fn kind(&self) -> TrajectoryKind {
-        self.kind
+    /// The bound trajectories, in overlay order.
+    pub fn kinds(&self) -> &[TrajectoryKind] {
+        &self.kinds
+    }
+
+    /// The trajectory labels joined by `+` (e.g. `amr+death`).
+    pub fn label(&self) -> String {
+        let labels: Vec<&str> = self.kinds.iter().map(TrajectoryKind::label).collect();
+        labels.join("+")
     }
 
     /// Number of elements.
@@ -138,11 +186,45 @@ impl LoadModel {
         self.centers.is_empty()
     }
 
-    /// Per-element weights at `step`. `current` is the live partition
-    /// (only the fault model reads it; the geometric models ignore it).
+    /// Per-element weights at `step`: the product of every bound
+    /// trajectory's weights. `current` is the live partition (only the
+    /// slowdown reads it; the geometric models ignore it).
     pub fn weights_at(&self, step: usize, current: &Partition) -> Vec<f64> {
         let _lane = begin_phase("weights");
-        match self.kind {
+        let mut weights = self.weights_of(self.kinds[0], step, current);
+        for &kind in &self.kinds[1..] {
+            let factors = self.weights_of(kind, step, current);
+            for (w, f) in weights.iter_mut().zip(factors) {
+                *w *= f;
+            }
+        }
+        weights
+    }
+
+    /// Per-rank capacities at `step` for a run of `nproc` ranks: `None`
+    /// while every rank is alive, else 1 for a live rank and 0 for a
+    /// rank whose [`TrajectoryKind::RankDeath`] step has passed.
+    pub fn capacities_at(&self, step: usize, nproc: usize) -> Option<Vec<f64>> {
+        let mut caps = None;
+        for &kind in &self.kinds {
+            if let TrajectoryKind::RankDeath { rank, step: at } = kind {
+                if at <= step && rank < nproc {
+                    caps.get_or_insert_with(|| vec![1.0; nproc])[rank] = 0.0;
+                }
+            }
+        }
+        caps
+    }
+
+    /// Does some rank die exactly at `step`?
+    pub fn death_at(&self, step: usize) -> bool {
+        self.kinds
+            .iter()
+            .any(|k| matches!(*k, TrajectoryKind::RankDeath { step: at, .. } if at == step))
+    }
+
+    fn weights_of(&self, kind: TrajectoryKind, step: usize, current: &Partition) -> Vec<f64> {
+        match kind {
             TrajectoryKind::AmrHotspot {
                 radius,
                 boost,
@@ -180,7 +262,9 @@ impl LoadModel {
                     })
                     .collect()
             }
-            TrajectoryKind::Uniform => vec![1.0; self.centers.len()],
+            TrajectoryKind::Uniform | TrajectoryKind::RankDeath { .. } => {
+                vec![1.0; self.centers.len()]
+            }
             TrajectoryKind::RankSlowdown {
                 rank,
                 factor,
@@ -224,7 +308,7 @@ mod tests {
 
     #[test]
     fn named_trajectories_round_trip() {
-        for name in ["amr", "diurnal", "fault", "uniform"] {
+        for name in ["amr", "diurnal", "fault", "death", "uniform"] {
             let t = TrajectoryKind::named(name, 50).unwrap();
             assert_eq!(t.label(), name);
         }
@@ -275,6 +359,42 @@ mod tests {
         assert!(w0.contains(&1.0));
         assert!(w0.iter().any(|&w| w > 1.5));
         assert!(w0.iter().all(|&w| (1.0..=3.0).contains(&w)));
+    }
+
+    #[test]
+    fn death_zeroes_capacity_from_its_step_and_overlays_multiply() {
+        let m = mesh();
+        let p = trivial_partition(m.num_elems());
+        let amr = TrajectoryKind::named("amr", 50).unwrap();
+        let lm = LoadModel::overlay(
+            &m,
+            vec![
+                amr,
+                TrajectoryKind::RankDeath { rank: 2, step: 5 },
+                TrajectoryKind::RankDeath { rank: 0, step: 7 },
+            ],
+        );
+        assert_eq!(lm.label(), "amr+death+death");
+        // A death changes capacity, never work: the overlay's weights are
+        // the hotspot's exactly.
+        assert_eq!(
+            lm.weights_at(6, &p),
+            LoadModel::from_mesh(&m, amr).weights_at(6, &p)
+        );
+        assert_eq!(lm.capacities_at(4, 3), None, "everyone alive");
+        assert_eq!(lm.capacities_at(5, 3), Some(vec![1.0, 1.0, 0.0]));
+        assert_eq!(lm.capacities_at(40, 3), Some(vec![0.0, 1.0, 0.0]));
+        let death_steps: Vec<usize> = (0..10).filter(|&s| lm.death_at(s)).collect();
+        assert_eq!(death_steps, [5, 7]);
+        // Two slowdowns of one rank compound.
+        let slow = |factor| TrajectoryKind::RankSlowdown {
+            rank: 0,
+            factor,
+            start: 0,
+            end: 9,
+        };
+        let both = LoadModel::overlay(&m, vec![slow(2.0), slow(1.5)]);
+        assert!(both.weights_at(3, &p).iter().all(|&w| w == 3.0));
     }
 
     #[test]

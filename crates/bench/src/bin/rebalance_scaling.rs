@@ -43,8 +43,6 @@ fn replay(method: PartitionMethod) -> SimReport {
         nproc: NPROC,
         machine: MachineModel::ncar_p690(),
         cost: CostModel::seam_climate(),
-        faults: None,
-        resume: None,
     };
     // Rebalance every step: the regime where incrementality matters —
     // the recompute baseline pays a full reshuffle at each trigger while

@@ -10,9 +10,6 @@
 //! cubesfc rebalance --ne 16 --nproc 64 --steps 50 --trajectory amr
 //!                   [--policy threshold|periodic|costbenefit] [--method sfc|kway|...]
 //!                   [--every N] [--trigger LB] [--horizon N] [--json FILE]
-//!                   [--faults SPEC] [--chaos-json FILE] [--checkpoint[=PATH]]
-//!                   [--checkpoint-every N] [--resume PATH.json]
-//! cubesfc chaos FILE.json [--report-only]
 //! cubesfc telemetry report FILE.ndjson [--report-only]
 //! cubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]
 //!                       [--threshold PCT] [--report-only]
@@ -28,19 +25,13 @@
 //! method recomputes from scratch each trigger. The per-step table goes
 //! to stdout; `--json FILE` writes the `cubesfc-rebalance-v1` report.
 //!
-//! `--faults SPEC` injects a deterministic fault schedule into the
-//! rebalance loop (rank slowdowns, transient stalls, permanent rank
-//! deaths, message delay/loss; grammar `death:R@S; slow:R@A..BxF;
-//! stall:R@SxT; delay:R@SxT; loss:R@S; random:N@SEED`), recovered by
-//! retry-with-backoff, checkpoint/restore, or graceful degradation onto
-//! the surviving ranks. `--chaos-json FILE` writes the resulting
-//! `cubesfc-chaos-v1` report; `--checkpoint[=PATH]` writes a
-//! `cubesfc-checkpoint-v1` snapshot every `--checkpoint-every` rebalance
-//! triggers (the last one wins); `--resume PATH` restarts a run from
-//! such a snapshot, reproducing the uninterrupted run's remaining steps
-//! byte for byte. `chaos FILE.json` replays a chaos report and exits 1
-//! when any fault went unrecovered or element conservation failed
-//! (`--report-only` keeps exit 0).
+//! `--trajectory` takes a `+`-joined spec of named loads (`amr`,
+//! `diurnal`, `uniform`, `fault`, `death`) and the two rank faults,
+//! `slow:R@A..BxF` (rank `R` runs `F`× slower over steps `[A, B)`) and
+//! `death:R@S` (rank `R` dies at step `S`, and the run re-splits onto the
+//! survivors at once). Weights multiply and deaths accumulate, so
+//! `amr+death:3@12` is the hotspot on a machine that loses rank 3 at
+//! step 12.
 //!
 //! `experiment` runs the paper's full (K, Nproc, method) grid — every
 //! method at the equal-share processor counts of every Table-1
@@ -151,7 +142,7 @@ struct Args {
     serial: bool,
     /// Timesteps for `rebalance`.
     steps: usize,
-    /// Load trajectory for `rebalance` (amr|diurnal|fault).
+    /// Load trajectory spec for `rebalance` (e.g. `amr+death:3@12`).
     trajectory: String,
     /// Policy for `rebalance` (threshold|periodic|costbenefit).
     policy: String,
@@ -163,16 +154,6 @@ struct Args {
     trigger: Option<f64>,
     /// Override the cost-benefit policy's horizon.
     horizon: Option<usize>,
-    /// Fault-injection spec for `rebalance` (`--faults SPEC`).
-    faults: Option<String>,
-    /// Checkpoint output path (`--checkpoint[=PATH]`).
-    checkpoint: Option<String>,
-    /// Checkpoint cadence in rebalance triggers.
-    checkpoint_every: usize,
-    /// Checkpoint to resume from (`--resume PATH`).
-    resume: Option<String>,
-    /// Chaos report JSON output path for `rebalance`.
-    chaos_json: Option<String>,
     /// Bind address for `serve`.
     addr: String,
     /// Worker threads for `serve`.
@@ -215,15 +196,11 @@ fn usage() -> ExitCode {
          \t[--telemetry | --telemetry=FILE.ndjson]  (or CUBESFC_TELEMETRY=1|FILE)\n\
          \tcubesfc experiment [--ne N] [--max-points M] [--jobs N] [--serial]\n\
          \t  (CUBESFC_JOBS=N sets the pool size when --jobs is absent)\n\
-         \tcubesfc rebalance --ne N --nproc P [--steps S]\n\
-         \t  [--trajectory amr|diurnal|fault|uniform]\n\
+         \tcubesfc rebalance --ne N --nproc P [--steps S] [--trajectory SPEC]\n\
          \t  [--policy threshold|periodic|costbenefit] [--method sfc|kway|tv|rb]\n\
          \t  [--every N] [--trigger LB] [--horizon N] [--json FILE] [--seed N]\n\
-         \t  [--faults SPEC] [--chaos-json FILE] [--checkpoint[=PATH]]\n\
-         \t  [--checkpoint-every N] [--resume PATH.json]\n\
-         \t  (SPEC: 'death:R@S; slow:R@A..BxF; stall:R@SxT; delay:R@SxT;\n\
-         \t         loss:R@S; random:N@SEED' — ranks R, steps S/A/B, factor F)\n\
-         \tcubesfc chaos FILE.json [--report-only]\n\
+         \t  (SPEC: '+'-joined amr|diurnal|fault|death|uniform|death:R@S|\n\
+         \t         slow:R@A..BxF — ranks R, steps S/A/B, factor F)\n\
          \tcubesfc telemetry report FILE.ndjson [--report-only]\n\
          \tcubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]\n\
          \t  [--threshold PCT] [--report-only]\n\
@@ -296,11 +273,6 @@ fn parse_args() -> Result<Args, String> {
         every: None,
         trigger: None,
         horizon: None,
-        faults: None,
-        checkpoint: None,
-        checkpoint_every: 1,
-        resume: None,
-        chaos_json: None,
         addr: "127.0.0.1:8437".to_string(),
         workers: 4,
         queue: 64,
@@ -364,17 +336,6 @@ fn parse_args() -> Result<Args, String> {
                 args.trigger = Some(t);
             }
             "--horizon" => args.horizon = Some(value(&mut it, flag)?),
-            "--faults" => {
-                let s = it.next().ok_or("--faults needs a spec")?;
-                if s.is_empty() {
-                    return Err("--faults needs a non-empty spec".into());
-                }
-                args.faults = Some(s);
-            }
-            "--checkpoint" => args.checkpoint = Some("cubesfc-checkpoint.json".to_string()),
-            "--checkpoint-every" => args.checkpoint_every = positive(flag, value(&mut it, flag)?)?,
-            "--resume" => args.resume = Some(it.next().ok_or("--resume needs a path")?),
-            "--chaos-json" => args.chaos_json = Some(it.next().ok_or("--chaos-json needs a path")?),
             "--addr" => {
                 let a: String = value(&mut it, flag)?;
                 if a.is_empty() {
@@ -390,9 +351,7 @@ fn parse_args() -> Result<Args, String> {
             "--interval-ms" => args.interval_ms = positive(flag, value(&mut it, flag)?)?,
             "--once" => args.once = true,
             other => {
-                if let Some(path) = path_suffix(other, "--checkpoint") {
-                    args.checkpoint = Some(path?);
-                } else if let Some(path) = path_suffix(other, "--telemetry") {
+                if let Some(path) = path_suffix(other, "--telemetry") {
                     args.telemetry_path = Some(path?);
                 } else if let Some(path) = path_suffix(other, "--access-log") {
                     args.access_log = Some(path?);
@@ -413,11 +372,6 @@ fn parse_args() -> Result<Args, String> {
         "trace" => {
             if args.paths.len() != 2 || args.paths[0] != "analyze" {
                 return Err("trace needs a subcommand: trace analyze FILE.json".into());
-            }
-        }
-        "chaos" => {
-            if args.paths.len() != 1 {
-                return Err("chaos needs exactly one report path: chaos FILE.json".into());
             }
         }
         "top" => {
@@ -578,7 +532,7 @@ fn emit(path: &Option<String>, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// A command failure, split by exit code. `Runtime` exits 1 (missing
-/// file, wrong schema, a tripped regression or chaos gate); `Malformed`
+/// file, wrong schema, a tripped regression gate); `Malformed`
 /// exits 2 with the parser's line/column diagnostic — input that is not
 /// JSON at all is a usage-class problem, like a mistyped flag; `Usage`
 /// exits 2 with the usage text, for argument combinations that can
@@ -743,15 +697,13 @@ fn run_experiment(args: &Args) -> Result<(), String> {
 /// printing the per-step table and optionally writing the JSON report.
 fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
     use cubesfc::balance::{
-        run_rebalance, Checkpoint, FaultConfig, FaultSchedule, IncrementalSfc, LoadModel,
-        RebalancePolicy, RecoveryConfig, Repartitioner, SimConfig, TrajectoryKind,
+        run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, Repartitioner, SimConfig,
+        TrajectoryKind,
     };
     use cubesfc::{MeshCache, MethodRepartitioner};
 
-    let kind = TrajectoryKind::named(&args.trajectory, args.steps).ok_or(format!(
-        "unknown trajectory '{}' (expected amr, diurnal, fault, or uniform)",
-        args.trajectory
-    ))?;
+    let kinds = TrajectoryKind::parse(&args.trajectory, args.nproc, args.steps)
+        .map_err(|e| format!("--trajectory: {e}"))?;
     let mut policy = RebalancePolicy::named(&args.policy).ok_or(format!(
         "unknown policy '{}' (expected threshold, periodic, or costbenefit)",
         args.policy
@@ -775,46 +727,14 @@ fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
         }
     }
 
-    // Fault injection and recovery: `--faults` names the schedule,
-    // `--checkpoint[=PATH]` arms periodic checkpointing (cadence in
-    // triggers via `--checkpoint-every`), `--resume` restarts from a
-    // previously written checkpoint.
-    let faults = if args.faults.is_some() || args.checkpoint.is_some() || args.resume.is_some() {
-        let schedule = match &args.faults {
-            Some(spec) => FaultSchedule::parse(spec, args.nproc, args.steps)
-                .map_err(|e| format!("--faults: {e}"))?,
-            None => FaultSchedule::default(),
-        };
-        let recovery = RecoveryConfig {
-            checkpoint_every: if args.checkpoint.is_some() {
-                args.checkpoint_every
-            } else {
-                0
-            },
-            ..RecoveryConfig::default()
-        };
-        Some(FaultConfig { schedule, recovery })
-    } else {
-        None
-    };
-    let resume = match &args.resume {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(Checkpoint::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-
     let cache = MeshCache::new();
     let bundle = cache.bundle(args.ne);
-    let model = LoadModel::from_mesh(&bundle.mesh, kind);
+    let model = LoadModel::overlay(&bundle.mesh, kinds);
     let config = SimConfig {
         steps: args.steps,
         nproc: args.nproc,
         machine: MachineModel::ncar_p690(),
         cost: CostModel::seam_climate(),
-        faults,
-        resume,
     };
 
     // The SFC method rebalances incrementally on its fixed curve; the
@@ -846,40 +766,8 @@ fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     print!("{}", report.render_table());
-    if let Some(chaos) = &report.chaos {
-        print!("{}", chaos.render_table());
-        if let Some(path) = &args.chaos_json {
-            std::fs::write(path, chaos.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
-    if let Some(path) = &args.checkpoint {
-        if let Some(ck) = report.checkpoints.last() {
-            std::fs::write(path, ck.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
     if let Some(path) = &args.json {
         std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    Ok(())
-}
-
-/// Replay a `cubesfc-chaos-v1` report: render the fault/recovery table
-/// and gate on it — `Err` (exit 1) when any fault went unrecovered or
-/// element conservation failed, unless `--report-only` was given.
-fn run_chaos(args: &Args) -> Result<(), CliError> {
-    let path = &args.paths[0];
-    let report = load(path, cubesfc::balance::ChaosReport::from_doc)?;
-    print!("{}", report.render_table());
-    if !report.passed() && !args.report_only {
-        let mut reasons = Vec::new();
-        let unrecovered = report.unrecovered();
-        if unrecovered > 0 {
-            reasons.push(format!("{unrecovered} fault(s) unrecovered"));
-        }
-        if !report.conserved {
-            reasons.push("element conservation violated".to_string());
-        }
-        return Err(format!("{path}: {}", reasons.join(", ")).into());
     }
     Ok(())
 }
@@ -971,9 +859,6 @@ fn run(args: Args) -> Result<(), CliError> {
     }
     if args.command == "trace" {
         return run_trace_analyze(&args);
-    }
-    if args.command == "chaos" {
-        return run_chaos(&args);
     }
     if args.command == "serve" {
         return run_serve(&args).map_err(CliError::Runtime);

@@ -123,8 +123,6 @@ mod tests {
             nproc: 12,
             machine: MachineModel::ncar_p690(),
             cost: CostModel::seam_climate(),
-            faults: None,
-            resume: None,
         };
         let initial = crate::sfc_partition::partition_curve(&curve, 12).unwrap();
         let policy = RebalancePolicy::Periodic { every: 3 };

@@ -11,8 +11,8 @@
 //!
 //! * [`Layout::Compact`] — no whitespace (profile, trace, telemetry,
 //!   access, analysis, serve).
-//! * [`Layout::Document`] — rebalance, chaos, checkpoint: one top-level
-//!   member per two-space-indented line, `": "` after keys, nested
+//! * [`Layout::Document`] — rebalance: one top-level member per
+//!   two-space-indented line, `": "` after keys, nested
 //!   values inline with `", "`, except that objects listed directly in
 //!   a top-level array take one line each; a final newline.
 

@@ -104,14 +104,6 @@ impl JsonValue {
             _ => Err(format!("missing \"schema\" key: not a {want} document")),
         }
     }
-
-    /// The array-of-`u64` member `key`; missing, not an array, or
-    /// holding anything else is `"<what> missing \"<key>\""`.
-    pub fn req_u64s(&self, key: &str, what: &str) -> Result<Vec<u64>, String> {
-        self.opt_arr(key)
-            .and_then(|a| a.iter().map(JsonValue::as_u64).collect())
-            .ok_or_else(|| missing(what, key))
-    }
 }
 
 fn missing(what: &str, key: &str) -> String {

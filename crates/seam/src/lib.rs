@@ -57,5 +57,5 @@ pub use perfmodel::{evaluate, evaluate_weighted, PerfReport};
 pub use rankmap::{greedy_node_packing, internode_traffic_fraction, RankMap};
 pub use shallow_water::{tc2_initial, SwConfig, SwSolver};
 pub use solver::{gaussian_blob, AdvectionConfig, SerialSolver};
-pub use sw_parallel::{run_sw_parallel, run_sw_parallel_faulty, SolverFaults, SolverSlowdown};
+pub use sw_parallel::run_sw_parallel;
 pub use vranks::{run_parallel, RunStats};

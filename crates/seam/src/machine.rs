@@ -89,24 +89,6 @@ impl MachineModel {
     pub fn alpha_beta(&self) -> (f64, f64) {
         (self.latency_inter, self.bandwidth_inter)
     }
-
-    /// Exponential-backoff wait before retry `attempt` (0-based):
-    /// `base · 2^attempt` seconds. The recovery engine's retry strategy
-    /// prices its waits through this hook so fault-recovery time shares
-    /// the machine model with every other modelled cost.
-    #[inline]
-    pub fn backoff_seconds(&self, base_s: f64, attempt: u32) -> f64 {
-        base_s.max(0.0) * (1u64 << attempt.min(62)) as f64
-    }
-
-    /// Modelled cost of re-sending one lost or garbled message of
-    /// `bytes` over the worst-case (inter-node) route — the α/β price a
-    /// message-loss recovery pays on top of its backoff wait.
-    #[inline]
-    pub fn resend_seconds(&self, bytes: f64) -> f64 {
-        let (alpha, beta) = self.alpha_beta();
-        alpha + bytes.max(0.0) / beta
-    }
 }
 
 #[cfg(test)]

@@ -35,52 +35,6 @@ struct Msg {
 /// Timing results (same shape as [`crate::vranks::RunStats`]).
 pub use crate::vranks::RunStats;
 
-/// One injected rank slowdown: rank `rank` runs its element kernel
-/// `factor`× slower over steps `[start, end)`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SolverSlowdown {
-    /// The affected rank.
-    pub rank: usize,
-    /// Slowdown multiplier (≥ 1; rounds to an integer kernel repeat count).
-    pub factor: f64,
-    /// First affected step (inclusive).
-    pub start: usize,
-    /// One past the last affected step (exclusive).
-    pub end: usize,
-}
-
-/// Deterministic fault injection for the parallel solver path.
-///
-/// The only physically honest fault the in-process solver can carry
-/// without changing its *answer* is a compute slowdown: the affected
-/// rank re-runs its RHS kernel into a scratch buffer, burning real time
-/// the neighbouring ranks then measure as wait. State is untouched, so
-/// a faulty run still matches the serial solver bit-for-bit (up to the
-/// usual reassociation tolerance), while `per_rank_compute` and the
-/// trace lanes show the straggler.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SolverFaults {
-    /// Injected slowdowns (windows may overlap; repeats add up).
-    pub slowdowns: Vec<SolverSlowdown>,
-}
-
-impl SolverFaults {
-    /// Extra RHS-kernel repetitions for `rank` at `step`: the sum of
-    /// `round(factor − 1)` over every slowdown window covering the step.
-    pub fn extra_reps(&self, rank: usize, step: usize) -> usize {
-        self.slowdowns
-            .iter()
-            .filter(|s| s.rank == rank && s.start <= step && step < s.end)
-            .map(|s| (s.factor.max(1.0) - 1.0).round() as usize)
-            .sum()
-    }
-
-    /// True when no fault is configured (the zero-cost fast path).
-    pub fn is_empty(&self) -> bool {
-        self.slowdowns.is_empty()
-    }
-}
-
 /// Run the shallow water solver in parallel over an element partition.
 ///
 /// Returns the final *global* state (gathered) and per-rank timings. The
@@ -93,36 +47,6 @@ pub fn run_sw_parallel<FV, FH>(
     steps: usize,
     v_fn: FV,
     h_fn: FH,
-) -> (SwState, RunStats)
-where
-    FV: Fn([f64; 3]) -> [f64; 3] + Sync,
-    FH: Fn([f64; 3]) -> f64 + Sync,
-{
-    run_sw_parallel_faulty(
-        topo,
-        partition,
-        cfg,
-        steps,
-        v_fn,
-        h_fn,
-        &SolverFaults::default(),
-    )
-}
-
-/// [`run_sw_parallel`] with deterministic fault injection.
-///
-/// Slowdown faults inflate the affected rank's measured compute time
-/// (extra kernel repetitions into scratch) without perturbing the
-/// solution — see [`SolverFaults`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_sw_parallel_faulty<FV, FH>(
-    topo: &Topology,
-    partition: &Partition,
-    cfg: SwConfig,
-    steps: usize,
-    v_fn: FV,
-    h_fn: FH,
-    faults: &SolverFaults,
 ) -> (SwState, RunStats)
 where
     FV: Fn([f64; 3]) -> [f64; 3] + Sync,
@@ -182,7 +106,6 @@ where
                     senders,
                     v_fn,
                     h_fn,
-                    faults,
                 )
             }));
         }
@@ -242,7 +165,6 @@ fn sw_rank_main<FV, FH>(
     senders: Vec<Sender<Msg>>,
     v_fn: &FV,
     h_fn: &FH,
-    faults: &SolverFaults,
 ) -> (Vec<u32>, Vec<Vec<f64>>, f64, f64)
 where
     FV: Fn([f64; 3]) -> [f64; 3] + Sync,
@@ -482,7 +404,7 @@ where
     };
 
     let dt = cfg.dt;
-    for step in 0..steps {
+    for _ in 0..steps {
         let s0 = fields.clone();
         let mut r: [Vec<Vec<f64>>; NFIELDS] = [
             vec![vec![0.0; npts]; nl],
@@ -490,25 +412,8 @@ where
             vec![vec![0.0; npts]; nl],
             vec![vec![0.0; npts]; nl],
         ];
-        let reps = faults.extra_reps(rank, step);
-
         for stage in 0..3 {
             rhs_local(&fields, &mut r, &mut t_compute);
-            if reps > 0 {
-                // Injected slowdown: burn real compute time into scratch.
-                // The state advance below uses only `r`, so the answer is
-                // unchanged while this rank's stage genuinely takes
-                // `1 + reps` kernel evaluations.
-                let mut scratch: [Vec<Vec<f64>>; NFIELDS] = [
-                    vec![vec![0.0; npts]; nl],
-                    vec![vec![0.0; npts]; nl],
-                    vec![vec![0.0; npts]; nl],
-                    vec![vec![0.0; npts]; nl],
-                ];
-                for _ in 0..reps {
-                    rhs_local(&fields, &mut scratch, &mut t_compute);
-                }
-            }
             dss_all(
                 &mut r,
                 &mut num,
@@ -593,46 +498,6 @@ mod tests {
         let (par, _) = run_sw_parallel(&topo, &block_partition(24, 4), cfg, 3, &v0, &h0);
         let diff = serial.state.max_abs_diff(&par);
         assert!(diff < 1e-12, "equiangular parallel deviates by {diff}");
-    }
-
-    #[test]
-    fn injected_slowdown_changes_timing_not_the_answer() {
-        let ne = 2;
-        let topo = Topology::build(ne);
-        let cfg = SwConfig::test_case_2(ne, 4);
-        let (v0, h0) = tc2_initial(1.0, 2.5, cfg.omega, cfg.gravity);
-
-        let mut serial = SwSolver::new(&topo, cfg);
-        serial.set_initial(&v0, &h0);
-        serial.run(3);
-
-        let faults = SolverFaults {
-            slowdowns: vec![SolverSlowdown {
-                rank: 1,
-                factor: 4.0,
-                start: 0,
-                end: 3,
-            }],
-        };
-        assert_eq!(faults.extra_reps(1, 0), 3);
-        assert_eq!(faults.extra_reps(1, 3), 0, "window end is exclusive");
-        assert_eq!(faults.extra_reps(0, 1), 0, "other ranks unaffected");
-
-        let part = block_partition(24, 4);
-        let (par, stats) = run_sw_parallel_faulty(&topo, &part, cfg, 3, &v0, &h0, &faults);
-        let diff = serial.state.max_abs_diff(&par);
-        assert!(diff < 1e-12, "faulty run deviates by {diff}");
-        // The slowed rank did 4× the kernel work; measured compute should
-        // reflect that against the mean of the healthy ranks.
-        let healthy =
-            (stats.per_rank_compute[0] + stats.per_rank_compute[2] + stats.per_rank_compute[3])
-                / 3.0;
-        assert!(
-            stats.per_rank_compute[1] > healthy * 1.5,
-            "slowdown invisible: faulty {} vs healthy mean {}",
-            stats.per_rank_compute[1],
-            healthy
-        );
     }
 
     #[test]

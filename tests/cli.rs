@@ -739,7 +739,7 @@ fn profile_json_reports_observability_drop_counters() {
 }
 
 // ---------------------------------------------------------------------
-// Fault injection, chaos gate, and degenerate-nproc usage errors
+// Rank faults as trajectories, and degenerate-nproc usage errors
 // ---------------------------------------------------------------------
 
 #[test]
@@ -761,180 +761,72 @@ fn degenerate_nproc_is_a_usage_error_for_every_method() {
 }
 
 #[test]
-fn rebalance_faults_write_a_chaos_report_the_gate_accepts() {
-    let dir = tmpdir("chaos-ok");
-    let chaos = dir.join("chaos.json");
-    let out = cli()
-        .args([
-            "rebalance",
-            "--ne",
-            "6",
-            "--nproc",
-            "8",
-            "--steps",
-            "30",
-            "--faults",
-            "death:3@12; stall:1@5x0.2",
-            "--chaos-json",
-            chaos.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("chaos:"), "{text}");
-    assert!(text.contains("conserved"), "{text}");
+fn rebalance_death_trajectory_evacuates_the_dead_rank() {
+    use cubesfc::obs::JsonValue;
+    let dir = tmpdir("death");
+    let json = dir.join("death.json");
+    let run = || {
+        let out = cli()
+            .args(["rebalance", "--ne", "6", "--nproc", "8", "--steps", "30"])
+            .args(["--trajectory", "amr+slow:1@5..9x2+death:3@12"])
+            .args(["--json", json.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("trajectory=amr+fault+death"), "{text}");
+        std::fs::read_to_string(&json).unwrap()
+    };
+    // Closed-form trajectories: the report is byte-identical across runs.
+    let first = run();
+    assert_eq!(first, run());
 
-    // Deterministic: the same seeded schedule reproduces the chaos
-    // JSON byte for byte.
-    let first = std::fs::read_to_string(&chaos).unwrap();
-    assert!(
-        first.contains("\"schema\": \"cubesfc-chaos-v1\""),
-        "{first}"
+    // The death step re-splits onto the survivors whatever the policy.
+    let doc = cubesfc::obs::json_parse(&first).unwrap();
+    let step12 = &doc.get("records").and_then(JsonValue::as_arr).unwrap()[12];
+    assert_eq!(
+        step12.get("triggered").and_then(JsonValue::as_bool),
+        Some(true)
     );
-    let out = cli()
-        .args([
-            "rebalance",
-            "--ne",
-            "6",
-            "--nproc",
-            "8",
-            "--steps",
-            "30",
-            "--faults",
-            "death:3@12; stall:1@5x0.2",
-            "--chaos-json",
-            chaos.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert_eq!(first, std::fs::read_to_string(&chaos).unwrap());
-
-    // Both faults recovered: the chaos gate passes.
-    let out = cli()
-        .args(["chaos", chaos.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(step12.get("moved_elems").and_then(JsonValue::as_u64) > Some(0));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn chaos_gate_exit_codes_track_recovery() {
-    let dir = tmpdir("chaos-gate");
-    let chaos = dir.join("chaos.json");
-    // A stall far beyond the retry budget goes unrecovered.
+fn fault_injection_flags_and_chaos_are_gone() {
+    // Rank faults are `--trajectory` terms; the transport emulation, its
+    // flags and the chaos replay command are gone.
+    let out = cli().args(["chaos", "--ne", "4"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(err, "error: unknown command 'chaos'\n");
+    for flag in [
+        &["--faults", "death:3@12"][..],
+        &["--chaos-json", "c.json"],
+        &["--checkpoint"],
+        &["--checkpoint=ck.json"],
+        &["--checkpoint-every", "2"],
+        &["--resume", "ck.json"],
+    ] {
+        let out = cli()
+            .args(["rebalance", "--ne", "4", "--nproc", "8"])
+            .args(flag)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("unknown flag"), "{flag:?}: {err}");
+    }
     let out = cli()
-        .args([
-            "rebalance",
-            "--ne",
-            "6",
-            "--nproc",
-            "8",
-            "--steps",
-            "20",
-            "--faults",
-            "stall:2@4x999.0",
-            "--chaos-json",
-            chaos.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    let out = cli()
-        .args(["chaos", chaos.to_str().unwrap()])
+        .args(["rebalance", "--ne", "4", "--nproc", "8"])
+        .args(["--trajectory", "amr+stall:1@5x0.2"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unrecovered"), "{err}");
-
-    let out = cli()
-        .args(["chaos", chaos.to_str().unwrap(), "--report-only"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // Not JSON at all: exit 2. Missing file: exit 1. No path: exit 2.
-    let bad = dir.join("bad.json");
-    std::fs::write(&bad, "not json").unwrap();
-    let out = cli()
-        .args(["chaos", bad.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = cli()
-        .args(["chaos", dir.join("absent.json").to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let out = cli().args(["chaos"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn checkpoint_and_resume_work_from_the_command_line() {
-    let dir = tmpdir("chaos-resume");
-    let ck = dir.join("ck.json");
-    let out = cli()
-        .args([
-            "rebalance",
-            "--ne",
-            "6",
-            "--nproc",
-            "8",
-            "--steps",
-            "30",
-            "--checkpoint",
-            "--checkpoint-every",
-            "2",
-        ])
-        .current_dir(&dir)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // The bare flag writes the default path in the working directory.
-    let default_ck = dir.join("cubesfc-checkpoint.json");
-    let text = std::fs::read_to_string(&default_ck).unwrap();
-    assert!(
-        text.contains("\"schema\": \"cubesfc-checkpoint-v1\""),
-        "{text}"
-    );
-    std::fs::rename(&default_ck, &ck).unwrap();
-
-    let out = cli()
-        .args([
-            "rebalance",
-            "--ne",
-            "6",
-            "--nproc",
-            "8",
-            "--steps",
-            "30",
-            "--resume",
-            ck.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(err.contains("unknown fault kind \"stall\""), "{err}");
 }

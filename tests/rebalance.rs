@@ -45,8 +45,6 @@ fn replay(method: PartitionMethod) -> SimReport {
         nproc: NPROC,
         machine: MachineModel::ncar_p690(),
         cost: CostModel::seam_climate(),
-        faults: None,
-        resume: None,
     };
     let policy = RebalancePolicy::Periodic { every: 1 };
     let mut opts = PartitionOptions::default();

@@ -127,8 +127,6 @@ fn telemetered_replay() -> (SimReport, Vec<TelemetrySample>, String) {
         nproc: NPROC,
         machine: MachineModel::ncar_p690(),
         cost: CostModel::seam_climate(),
-        faults: None,
-        resume: None,
     };
     let mut opts = PartitionOptions::default();
     opts.graph_config.seed = SEED;

@@ -16,8 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cubesfc::balance::{
-    run_rebalance, ChaosReport, Checkpoint, FaultConfig, FaultSchedule, IncrementalSfc, LoadModel,
-    RebalancePolicy, RecoveryConfig, SimConfig, SimReport, TrajectoryKind,
+    run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, SimConfig, SimReport, TrajectoryKind,
 };
 use cubesfc::obs::{
     analyze_doc, json_parse, parse_access, parse_telemetry, AccessRecord, AnalyzeConfig, Bucket,
@@ -252,32 +251,26 @@ fn access_v1_bytes_are_pinned() {
 }
 
 // ---------------------------------------------------------------------
-// cubesfc-rebalance-v1, cubesfc-chaos-v1, cubesfc-checkpoint-v1
+// cubesfc-rebalance-v1
 // ---------------------------------------------------------------------
 
-/// The Ne=8 / 12-rank / 40-step run of `tests/faults.rs`, checkpointing
-/// at every trigger.
-fn rebalance_run(schedule: FaultSchedule) -> SimReport {
+/// The Ne=8 / 12-rank / 40-step AMR run of `tests/faults.rs`, with the
+/// rank faults of `faults` overlaid.
+fn rebalance_run(faults: &[TrajectoryKind]) -> SimReport {
     const NE: usize = 8;
     const NPROC: usize = 12;
     const STEPS: usize = 40;
     let cache = MeshCache::new();
     let bundle = cache.bundle(NE);
     let curve = bundle.mesh.curve_required().unwrap().clone();
-    let model = LoadModel::from_mesh(&bundle.mesh, TrajectoryKind::named("amr", STEPS).unwrap());
+    let mut kinds = vec![TrajectoryKind::named("amr", STEPS).unwrap()];
+    kinds.extend_from_slice(faults);
+    let model = LoadModel::overlay(&bundle.mesh, kinds);
     let config = SimConfig {
         steps: STEPS,
         nproc: NPROC,
         machine: MachineModel::ncar_p690(),
         cost: CostModel::seam_climate(),
-        faults: Some(FaultConfig {
-            schedule,
-            recovery: RecoveryConfig {
-                checkpoint_every: 1,
-                ..RecoveryConfig::default()
-            },
-        }),
-        resume: None,
     };
     let initial = partition_curve(&curve, NPROC).unwrap();
     let mut backend = IncrementalSfc::new(curve);
@@ -292,7 +285,7 @@ fn rebalance_run(schedule: FaultSchedule) -> SimReport {
     .unwrap()
 }
 
-fn assert_rebalance_goldens(tag: &str, report: &SimReport) {
+fn assert_rebalance_golden(tag: &str, report: &SimReport) {
     let rebalance = report.to_json();
     assert_golden(&format!("rebalance_{tag}.json"), &rebalance);
     let doc = json_parse(&rebalance).unwrap();
@@ -300,35 +293,26 @@ fn assert_rebalance_goldens(tag: &str, report: &SimReport) {
         doc.get("records").unwrap().as_arr().unwrap().len(),
         report.records.len()
     );
-
-    let chaos = report.chaos.as_ref().expect("fault config is set");
-    let text = chaos.to_json();
-    assert_golden(&format!("chaos_{tag}.json"), &text);
-    assert_eq!(&ChaosReport::from_json(&text).unwrap(), chaos);
-
-    let ck = report.checkpoints.last().expect("cadence captured one");
-    let text = ck.to_json();
-    assert_golden(&format!("checkpoint_{tag}.json"), &text);
-    assert_eq!(&Checkpoint::from_json(&text).unwrap(), ck);
 }
 
 #[test]
-fn rebalance_chaos_checkpoint_bytes_are_pinned_under_faults() {
-    let spec = "death:5@17; stall:2@9x0.1; slow:1@3..8x2.5; loss:7@30; stall:0@33x10";
-    let report = rebalance_run(FaultSchedule::parse(spec, 12, 40).unwrap());
-    let chaos = report.chaos.as_ref().unwrap();
-    assert_eq!(chaos.degraded_ranks, vec![5]);
-    assert_eq!(chaos.unrecovered(), 1, "the 10 s stall outlasts the budget");
-    assert_rebalance_goldens("faults", &report);
+fn rebalance_bytes_are_pinned_under_faults() {
+    let report = rebalance_run(&[
+        TrajectoryKind::RankDeath { rank: 5, step: 17 },
+        TrajectoryKind::RankSlowdown {
+            rank: 1,
+            factor: 2.5,
+            start: 3,
+            end: 8,
+        },
+    ]);
+    assert_eq!(report.final_partition.part_sizes()[5], 0);
+    assert_rebalance_golden("faults", &report);
 }
 
 #[test]
-fn rebalance_chaos_checkpoint_bytes_are_pinned_without_faults() {
-    // `rebalance --checkpoint --chaos-json` with no `--faults`: an
-    // empty schedule, so the chaos document has no faults and no actions.
-    let report = rebalance_run(FaultSchedule::default());
-    assert!(report.chaos.as_ref().unwrap().faults.is_empty());
-    assert_rebalance_goldens("nofaults", &report);
+fn rebalance_bytes_are_pinned_without_faults() {
+    assert_rebalance_golden("nofaults", &rebalance_run(&[]));
 }
 
 // ---------------------------------------------------------------------

@@ -334,11 +334,22 @@ fn bad_invocations_fail_cleanly() {
             "--nproc",
             "2",
             "--method",
-            "voronoi",
+            "Voronoi",
         ])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.starts_with("error: unknown method 'voronoi'\n"),
+        "{err}"
+    );
+    // Method names are case-insensitive.
+    let out = cli()
+        .args(["partition", "--ne", "4", "--nproc", "2", "--method", "KWAY"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
     // SFC on an unsupported size.
     let out = cli()
         .args(["partition", "--ne", "7", "--nproc", "2", "--method", "sfc"])

@@ -110,7 +110,10 @@
 
 use cubesfc::report::PartitionReport;
 use cubesfc::viz::{render_partition_ascii, render_partition_ppm};
-use cubesfc::{partition, CostModel, CubedSphere, MachineModel, PartitionMethod, PartitionOptions};
+use cubesfc::{
+    method_from_name, partition, CostModel, CubedSphere, MachineModel, PartitionMethod,
+    PartitionOptions,
+};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -290,15 +293,8 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = value(&mut it, flag)?,
             "--method" => {
                 let m: String = value(&mut it, flag)?;
-                args.method = match m.to_lowercase().as_str() {
-                    "sfc" => PartitionMethod::Sfc,
-                    "kway" => PartitionMethod::MetisKway,
-                    "tv" => PartitionMethod::MetisTv,
-                    "rb" => PartitionMethod::MetisRb,
-                    "morton" => PartitionMethod::Morton,
-                    "rcb" => PartitionMethod::Rcb,
-                    other => return Err(format!("unknown method '{other}'")),
-                };
+                args.method = method_from_name(&m)
+                    .ok_or_else(|| format!("unknown method '{}'", m.to_lowercase()))?;
             }
             "--output" => args.output = Some(value(&mut it, flag)?),
             "--ascii" => args.ascii = true,

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 ///
 /// Degenerate ensembles are safe: fewer than two finite entries, or a
 /// zero spread, give `z = 0` (no straggler can be distinguished).
-/// Non-finite entries are ignored, mirroring `measured_lb`.
+/// Non-finite entries are ignored, mirroring `cubesfc_graph::load_balance_f64`.
 pub fn straggler_z(per_rank: &[f64]) -> (usize, f64) {
     let mut n = 0usize;
     let mut sum = 0.0f64;

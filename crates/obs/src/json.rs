@@ -103,8 +103,7 @@ pub enum Layout {
 pub struct JsonWriter {
     out: String,
     layout: Layout,
-    /// Open containers, plus the depth the root is treated as sitting
-    /// at: 0 for a document, 2 for a [`JsonWriter::fragment`].
+    /// Open containers.
     depth: usize,
     /// A key was just written: the next value needs no separator.
     after_key: bool,
@@ -123,15 +122,6 @@ impl JsonWriter {
             layout,
             depth: 0,
             after_key: false,
-        }
-    }
-
-    /// A writer for one value laid out as it appears *nested inside* a
-    /// `layout` document (a row of a `Document` array, say).
-    pub fn fragment(layout: Layout) -> JsonWriter {
-        JsonWriter {
-            depth: 2,
-            ..JsonWriter::new(layout)
         }
     }
 
@@ -310,15 +300,5 @@ mod tests {
              \"empty_rows\": [],\n  \"last\": false\n}\n"
         );
         parse(&text).unwrap();
-    }
-
-    #[test]
-    fn fragments_are_laid_out_as_nested_values() {
-        let mut w = JsonWriter::fragment(Layout::Document);
-        w.begin_object()
-            .field("a", 1u64)
-            .field("b", 0.5)
-            .end_object();
-        assert_eq!(w.finish(), "{\"a\": 1, \"b\": 0.5}");
     }
 }

@@ -5,13 +5,16 @@
 //! cluster. Neither is available, so this crate provides both halves of a
 //! faithful substitute:
 //!
-//! * **An executable mini-app** ([`solver`], [`vranks`]): spectral-element
-//!   advection on the cubed-sphere — GLL tensor-product kernels per
-//!   element per level, pointwise DSS across shared element boundaries,
-//!   SSP-RK3 stepping — run either serially or over thread-backed
-//!   *virtual ranks* that communicate exclusively by channels, so
-//!   measured wall-clock responds to partition quality the same way an
-//!   MPI code's does.
+//! * **An executable mini-app** ([`solver`], [`shallow_water`],
+//!   [`vranks`]): spectral-element advection and the shallow water
+//!   equations on the cubed-sphere — GLL tensor-product kernels per
+//!   element, pointwise DSS across shared element boundaries, SSP-RK3
+//!   stepping — run either serially or over thread-backed *virtual
+//!   ranks* that communicate exclusively by channels, so measured
+//!   wall-clock responds to partition quality the same way an MPI code's
+//!   does. Both physics share the one rank runtime in [`vranks`]: one
+//!   rank loop and one halo exchange, over the exchange plan of
+//!   [`decomp`].
 //! * **An analytic performance model** ([`machine`], [`cost`],
 //!   [`perfmodel`]): the paper's P690/Colony machine constants (841
 //!   Mflops sustained = 16 % of Power-4 peak, 8-way SMP nodes,
@@ -43,7 +46,6 @@ pub mod perfmodel;
 pub mod rankmap;
 pub mod shallow_water;
 pub mod solver;
-pub mod sw_parallel;
 pub mod vranks;
 
 pub use cost::CostModel;
@@ -57,5 +59,4 @@ pub use perfmodel::{evaluate, evaluate_weighted, PerfReport};
 pub use rankmap::{greedy_node_packing, internode_traffic_fraction, RankMap};
 pub use shallow_water::{tc2_initial, SwConfig, SwSolver};
 pub use solver::{gaussian_blob, AdvectionConfig, SerialSolver};
-pub use sw_parallel::run_sw_parallel;
-pub use vranks::{run_parallel, RunStats};
+pub use vranks::{run_parallel, run_sw_parallel, RunStats};

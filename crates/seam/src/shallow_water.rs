@@ -221,63 +221,20 @@ impl SwSolver {
 
     /// Evaluate the DSS-assembled right-hand side at the current state.
     fn rhs(&mut self) -> SwState {
-        let n = self.cfg.np;
-        let npts = n * n;
-        let nel = self.geoms.len();
-        let mut out = SwState::zeros(nel, npts);
-
-        let mut dr = vec![0.0f64; npts];
-        let mut ds = vec![0.0f64; npts];
-        let mut fr = vec![0.0f64; npts];
-        let mut fs = vec![0.0f64; npts];
-        // Contravariant velocity components, reused across fields.
-        let mut vr = vec![0.0f64; npts];
-        let mut vs = vec![0.0f64; npts];
-
+        let npts = self.cfg.np * self.cfg.np;
+        let mut out = SwState::zeros(self.geoms.len(), npts);
+        let mut ws = std::array::from_fn(|_| vec![0.0; npts]);
+        let [vx, vy, vz] = &self.state.v;
+        let [ovx, ovy, ovz] = &mut out.v;
         for (e, g) in self.geoms.iter().enumerate() {
-            let vx = &self.state.v[0][e];
-            let vy = &self.state.v[1][e];
-            let vz = &self.state.v[2][e];
-            let h = &self.state.h[e];
-
-            for k in 0..npts {
-                let v = [vx[k], vy[k], vz[k]];
-                vr[k] = dot(v, g.erd[k]);
-                vs[k] = dot(v, g.esd[k]);
-            }
-
-            // Momentum: advection + Coriolis + pressure gradient.
-            {
-                let [ref mut ovx, ref mut ovy, ref mut ovz] = out.v;
-                sw_momentum_kernel(
-                    &self.basis,
-                    g,
-                    vx,
-                    vy,
-                    vz,
-                    h,
-                    &vr,
-                    &vs,
-                    self.cfg.omega,
-                    self.cfg.gravity,
-                    &mut dr,
-                    &mut ds,
-                    &mut ovx[e],
-                    &mut ovy[e],
-                    &mut ovz[e],
-                );
-            }
-
-            // Continuity: ∂h/∂t = −(1/J)[∂r(J h v^r) + ∂s(J h v^s)].
-            for k in 0..npts {
-                fr[k] = g.jac[k] * h[k] * vr[k];
-                fs[k] = g.jac[k] * h[k] * vs[k];
-            }
-            tensor_dr(&self.basis, &fr, &mut dr);
-            tensor_ds(&self.basis, &fs, &mut ds);
-            for k in 0..npts {
-                out.h[e][k] = -(dr[k] + ds[k]) / g.jac[k];
-            }
+            sw_elem_rhs(
+                &self.basis,
+                g,
+                &self.cfg,
+                [&vx[e], &vy[e], &vz[e], &self.state.h[e]],
+                [&mut ovx[e], &mut ovy[e], &mut ovz[e], &mut out.h[e]],
+                &mut ws,
+            );
         }
 
         // Assemble all four fields.
@@ -366,35 +323,36 @@ fn dot(a: [f64; 3], b: [f64; 3]) -> f64 {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 }
 
-/// The momentum right-hand side of one element (shared between the serial
-/// solver and the virtual-rank runner):
-/// `∂v/∂t = −(v·∇)v − f (p̂×v) − g ∇h` in Cartesian components.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sw_momentum_kernel(
+/// The right-hand side of one element before DSS, shared between the
+/// serial solver and the virtual-rank runner. `q` and `out` are the
+/// fields `[vx, vy, vz, h]`; `ws` is scratch of six `n²` buffers.
+///
+/// Momentum, in Cartesian components: `∂v/∂t = −(v·∇)v − f (p̂×v) − g ∇h`.
+/// Continuity: `∂h/∂t = −(1/J)[∂r(J h v^r) + ∂s(J h v^s)]`.
+pub(crate) fn sw_elem_rhs(
     basis: &GllBasis,
     g: &ElemGeometry,
-    vx: &[f64],
-    vy: &[f64],
-    vz: &[f64],
-    h: &[f64],
-    vr: &[f64],
-    vs: &[f64],
-    omega: f64,
-    gravity: f64,
-    dr: &mut [f64],
-    ds: &mut [f64],
-    out_vx: &mut [f64],
-    out_vy: &mut [f64],
-    out_vz: &mut [f64],
+    cfg: &SwConfig,
+    q: [&[f64]; 4],
+    out: [&mut [f64]; 4],
+    ws: &mut [Vec<f64>; 6],
 ) {
-    let n = basis.n;
-    let npts = n * n;
-    // Pressure gradient pieces first.
+    let npts = basis.n * basis.n;
+    let [vx, vy, vz, h] = q;
+    let [out_vx, out_vy, out_vz, out_h] = out;
+    let [dr, ds, fr, fs, vr, vs] = ws;
+    // Contravariant velocity components, reused across fields.
+    for k in 0..npts {
+        let v = [vx[k], vy[k], vz[k]];
+        vr[k] = dot(v, g.erd[k]);
+        vs[k] = dot(v, g.esd[k]);
+    }
+    // Coriolis and pressure gradient.
     tensor_dr(basis, h, dr);
     tensor_ds(basis, h, ds);
     for k in 0..npts {
         let p = g.pos[k];
-        let f = 2.0 * omega * p[2];
+        let f = 2.0 * cfg.omega * p[2];
         let v = [vx[k], vy[k], vz[k]];
         // p̂ × v
         let pxv = [
@@ -407,22 +365,32 @@ pub(crate) fn sw_momentum_kernel(
             g.erd[k][1] * dr[k] + g.esd[k][1] * ds[k],
             g.erd[k][2] * dr[k] + g.esd[k][2] * ds[k],
         ];
-        out_vx[k] = -f * pxv[0] - gravity * gradh[0];
-        out_vy[k] = -f * pxv[1] - gravity * gradh[1];
-        out_vz[k] = -f * pxv[2] - gravity * gradh[2];
+        out_vx[k] = -f * pxv[0] - cfg.gravity * gradh[0];
+        out_vy[k] = -f * pxv[1] - cfg.gravity * gradh[1];
+        out_vz[k] = -f * pxv[2] - cfg.gravity * gradh[2];
     }
     // Advection, one Cartesian component at a time.
-    for (w, out) in [(vx, &mut *out_vx), (vy, &mut *out_vy), (vz, &mut *out_vz)] {
+    for (w, out) in [(vx, out_vx), (vy, out_vy), (vz, out_vz)] {
         tensor_dr(basis, w, dr);
         tensor_ds(basis, w, ds);
         for k in 0..npts {
             out[k] -= vr[k] * dr[k] + vs[k] * ds[k];
         }
     }
+    // Continuity.
+    for k in 0..npts {
+        fr[k] = g.jac[k] * h[k] * vr[k];
+        fs[k] = g.jac[k] * h[k] * vs[k];
+    }
+    tensor_dr(basis, fr, dr);
+    tensor_ds(basis, fs, ds);
+    for k in 0..npts {
+        out_h[k] = -(dr[k] + ds[k]) / g.jac[k];
+    }
 }
 
 /// `out = ∂u/∂r` (derivative along `a` for each row `b`).
-pub(crate) fn tensor_dr(basis: &GllBasis, u: &[f64], out: &mut [f64]) {
+fn tensor_dr(basis: &GllBasis, u: &[f64], out: &mut [f64]) {
     let n = basis.n;
     for b in 0..n {
         for i in 0..n {
@@ -438,7 +406,7 @@ pub(crate) fn tensor_dr(basis: &GllBasis, u: &[f64], out: &mut [f64]) {
 }
 
 /// `out = ∂u/∂s` (derivative along `b` for each column `a`).
-pub(crate) fn tensor_ds(basis: &GllBasis, u: &[f64], out: &mut [f64]) {
+fn tensor_ds(basis: &GllBasis, u: &[f64], out: &mut [f64]) {
     let n = basis.n;
     for a in 0..n {
         for i in 0..n {

@@ -47,7 +47,7 @@ pub struct StepRecord {
     /// Elements migrated this step.
     pub moved_elems: usize,
     /// `moved_elems` as a fraction of the mesh (0 when no trigger) —
-    /// the churn signal telemetry alerting watches.
+    /// the churn signal `trace analyze` alerts on.
     pub migration_fraction: f64,
     /// Bytes migrated this step.
     pub moved_bytes: f64,
@@ -62,9 +62,9 @@ impl StepRecord {
         w.begin_object().field("step", self.step);
         w.field("lb_before", self.lb_before);
         w.field("lb_after", self.lb_after);
-        // The telemetry stream's `lb_measured` gauge is the post-action
-        // Eq. (1) LB; exported under both names so rebalance-v1 and
-        // telemetry-v1 agree field-for-field.
+        // The `rebalance` counter track's `lb_measured` is the
+        // post-action Eq. (1) LB; exported under both names so the
+        // report and the trace agree field-for-field.
         w.field("lb_measured", self.lb_after);
         w.field("triggered", self.triggered);
         w.field("moved_elems", self.moved_elems);
@@ -266,7 +266,7 @@ pub fn run_rebalance(
         let capacities = model.capacities_at(step, config.nproc);
         let forced_by_death = model.death_at(step);
         let weights = model.weights_at(step, &current);
-        // Pre-action per-rank loads: telemetry's straggler signal must
+        // Pre-action per-rank loads: the trace's straggler signal must
         // see the imbalance the policy reacts to, not the corrected one.
         let loads_before = part_loads(&current, &weights);
         let lb_before = lb_over_alive(&loads_before, capacities.as_deref());
@@ -343,18 +343,9 @@ pub fn run_rebalance(
         let perf = evaluate_weighted(graph, &current, &weights, &config.machine, &config.cost);
         record.step_time = perf.time_per_step;
         if let Some(tl) = timeline.as_mut() {
-            tl.record_step(step, &perf, graph, &current, &config.cost);
+            tl.record_step(&record, &loads_before, &perf, graph, &current, &config.cost);
         }
         cubesfc_obs::histogram_record("rebalance.lb_permille", (record.lb_after * 1000.0) as u64);
-        let gauges = [
-            ("lb_before", record.lb_before),
-            ("lb_measured", record.lb_after),
-            ("migration_fraction", record.migration_fraction),
-            ("step_time", record.step_time),
-            ("migration_time", record.migration_time),
-            ("triggered", if record.triggered { 1.0 } else { 0.0 }),
-        ];
-        cubesfc_obs::telemetry_record("rebalance", step as u64, &gauges, &loads_before);
         records.push(record);
     }
 
@@ -396,7 +387,9 @@ fn lb_over_alive(loads: &[f64], capacities: Option<&[f64]>) -> f64 {
 /// `trace analyze` document replayed from it. Slice names follow the
 /// analyzer's vocabulary: `compute` (with the partition's `elements`
 /// count), `pack` (modelled exchange, with `bytes`/`messages`), and
-/// `wait` (slack to the step barrier).
+/// `wait` (slack to the step barrier). Each step also writes one sample
+/// of the `rebalance` counter track at the step's start: the record's
+/// gauges plus the pre-action load of every rank (`rank <r>`).
 struct TimelineEmitter {
     ranks: Vec<cubesfc_obs::Lane>,
     steps: cubesfc_obs::Lane,
@@ -419,7 +412,8 @@ impl TimelineEmitter {
 
     fn record_step(
         &mut self,
-        step: usize,
+        record: &StepRecord,
+        loads: &[f64],
         perf: &PerfReport,
         graph: &CsrGraph,
         partition: &Partition,
@@ -462,8 +456,22 @@ impl TimelineEmitter {
             );
             lane.slice_at("wait", p_end, start + step_ns, &[]);
         }
-        self.steps
-            .slice_at("step", start, start + step_ns, &[("step", step as u64)]);
+        self.steps.slice_at(
+            "step",
+            start,
+            start + step_ns,
+            &[("step", record.step as u64)],
+        );
+        let gauges = [
+            ("lb_before", record.lb_before),
+            ("lb_measured", record.lb_after),
+            ("migration_fraction", record.migration_fraction),
+            ("step_time", record.step_time),
+            ("migration_time", record.migration_time),
+            ("triggered", if record.triggered { 1.0 } else { 0.0 }),
+        ];
+        let values = cubesfc_obs::counter_values(&gauges, loads);
+        self.steps.counter_at("rebalance", start, &values);
         self.cursor_ns = start + step_ns;
     }
 }

@@ -55,7 +55,7 @@ pub enum TrajectoryKind {
     },
     /// Constant unit weight everywhere: the null trajectory. No policy
     /// should ever trigger on it, which makes it the control run for
-    /// telemetry alerting (a healthy stream fires no alerts).
+    /// `trace analyze` alerting (a healthy run fires no alerts).
     Uniform,
     /// Processor `rank` runs `factor`× slower during `[start, end)`.
     RankSlowdown {

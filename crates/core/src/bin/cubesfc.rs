@@ -10,7 +10,6 @@
 //! cubesfc rebalance --ne 16 --nproc 64 --steps 50 --trajectory amr
 //!                   [--policy threshold|periodic|costbenefit] [--method sfc|kway|...]
 //!                   [--every N] [--trigger LB] [--horizon N] [--json FILE]
-//! cubesfc telemetry report FILE.ndjson [--report-only]
 //! cubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]
 //!                       [--threshold PCT] [--report-only]
 //! cubesfc serve     [--addr HOST:PORT] [--workers N] [--queue N]
@@ -52,29 +51,21 @@
 //! JSON, openable in Perfetto or `chrome://tracing`. For `partition` the
 //! trace additionally includes a short parallel mini-solve over the
 //! computed partition, so each virtual rank gets its own timeline lane.
-//!
-//! Any command also accepts `--telemetry` (live health summary on
-//! stderr at exit) or `--telemetry=FILE` (additionally stream the
-//! sampled time series as `cubesfc-telemetry-v1` NDJSON to `FILE`). The
-//! `CUBESFC_TELEMETRY` environment variable is the equivalent: empty or
-//! `0` disables, `1`/`true` print the summary, any other value is
-//! treated as the NDJSON path; the flag wins. `telemetry report FILE`
-//! replays a recorded stream into the same summary and exits 1 if any
-//! alert fired (use `--report-only` to keep exit 0).
+//! The trace also carries counter tracks (`rebalance`, `solver`,
+//! `experiment`, `serve`): per-step gauges plus one `rank <r>` value per
+//! rank.
 //!
 //! `trace analyze` replays a recorded `cubesfc-trace-v1` timeline into
 //! the wait-state decomposition, cross-rank critical path, and
-//! imbalance attribution. `--json PATH` writes the
-//! `cubesfc-analysis-v1` document; `--baseline OLD.json` diffs against
-//! a previous analysis and exits 1 when critical-path seconds or the
-//! wait fraction regress past `--threshold` (default 25%), unless
-//! `--report-only` is given.
-//!
-//! The replay commands (`telemetry report`, `trace analyze`)
-//! share one exit-code contract: 0 clean, 1 for runtime failures
-//! (missing file, wrong schema, a tripped gate), 2 for input that is
-//! not JSON at all — reported with the parser's line/column diagnostic,
-//! never a panic.
+//! imbalance attribution, and runs the health alert rules (straggler,
+//! high LB, migration churn) over its counter tracks. `--json PATH`
+//! writes the `cubesfc-analysis-v1` document; `--baseline OLD.json`
+//! diffs against a previous analysis. It exits 0 when the run is clean,
+//! 1 when an alert fired or critical-path seconds or the wait fraction
+//! regressed past `--threshold` (default 25%) — `--report-only` turns
+//! both into exit 0 — and also 1 for a missing file or a wrong schema,
+//! and 2 for input that is not JSON at all, reported with the parser's
+//! line/column diagnostic, never a panic.
 //!
 //! `serve` runs the partitioning service: an HTTP/1.1 JSON API
 //! (`cubesfc-serve-v1`) with `POST /v1/partition`,
@@ -84,7 +75,7 @@
 //! `--queue` bounds admission (overload is answered with 429 +
 //! `Retry-After`), `--deadline-ms` bounds each request from accept
 //! time (expired work is answered with 504), and SIGINT/SIGTERM drain
-//! in-flight requests before the process exits 0. `--telemetry` and
+//! in-flight requests before the process exits 0. `--trace` and
 //! `--profile` observe the server like any other command.
 //!
 //! `--access-log[=PATH]` (or `CUBESFC_ACCESS_LOG`) records one
@@ -127,10 +118,6 @@ struct Args {
     ascii: bool,
     profile: bool,
     trace: Option<String>,
-    /// `--telemetry` (summary only).
-    telemetry: bool,
-    /// `--telemetry=PATH` (NDJSON stream + summary).
-    telemetry_path: Option<String>,
     /// Positional operands (subcommand words, replay paths, the `top` URL).
     paths: Vec<String>,
     threshold: Option<f64>,
@@ -183,20 +170,12 @@ struct ProfileSink {
     json_path: Option<String>,
 }
 
-/// Where the telemetry stream goes when the command finishes (the
-/// summary always goes to stderr when telemetry is on).
-struct TelemetrySink {
-    /// Write the NDJSON stream here.
-    ndjson_path: Option<String>,
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cubesfc <partition|report|render|info> --ne N [--nproc P]\n\
          \t[--method sfc|kway|tv|rb|morton|rcb] [--output FILE] [--seed N] [--ascii]\n\
          \t[--profile]  (or CUBESFC_PROFILE=1 | CUBESFC_PROFILE=json:FILE)\n\
          \t[--trace FILE]  (or CUBESFC_TRACE=FILE)\n\
-         \t[--telemetry | --telemetry=FILE.ndjson]  (or CUBESFC_TELEMETRY=1|FILE)\n\
          \tcubesfc experiment [--ne N] [--max-points M] [--jobs N] [--serial]\n\
          \t  (CUBESFC_JOBS=N sets the pool size when --jobs is absent)\n\
          \tcubesfc rebalance --ne N --nproc P [--steps S] [--trajectory SPEC]\n\
@@ -204,7 +183,6 @@ fn usage() -> ExitCode {
          \t  [--every N] [--trigger LB] [--horizon N] [--json FILE] [--seed N]\n\
          \t  (SPEC: '+'-joined amr|diurnal|fault|death|uniform|death:R@S|\n\
          \t         slow:R@A..BxF — ranks R, steps S/A/B, factor F)\n\
-         \tcubesfc telemetry report FILE.ndjson [--report-only]\n\
          \tcubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]\n\
          \t  [--threshold PCT] [--report-only]\n\
          \tcubesfc serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
@@ -260,8 +238,6 @@ fn parse_args() -> Result<Args, String> {
         ascii: false,
         profile: false,
         trace: None,
-        telemetry: false,
-        telemetry_path: None,
         paths: Vec::new(),
         threshold: None,
         report_only: false,
@@ -299,7 +275,6 @@ fn parse_args() -> Result<Args, String> {
             "--output" => args.output = Some(value(&mut it, flag)?),
             "--ascii" => args.ascii = true,
             "--profile" => args.profile = true,
-            "--telemetry" => args.telemetry = true,
             "--trace" => {
                 let p: String = value(&mut it, flag)?;
                 if p.is_empty() {
@@ -347,9 +322,7 @@ fn parse_args() -> Result<Args, String> {
             "--interval-ms" => args.interval_ms = positive(flag, value(&mut it, flag)?)?,
             "--once" => args.once = true,
             other => {
-                if let Some(path) = path_suffix(other, "--telemetry") {
-                    args.telemetry_path = Some(path?);
-                } else if let Some(path) = path_suffix(other, "--access-log") {
+                if let Some(path) = path_suffix(other, "--access-log") {
                     args.access_log = Some(path?);
                 } else if !other.starts_with('-') {
                     args.paths.push(other.to_string());
@@ -360,11 +333,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     match args.command.as_str() {
-        "telemetry" => {
-            if args.paths.len() != 2 || args.paths[0] != "report" {
-                return Err("telemetry needs a subcommand: telemetry report FILE.ndjson".into());
-            }
-        }
         "trace" => {
             if args.paths.len() != 2 || args.paths[0] != "analyze" {
                 return Err("trace needs a subcommand: trace analyze FILE.json".into());
@@ -443,31 +411,6 @@ fn trace_sink(flag: &Option<String>) -> Option<String> {
     }
 }
 
-/// Combine `--telemetry[=PATH]` and `CUBESFC_TELEMETRY` into one sink
-/// (or none). The flags win over the environment; in the environment,
-/// empty or `0` disables, `1`/`true` enable the summary only, and any
-/// other value is the NDJSON path.
-fn telemetry_sink(args: &Args) -> Option<TelemetrySink> {
-    if args.telemetry_path.is_some() {
-        return Some(TelemetrySink {
-            ndjson_path: args.telemetry_path.clone(),
-        });
-    }
-    if args.telemetry {
-        return Some(TelemetrySink { ndjson_path: None });
-    }
-    match std::env::var("CUBESFC_TELEMETRY")
-        .unwrap_or_default()
-        .as_str()
-    {
-        "" | "0" => None,
-        "1" | "true" => Some(TelemetrySink { ndjson_path: None }),
-        path => Some(TelemetrySink {
-            ndjson_path: Some(path.to_string()),
-        }),
-    }
-}
-
 /// Combine `--access-log[=PATH]` and `CUBESFC_ACCESS_LOG` into the
 /// access-log output path (or none). The flag wins; in the
 /// environment, empty or `0` disables, `1`/`true` use the default
@@ -505,16 +448,6 @@ fn write_profile(sink: &ProfileSink) -> Result<(), String> {
     if let Some(path) = &sink.json_path {
         std::fs::write(path, snap.to_json()).map_err(|e| format!("{path}: {e}"))?;
     }
-    Ok(())
-}
-
-/// Export the telemetry stream and print its health summary.
-fn write_telemetry(sink: &TelemetrySink) -> Result<(), String> {
-    if let Some(path) = &sink.ndjson_path {
-        std::fs::write(path, cubesfc_obs::telemetry().export_ndjson())
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    eprint!("{}", cubesfc_obs::telemetry().render_summary());
     Ok(())
 }
 
@@ -570,30 +503,11 @@ fn load<T>(
     cubesfc_obs::load_doc(&read_input(path)?, shape).map_err(|e| CliError::load(path, e))
 }
 
-/// Replay a recorded `cubesfc-telemetry-v1` NDJSON stream into the
-/// terminal summary; `Err` (exit 1) when any alert fired, unless
-/// `--report-only` was given.
-fn run_telemetry_report(args: &Args) -> Result<(), CliError> {
-    let path = &args.paths[1];
-    let samples =
-        cubesfc_obs::read_ndjson(&read_input(path)?, cubesfc_obs::TelemetrySample::from_json)
-            .map_err(|e| CliError::load(path, e))?;
-    let mut bank = cubesfc_obs::SeriesBank::new(samples.len().max(1));
-    for s in &samples {
-        bank.ingest(s);
-    }
-    print!("{}", bank.render(0));
-    let fired = bank.total_alerts();
-    if fired > 0 && !args.report_only {
-        return Err(format!("{fired} alert(s) fired in {path}").into());
-    }
-    Ok(())
-}
-
 /// Replay a `cubesfc-trace-v1` timeline into the wait-state
-/// decomposition, critical path, and imbalance attribution; with
-/// `--baseline`, `Err` (exit 1) when critical-path seconds or the wait
-/// fraction regressed past the threshold, unless `--report-only`.
+/// decomposition, critical path, imbalance attribution and counter-track
+/// alerts; `Err` (exit 1) when an alert fired or, with `--baseline`,
+/// critical-path seconds or the wait fraction regressed past the
+/// threshold, unless `--report-only`.
 fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
     let path = &args.paths[1];
     let (alpha_s, beta_bytes_per_s) = MachineModel::ncar_p690().alpha_beta();
@@ -609,6 +523,7 @@ fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
         std::fs::write(out, analysis.to_json())
             .map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
     }
+    let mut failures = Vec::new();
     if let Some(base) = &args.baseline {
         let old = load(base, |doc| {
             cubesfc_obs::GateMetrics::from_json(doc).map_err(|e| format!("baseline analysis: {e}"))
@@ -617,16 +532,25 @@ fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
         let report = analysis.gate_metrics().compare(&old, threshold);
         print!("{}", report.render());
         let n = report.regressions();
-        if n > 0 && !args.report_only {
-            return Err(format!("{n} regression(s) beyond {threshold:.1}% threshold").into());
+        if n > 0 {
+            failures.push(format!(
+                "{n} regression(s) beyond {threshold:.1}% threshold"
+            ));
         }
     }
-    Ok(())
+    let fired = analysis.alerts_fired();
+    if fired > 0 {
+        failures.push(format!("{fired} alert(s) fired in {path}"));
+    }
+    if failures.is_empty() || args.report_only {
+        return Ok(());
+    }
+    Err(failures.join("; ").into())
 }
 
 /// Run a short parallel advection solve over the computed partition so
 /// the trace shows one timeline lane per virtual rank (plus the shared
-/// DSS lane). Only invoked when tracing or telemetry is enabled.
+/// DSS lane). Only invoked when tracing is enabled.
 fn trace_mini_solve(mesh: &CubedSphere, part: &cubesfc::Partition) {
     use cubesfc::seam::solver::AdvectionConfig;
     use cubesfc::seam::{gaussian_blob, run_parallel};
@@ -850,9 +774,6 @@ fn run_top_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn run(args: Args) -> Result<(), CliError> {
-    if args.command == "telemetry" {
-        return run_telemetry_report(&args);
-    }
     if args.command == "trace" {
         return run_trace_analyze(&args);
     }
@@ -921,7 +842,7 @@ fn run_static_command(args: Args) -> Result<(), String> {
         }
         "partition" => {
             let p = partition(&mesh, args.method, args.nproc, &opts).map_err(|e| e.to_string())?;
-            if cubesfc_obs::trace_enabled() || cubesfc_obs::telemetry_enabled() {
+            if cubesfc_obs::trace_enabled() {
                 trace_mini_solve(&mesh, &p);
             }
             let mut out = String::new();
@@ -978,7 +899,6 @@ fn main() -> ExitCode {
                 }
             };
             let trace_path = trace_sink(&args.trace);
-            let telem = telemetry_sink(&args);
             // The access log is a serve-side artifact: one line per
             // HTTP request, exported when the server drains.
             let access_path = if args.command == "serve" {
@@ -995,12 +915,6 @@ fn main() -> ExitCode {
             if trace_path.is_some() {
                 cubesfc_obs::set_trace_enabled(true);
             }
-            if telem.is_some() {
-                cubesfc_obs::set_telemetry_enabled(true);
-                // Samples carry counter deltas and histogram quantiles,
-                // so telemetry implies the metrics registry.
-                cubesfc_obs::set_enabled(true);
-            }
             let result = run(args);
             if let Some(sink) = &sink {
                 if let Err(e) = write_profile(sink) {
@@ -1012,12 +926,6 @@ fn main() -> ExitCode {
                 let json = cubesfc_obs::tracer().export_chrome();
                 if let Err(e) = std::fs::write(path, json) {
                     eprintln!("error: trace export failed: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(telem) = &telem {
-                if let Err(e) = write_telemetry(telem) {
-                    eprintln!("error: telemetry export failed: {e}");
                     return ExitCode::FAILURE;
                 }
             }

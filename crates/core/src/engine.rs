@@ -368,16 +368,15 @@ impl ExperimentEngine {
             &self.cost,
         );
         cubesfc_obs::counter_add("experiment/cells", 1);
-        cubesfc_obs::telemetry_record(
+        cubesfc_obs::trace_counter(
             "experiment",
-            cell.nproc as u64,
             &[
+                ("nproc", cell.nproc as f64),
                 ("lb_nelemd", report.lb_nelemd),
                 ("lb_spcv", report.lb_spcv),
                 ("edgecut", report.edgecut as f64),
                 ("time_us", report.time_us),
             ],
-            &[],
         );
         Ok(CellResult {
             cell,

@@ -7,15 +7,15 @@
 //! ratio, and cumulative p50/p95/p99 latency per endpoint × cache
 //! class. History is folded into the existing
 //! [`SeriesBank`](cubesfc_obs::SeriesBank) so the dashboard's
-//! sparklines are the same rendering path as `--telemetry` summaries
-//! and `telemetry report`.
+//! sparklines are the same rendering path as the counter tracks of
+//! `trace analyze`.
 //!
 //! `--once` polls twice (one interval apart), prints a single
 //! fixed-width frame, and exits — the deterministic mode tests and CI
 //! drive. Live mode redraws with an ANSI home+clear between frames
 //! until interrupted.
 
-use cubesfc_obs::{load_doc, SeriesBank, Snapshot, TelemetrySample};
+use cubesfc_obs::{load_doc, SeriesBank, SeriesSample, Snapshot};
 use cubesfc_serve::http_request;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -132,24 +132,20 @@ impl FrameStats {
         }
     }
 
-    /// Repackage the interval as a telemetry sample on lane `top`, so
+    /// Repackage the interval as a sample on lane `top`, so
     /// [`SeriesBank`] accumulates sparkline history for the dashboard.
-    pub fn to_sample(&self, seq: u64) -> TelemetrySample {
+    pub fn to_sample(&self, seq: u64) -> SeriesSample {
         let mut gauges = BTreeMap::new();
         gauges.insert("rps".to_string(), self.rps);
         gauges.insert("queue_depth".to_string(), self.queue_depth as f64);
         gauges.insert("inflight".to_string(), self.inflight as f64);
         gauges.insert("utilization".to_string(), self.utilization);
         gauges.insert("cache_hit_ratio".to_string(), self.cache_hit_ratio);
-        TelemetrySample {
+        SeriesSample {
             seq,
             lane: "top".to_string(),
-            step: seq,
             gauges,
-            counters: BTreeMap::new(),
-            quantiles: self.latency.iter().map(|(k, q)| (k.clone(), *q)).collect(),
-            ranks: Vec::new(),
-            alerts: Vec::new(),
+            ..SeriesSample::default()
         }
     }
 }
@@ -183,7 +179,7 @@ pub fn render_frame(target: &str, frame_no: u64, stats: &FrameStats, bank: &Seri
         }
     }
     out.push('\n');
-    out.push_str(&bank.render(0));
+    out.push_str(&bank.render());
     out
 }
 

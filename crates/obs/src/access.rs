@@ -5,7 +5,7 @@
 //! counts, and a coarse outcome (`ok|rejected|deadline|error`). Records
 //! live in a bounded [`Ring`](crate::series::Ring) with an exact
 //! dropped counter (the same drop-with-exact-count contract the event
-//! and telemetry buffers honor), so a busy server sheds old lines
+//! buffers honor), so a busy server sheds old lines
 //! instead of growing without bound.
 //!
 //! Serialization writes a fixed field order, so identical

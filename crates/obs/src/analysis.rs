@@ -28,6 +28,13 @@
 //!    partitioner did not predict, and the measured wait is blamed on
 //!    communication volume priced by the seam α/β machine model.
 //!
+//! 4. **Counter tracks and alerts** — `C` events are grouped by name
+//!    into [`CounterTrack`]s in document order. Each sample gains the
+//!    derived health gauges `straggler_z` (worst `rank <n>` entry against
+//!    the ensemble) and `lb_drift` (`lb_measured` against the track's
+//!    first), and one [`AlertEngine`] per track runs
+//!    [`default_rules`] over them.
+//!
 //! Everything here is a pure function of the trace bytes — no clocks,
 //! no environment — so [`TraceAnalysis::to_json`] (schema
 //! `cubesfc-analysis-v1`) is byte-identical across replays of the same
@@ -36,8 +43,9 @@
 //! wait-fraction regressions.
 
 use crate::chrome::TRACE_SCHEMA;
+use crate::health::{default_rules, straggler_z, AlertEngine};
 use crate::json::{JsonWriter, Layout};
-use crate::telemetry::{SeriesBank, TelemetrySample};
+use crate::series::{SeriesBank, SeriesSample};
 use crate::value::{load_doc, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -271,6 +279,71 @@ pub struct Imbalance {
     pub comm_blame_fraction: f64,
 }
 
+/// One counter track: the `C` events of one name, in document order.
+#[derive(Clone, Debug, Default)]
+pub struct CounterTrack {
+    /// The events' `name`.
+    pub name: String,
+    /// One sample per event, on lane `name` with `seq` = its ordinal on
+    /// the track: the recorded values minus the `rank <n>` entries plus
+    /// the derived gauges, the `rank <n>` entries by rank (NaN where a
+    /// rank is missing), and the alert rules it fired.
+    pub samples: Vec<SeriesSample>,
+}
+
+impl CounterTrack {
+    /// Derive the health gauges of each raw sample and run
+    /// [`default_rules`] over them, in order.
+    fn new(name: String, raw: Vec<BTreeMap<String, f64>>) -> CounterTrack {
+        let mut engine = AlertEngine::new(default_rules());
+        let mut baseline_lb = None;
+        let mut samples = Vec::with_capacity(raw.len());
+        for (seq, values) in raw.into_iter().enumerate() {
+            let mut gauges = BTreeMap::new();
+            let mut ranks = Vec::new();
+            // A dense ensemble's indices are below the entry count; a
+            // larger index stays a plain gauge, so hostile input cannot
+            // size the rank vector.
+            let n = values.len();
+            for (key, v) in values {
+                match rank_index(&key).filter(|&r| r < n) {
+                    Some(r) => {
+                        if ranks.len() <= r {
+                            ranks.resize(r + 1, f64::NAN);
+                        }
+                        ranks[r] = v;
+                    }
+                    None => {
+                        gauges.insert(key, v);
+                    }
+                }
+            }
+            if !ranks.is_empty() {
+                gauges.insert("straggler_z".to_string(), straggler_z(&ranks).1);
+            }
+            if let Some(&lb) = gauges.get("lb_measured") {
+                let base = *baseline_lb.get_or_insert(lb);
+                gauges.insert("lb_drift".to_string(), lb - base);
+            }
+            let alerts = engine.observe(&gauges);
+            samples.push(SeriesSample {
+                seq: seq as u64,
+                lane: name.clone(),
+                gauges,
+                ranks,
+                alerts,
+            });
+        }
+        CounterTrack { name, samples }
+    }
+
+    /// `(rule, sample ordinal)` of every alert fired on the track.
+    pub fn alerts<'a>(&'a self) -> impl Iterator<Item = (&'a str, u64)> {
+        let fired = |s: &'a SeriesSample| s.alerts.iter().map(move |a| (a.as_str(), s.seq));
+        self.samples.iter().flat_map(fired)
+    }
+}
+
 /// The full analysis of one trace document.
 #[derive(Clone, Debug)]
 pub struct TraceAnalysis {
@@ -286,6 +359,8 @@ pub struct TraceAnalysis {
     pub imbalance: Imbalance,
     /// The α/β terms the attribution used.
     pub comm: CommModel,
+    /// Counter tracks, sorted by name.
+    pub counters: Vec<CounterTrack>,
 }
 
 /// `rank <n>` lane names carry their rank index.
@@ -347,7 +422,18 @@ pub fn analyze_doc(doc: &JsonValue, cfg: &AnalyzeConfig) -> Result<TraceAnalysis
     // each lane's begin/end order.
     let mut names: BTreeMap<u64, String> = BTreeMap::new();
     let mut per_tid: BTreeMap<u64, Vec<&JsonValue>> = BTreeMap::new();
+    let mut counters: BTreeMap<String, Vec<BTreeMap<String, f64>>> = BTreeMap::new();
     for ev in events {
+        if ev.opt_str("ph") == Some("C") {
+            // Non-finite values travel as `null`.
+            let values = ev.get("args").and_then(JsonValue::as_obj).into_iter();
+            let values = values
+                .flatten()
+                .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(f64::NAN)));
+            let name = ev.opt_str("name").unwrap_or("<unnamed>").to_string();
+            counters.entry(name).or_default().push(values.collect());
+            continue;
+        }
         let Some(tid) = ev.opt_u64("tid") else {
             continue;
         };
@@ -436,7 +522,12 @@ pub fn analyze_doc(doc: &JsonValue, cfg: &AnalyzeConfig) -> Result<TraceAnalysis
     }
     lanes.sort_by(|a, b| a.name.cmp(&b.name));
 
-    Ok(build_analysis(dropped_events, lanes, cfg))
+    let mut analysis = build_analysis(dropped_events, lanes, cfg);
+    analysis.counters = counters
+        .into_iter()
+        .map(|(name, raw)| CounterTrack::new(name, raw))
+        .collect();
+    Ok(analysis)
 }
 
 /// Segment boundaries from the `steps` lane's `step` slices, or one
@@ -621,10 +712,16 @@ fn build_analysis(
         },
         comm: cfg.comm,
         lanes,
+        counters: Vec::new(),
     }
 }
 
 impl TraceAnalysis {
+    /// Alerts fired across every counter track.
+    pub fn alerts_fired(&self) -> usize {
+        self.counters.iter().map(|t| t.alerts().count()).sum()
+    }
+
     /// Serialize as a `cubesfc-analysis-v1` JSON document. Key order is
     /// fixed and floats use shortest-roundtrip formatting, so the same
     /// trace always produces identical bytes.
@@ -707,13 +804,31 @@ impl TraceAnalysis {
         w.field("predicted_comm_s", im.predicted_comm_s);
         w.field("wait_s", wait_s);
         w.field("comm_blame_fraction", im.comm_blame_fraction);
-        w.end_object().end_object().end_object().finish()
+        w.end_object().end_object();
+
+        // A trace without counter events has no `counters` member.
+        if !self.counters.is_empty() {
+            w.key("counters").begin_array();
+            for track in &self.counters {
+                w.begin_object().field("name", &track.name);
+                w.field("samples", track.samples.len());
+                w.key("alerts").begin_array();
+                for (rule, seq) in track.alerts() {
+                    w.begin_object().field("rule", rule);
+                    w.field("sample", seq).end_object();
+                }
+                w.end_array().end_object();
+            }
+            w.end_array();
+        }
+        w.end_object().finish()
     }
 
     /// Render the fixed-width terminal report: lane table, wait-state
-    /// decomposition, critical path, imbalance attribution, and
-    /// per-rank busy-seconds sparklines (one point per segment) through
-    /// the shared [`SeriesBank`] path.
+    /// decomposition, critical path, imbalance attribution, then one
+    /// [`SeriesBank`] holding the per-rank productive seconds (lane
+    /// `segments`, one point per segment) and every counter track, with
+    /// the one alert log.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -840,21 +955,26 @@ impl TraceAnalysis {
             self.ranks.wait_ns as f64 / 1e6
         );
 
-        // Per-rank productive seconds per segment through the shared
-        // SeriesBank sparkline path (lane "analysis", seq = segment).
-        if !self.ranks.per_segment_work.is_empty() {
-            let mut bank = SeriesBank::new(self.ranks.per_segment_work.len());
-            for (k, busy) in self.ranks.per_segment_work.iter().enumerate() {
-                bank.ingest(&TelemetrySample {
+        let work = &self.ranks.per_segment_work;
+        if !work.is_empty() || !self.counters.is_empty() {
+            let longest = self.counters.iter().map(|t| t.samples.len());
+            let mut bank = SeriesBank::new(longest.fold(work.len(), usize::max));
+            for (k, busy) in work.iter().enumerate() {
+                bank.ingest(&SeriesSample {
                     seq: k as u64,
-                    lane: "analysis".to_string(),
-                    step: k as u64,
+                    lane: "segments".to_string(),
                     ranks: busy.clone(),
-                    ..TelemetrySample::default()
+                    ..SeriesSample::default()
                 });
             }
-            let _ = writeln!(out, "\nper-rank productive seconds per segment");
-            out.push_str(&bank.render(0));
+            for sample in self.counters.iter().flat_map(|t| &t.samples) {
+                bank.ingest(sample);
+            }
+            let _ = writeln!(
+                out,
+                "\nper-rank productive seconds per segment (lane segments) and counter tracks"
+            );
+            out.push_str(&bank.render());
         }
         out
     }
@@ -1216,6 +1336,62 @@ mod tests {
             assert_eq!(decomp_sum, a.ranks.total_ns);
             assert_eq!(a.ranks.total_ns, lane_total_sum);
         }
+    }
+
+    #[test]
+    fn derived_gauges_and_alerts_are_stamped() {
+        let tracer = Tracer::with_clock(Arc::new(MockClock::new()));
+        let steps = tracer.lane("steps");
+        let mut ranks = vec![1.0; 16];
+        steps.counter_at(
+            "rebalance",
+            0,
+            &crate::counter_values(&[("lb_measured", 0.1)], &ranks),
+        );
+        ranks[3] = 3.0;
+        steps.counter_at(
+            "rebalance",
+            10,
+            &crate::counter_values(&[("lb_measured", 0.3)], &ranks),
+        );
+        // A counter sample is no slice: the lane's timeline is untouched.
+        steps.slice_at("step", 20, 30, &[]);
+        let a = analyze(&tracer);
+        assert_eq!(lane(&a, "steps").slices.len(), 1);
+        assert_eq!(lane(&a, "steps").first_ns, 20);
+
+        let samples = &a.counters[0].samples;
+        assert_eq!(samples[0].gauges["straggler_z"], 0.0);
+        assert_eq!(samples[0].gauges["lb_drift"], 0.0);
+        assert_eq!(samples[1].ranks.len(), 16);
+        let z = samples[1].gauges["straggler_z"];
+        assert!(z > 2.5, "z = {z}");
+        assert!((samples[1].gauges["lb_drift"] - 0.2).abs() < 1e-12);
+        // The default straggler rule fired on the spike, once.
+        assert_eq!(samples[1].alerts, vec!["straggler"]);
+        assert_eq!(a.alerts_fired(), 1);
+        assert!(a
+            .render()
+            .contains("  straggler            lane=rebalance sample=1\n"));
+    }
+
+    #[test]
+    fn missing_rank_entries_read_as_nan_and_huge_ones_stay_gauges() {
+        let tracer = Tracer::with_clock(Arc::new(MockClock::new()));
+        let values = [
+            ("rank 0", 1.0),
+            ("rank 2", 1.0),
+            ("rank 3", 1.0),
+            ("rank 99999999999", 5.0),
+        ];
+        tracer.lane("main").counter("solver", &values);
+        let a = analyze(&tracer);
+        let s = &a.counters[0].samples[0];
+        assert_eq!(s.ranks.len(), 4);
+        assert!(s.ranks[1].is_nan());
+        assert_eq!(s.gauges["rank 99999999999"], 5.0);
+        assert_eq!(s.gauges["straggler_z"], 0.0);
+        assert!(!s.gauges.contains_key("lb_drift"));
     }
 
     #[test]

@@ -54,6 +54,9 @@ pub enum EventKind {
     End,
     /// A zero-duration mark (Chrome `"i"`).
     Instant,
+    /// A sample of a named counter track (Chrome `"C"`); its `args`
+    /// hold `f64::to_bits` of each value.
+    Counter,
 }
 
 /// One recorded timeline event.
@@ -61,13 +64,14 @@ pub enum EventKind {
 pub struct TraceEvent {
     /// Which lane (timeline row) the event belongs to.
     pub lane: u32,
-    /// Begin / End / Instant.
+    /// Begin / End / Instant / Counter.
     pub kind: EventKind,
-    /// Slice or mark name (empty for [`EventKind::End`]).
+    /// Slice, mark or counter-track name (empty for [`EventKind::End`]).
     pub name: String,
     /// Timestamp from the tracer's clock.
     pub ts_ns: u64,
-    /// Numeric annotations (e.g. `("elements", 12)`, `("bytes", 4096)`).
+    /// Numeric annotations (e.g. `("elements", 12)`, `("bytes", 4096)`);
+    /// for a counter, the bits of each `f64` value.
     pub args: Vec<(String, u64)>,
 }
 
@@ -217,6 +221,17 @@ impl Tracer {
     }
 
     fn record_at(&self, lane: u32, kind: EventKind, name: &str, ts_ns: u64, args: &[(&str, u64)]) {
+        self.push(lane, kind, name, ts_ns, args.iter().map(|(k, v)| (*k, *v)));
+    }
+
+    fn push<'a>(
+        &self,
+        lane: u32,
+        kind: EventKind,
+        name: &str,
+        ts_ns: u64,
+        args: impl Iterator<Item = (&'a str, u64)>,
+    ) {
         self.with_shard(|s| {
             // Build the owned event only after the capacity check so a
             // saturated buffer costs no allocation per dropped event.
@@ -229,7 +244,7 @@ impl Tracer {
                 kind,
                 name: name.to_string(),
                 ts_ns,
-                args: args.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+                args: args.map(|(k, v)| (k.to_string(), v)).collect(),
             });
         });
     }
@@ -384,6 +399,24 @@ impl Lane {
         }
     }
 
+    /// Record one sample of the counter track `name`: each `(key,
+    /// value)` becomes one series of the track. Counter tracks are
+    /// named by `name` alone, whatever lane records them.
+    pub fn counter<K: AsRef<str>>(&self, name: &str, values: &[(K, f64)]) {
+        if let Some(t) = &self.tracer {
+            self.counter_at(name, t.now_ns(), values);
+        }
+    }
+
+    /// [`Lane::counter`] at an explicit timestamp (a modelled time axis,
+    /// like [`Lane::slice_at`]).
+    pub fn counter_at<K: AsRef<str>>(&self, name: &str, ts_ns: u64, values: &[(K, f64)]) {
+        if let Some(t) = &self.tracer {
+            let args = values.iter().map(|(k, v)| (k.as_ref(), v.to_bits()));
+            t.push(self.id, EventKind::Counter, name, ts_ns, args);
+        }
+    }
+
     /// RAII slice: begins now, ends when the guard drops.
     pub fn span(&self, name: &str) -> LaneSpan {
         self.span_with(name, &[])
@@ -455,6 +488,24 @@ mod tests {
         assert_eq!(evs[2].name, "wait");
         assert_eq!(evs[3].kind, EventKind::End);
         assert_eq!(evs[4].kind, EventKind::Instant);
+    }
+
+    #[test]
+    fn counter_samples_carry_value_bits() {
+        let clock = Arc::new(MockClock::new());
+        let tracer = Tracer::with_clock(clock.clone());
+        let lane = tracer.lane("steps");
+        clock.advance(7);
+        lane.counter("rebalance", &[("lb", 0.25), ("nan", f64::NAN)]);
+        lane.counter_at("rebalance", 3, &[("lb".to_string(), -1.5)]);
+        Lane::inert().counter("never", &[("x", 1.0)]);
+        let evs = tracer.events();
+        assert_eq!(evs.len(), 2);
+        assert_eq!((evs[0].kind, evs[0].ts_ns), (EventKind::Counter, 3));
+        assert_eq!(evs[0].args, vec![("lb".to_string(), (-1.5f64).to_bits())]);
+        assert_eq!(evs[1].ts_ns, 7);
+        assert_eq!(evs[1].args[0], ("lb".to_string(), 0.25f64.to_bits()));
+        assert!(f64::from_bits(evs[1].args[1].1).is_nan());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Derived health signals and threshold alerting over telemetry samples.
+//! Derived health signals and threshold alerting over counter tracks.
 //!
 //! Signals:
 //!
@@ -7,8 +7,8 @@
 //!   deviations. A persistent faulty rank (one processor running 3×
 //!   slower) shows up as a large positive z long before aggregate wall
 //!   time does.
-//! * **LB drift** — the sampler reports each lane's Eq. (1) load
-//!   balance relative to the first sample on that lane, so slow
+//! * **LB drift** — `trace analyze` reports each counter track's
+//!   Eq. (1) load balance relative to the track's first sample, so slow
 //!   degradation is visible as a trend, not just a level.
 //!
 //! Alerting ([`AlertEngine`]) follows the rebalance `PolicyEngine`
@@ -93,7 +93,7 @@ impl AlertRule {
     }
 }
 
-/// The default rule set the global sampler starts with.
+/// The rule set `trace analyze` runs over every counter track.
 ///
 /// * `straggler` — one rank > 2.5σ above the ensemble on the sampled
 ///   per-rank values, even for a single sample (a faulty rank is worth

@@ -9,7 +9,7 @@
 //! byte-stable for a given value. The two layouts are chosen by each
 //! schema's code, never by the user:
 //!
-//! * [`Layout::Compact`] — no whitespace (profile, trace, telemetry,
+//! * [`Layout::Compact`] — no whitespace (profile, trace,
 //!   access, analysis, serve).
 //! * [`Layout::Document`] — rebalance: one top-level member per
 //!   two-space-indented line, `": "` after keys, nested

@@ -13,20 +13,23 @@
 //!   steady state) and merged into a [`Snapshot`] on demand; safe under
 //!   Rayon-style fan-out.
 //! * **Event timelines** — a bounded per-thread event ring buffer
-//!   ([`Tracer`]) records begin/end slices and instant marks onto named
-//!   *lanes* ([`Lane`]), so logical actors (virtual ranks, the DSS
-//!   exchange) get their own timeline rows; [`Tracer::export_chrome`]
-//!   writes Chrome Trace Event Format JSON openable in Perfetto.
+//!   ([`Tracer`]) records begin/end slices, instant marks and counter
+//!   samples onto named *lanes* ([`Lane`]), so logical actors (virtual
+//!   ranks, the DSS exchange) get their own timeline rows;
+//!   [`Tracer::export_chrome`] writes Chrome Trace Event Format JSON
+//!   openable in Perfetto, and [`analyze_trace`] replays it, alerting on
+//!   the counter tracks through [`AlertEngine`].
 //! * **Exporters** — `Snapshot::render_table()` (human-readable profile
 //!   tree) and `Snapshot::to_json()` (stable `cubesfc-profile-v1`
 //!   schema, read back by [`Snapshot::from_json`]).
 //!
 //! The global registry and tracer are **disabled by default**: every
-//! [`span`] / [`counter_add`] / [`histogram_record`] / [`trace_lane`]
-//! call first does a single relaxed atomic load and returns immediately
-//! when the corresponding feature is off, so instrumented hot paths cost
-//! ~1ns (and allocate nothing) when unused. Explicit [`Registry`] and
-//! [`Tracer`] instances (used in tests and embedders) always record.
+//! [`span`] / [`counter_add`] / [`histogram_record`] / [`trace_lane`] /
+//! [`trace_counter`] call first does a single relaxed atomic load and
+//! returns immediately when the corresponding feature is off, so
+//! instrumented hot paths cost ~1ns (and allocate nothing) when unused.
+//! Explicit [`Registry`] and [`Tracer`] instances (used in tests and
+//! embedders) always record.
 
 mod access;
 mod analysis;
@@ -39,23 +42,21 @@ mod prometheus;
 mod render;
 mod series;
 mod snapshot;
-mod telemetry;
 mod value;
 
 pub use access::{parse_access, AccessLog, AccessRecord, ACCESS_SCHEMA};
 pub use analysis::{
     analyze_doc, analyze_trace, compare_analyses, AnalysisCompare, AnalysisDelta, AnalyzeConfig,
-    CommModel, CriticalPath, GateMetrics, Imbalance, LaneTimeline, RankSummary, Slice, Straggler,
-    TraceAnalysis, ANALYSIS_SCHEMA,
+    CommModel, CounterTrack, CriticalPath, GateMetrics, Imbalance, LaneTimeline, RankSummary,
+    Slice, Straggler, TraceAnalysis, ANALYSIS_SCHEMA,
 };
 pub use chrome::TRACE_SCHEMA;
 pub use clock::{Clock, MockClock, MonotonicClock};
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};
 pub use health::{default_rules, straggler_z, AlertEngine, AlertRule};
 pub use json::{escape as json_escape, JsonScalar, JsonWriter, Layout};
-pub use series::Series;
+pub use series::{Series, SeriesBank, SeriesSample};
 pub use snapshot::{Bucket, HistogramSnapshot, Snapshot, SpanStat, SCHEMA};
-pub use telemetry::{parse_telemetry, Sampler, SeriesBank, TelemetrySample, TELEMETRY_SCHEMA};
 pub use value::{
     load_doc, parse as json_parse, parse_with_limits as json_parse_with_limits, read_ndjson,
     JsonError, JsonErrorKind, JsonLimits, JsonValue, LoadError,
@@ -344,15 +345,14 @@ impl Drop for SpanGuard {
 
 /// Bit flags for the *global* instrumentation features, checked with a
 /// single relaxed load on every instrumentation call. Bit 0 gates the
-/// metrics registry, bit 1 the event-timeline tracer, bit 2 the
-/// telemetry sampler, bit 3 the access log — one load answers every
+/// metrics registry, bit 1 the event-timeline tracer (slices, instants
+/// and counter tracks), bit 2 the access log — one load answers every
 /// question, so a call site never pays more than one atomic read.
 static FLAGS: AtomicU8 = AtomicU8::new(0);
 
 const FLAG_METRICS: u8 = 1;
 const FLAG_TRACE: u8 = 1 << 1;
-const FLAG_TELEMETRY: u8 = 1 << 2;
-const FLAG_ACCESS: u8 = 1 << 3;
+const FLAG_ACCESS: u8 = 1 << 2;
 
 fn set_flag(bit: u8, on: bool) {
     if on {
@@ -420,6 +420,30 @@ pub fn trace_instant(name: &str, args: &[(&str, u64)]) {
     tracer().thread_lane().instant(name, args);
 }
 
+/// Record one sample of the counter track `name` on the global tracer
+/// (on the calling thread's lane, stamped by the tracer's clock); no-op
+/// when tracing is disabled. `trace analyze` groups a track's samples
+/// by name and reads `rank <n>` keys as the per-rank ensemble.
+#[inline]
+pub fn trace_counter<K: AsRef<str>>(name: &str, values: &[(K, f64)]) {
+    if FLAGS.load(Ordering::Relaxed) & FLAG_TRACE == 0 {
+        return;
+    }
+    tracer().thread_lane().counter(name, values);
+}
+
+/// The values of one counter sample: `gauges`, then one `rank <r>`
+/// entry per element of `ranks` — the per-rank ensemble `trace analyze`
+/// derives `straggler_z` from.
+pub fn counter_values(gauges: &[(&str, f64)], ranks: &[f64]) -> Vec<(String, f64)> {
+    let gauges = gauges.iter().map(|&(k, v)| (k.to_string(), v));
+    let ranks = ranks
+        .iter()
+        .enumerate()
+        .map(|(r, &v)| (format!("rank {r}"), v));
+    gauges.chain(ranks).collect()
+}
+
 /// Open a span on the global registry; inert when profiling is
 /// disabled. When tracing is enabled the span also appears as a slice
 /// on the calling thread's timeline lane, so every `--profile`
@@ -472,39 +496,6 @@ pub fn reset() {
     global().reset();
 }
 
-/// The process-wide telemetry sampler used by instrumented library
-/// code: real clock, the global registry, default window capacity.
-pub fn telemetry() -> &'static Sampler {
-    static GLOBAL: OnceLock<Sampler> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        Sampler::with_clock_and_capacity(
-            Arc::new(MonotonicClock::new()),
-            global().clone(),
-            telemetry::DEFAULT_SAMPLE_CAPACITY,
-        )
-    })
-}
-
-/// Turn global telemetry sampling on or off.
-pub fn set_telemetry_enabled(on: bool) {
-    set_flag(FLAG_TELEMETRY, on);
-}
-
-/// Is global telemetry sampling currently on?
-pub fn telemetry_enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) & FLAG_TELEMETRY != 0
-}
-
-/// Record one sample on the global sampler's `lane` at `step`; a single
-/// relaxed load and no allocation when telemetry is disabled.
-#[inline]
-pub fn telemetry_record(lane: &str, step: u64, gauges: &[(&str, f64)], ranks: &[f64]) {
-    if FLAGS.load(Ordering::Relaxed) & FLAG_TELEMETRY == 0 {
-        return;
-    }
-    telemetry().record(lane, step, gauges, ranks);
-}
-
 /// The process-wide access log used by instrumented serving code:
 /// bounded (default 2^16 records, oldest shed with an exact count).
 pub fn access_log() -> &'static AccessLog {
@@ -546,17 +537,12 @@ pub fn access_record(
 }
 
 /// [`snapshot`] plus the observability layer's own health counters
-/// (`obs/dropped_events`, `obs/dropped_samples`, `obs/dropped_access`),
-/// so profile exports say when the bounded buffers were forced to shed
-/// data.
+/// (`obs/dropped_events`, `obs/dropped_access`), so profile exports say
+/// when the bounded buffers were forced to shed data.
 pub fn export_snapshot() -> Snapshot {
     let mut snap = snapshot();
     snap.counters
         .insert("obs/dropped_events".to_string(), tracer().dropped_events());
-    snap.counters.insert(
-        "obs/dropped_samples".to_string(),
-        telemetry().dropped_samples(),
-    );
     snap.counters
         .insert("obs/dropped_access".to_string(), access_log().dropped());
     snap

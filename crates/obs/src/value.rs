@@ -207,7 +207,7 @@ pub struct JsonLimits {
 
 impl Default for JsonLimits {
     /// Generous defaults safe for every document this workspace emits:
-    /// 64 MiB, 128 levels (profile/trace/telemetry documents nest < 8).
+    /// 64 MiB, 128 levels (profile/trace/analysis documents nest < 8).
     fn default() -> JsonLimits {
         JsonLimits {
             max_bytes: 64 << 20,

@@ -36,12 +36,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn disabled_instrumentation_is_allocation_free_and_records_nothing() {
     cubesfc_obs::set_enabled(false);
     cubesfc_obs::set_trace_enabled(false);
-    cubesfc_obs::set_telemetry_enabled(false);
     cubesfc_obs::set_access_enabled(false);
-
-    // Pre-built outside the loop: the *call* must be free, the
-    // caller's arguments may live wherever they like.
-    let ranks = [1.0f64, 2.0, 3.0, 4.0];
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for i in 0..1000u64 {
@@ -54,11 +49,9 @@ fn disabled_instrumentation_is_allocation_free_and_records_nothing() {
         lane.end();
         cubesfc_obs::trace_instant("exchange", &[("seq", i)]);
         let _slice = lane.span("scatter");
-        cubesfc_obs::telemetry_record(
+        cubesfc_obs::trace_counter(
             "rebalance",
-            i,
-            &[("lb_measured", 0.1), ("migration_fraction", 0.0)],
-            &ranks,
+            &[("lb_measured", 0.1), ("migration_fraction", i as f64)],
         );
         cubesfc_obs::access_record("r000001", "partition", 200, "hit", i, i, 48, 96, "ok");
     }
@@ -69,14 +62,12 @@ fn disabled_instrumentation_is_allocation_free_and_records_nothing() {
         "disabled instrumentation must not allocate"
     );
 
-    // Nothing was recorded anywhere: the ring buffer is empty, no events
-    // were dropped (they were never offered), the registry is empty, and
-    // the telemetry sampler saw no samples.
+    // Nothing was recorded anywhere: the ring buffer is empty (no slice,
+    // instant or counter sample), no events were dropped (they were
+    // never offered), and the registry is empty.
     assert_eq!(cubesfc_obs::tracer().event_count(), 0);
     assert_eq!(cubesfc_obs::tracer().dropped_events(), 0);
     assert!(cubesfc_obs::snapshot().is_empty());
-    assert_eq!(cubesfc_obs::telemetry().sample_count(), 0);
-    assert_eq!(cubesfc_obs::telemetry().dropped_samples(), 0);
     assert!(cubesfc_obs::access_log().is_empty());
     assert_eq!(cubesfc_obs::access_log().dropped(), 0);
 }

@@ -388,16 +388,16 @@ fn run_ranks<P: Physics>(
     for &t in &stats.per_rank_comm {
         cubesfc_obs::histogram_record("vranks/comm_seconds_us", (t * 1e6) as u64);
     }
-    cubesfc_obs::telemetry_record(
-        "solver",
-        steps as u64,
-        &[
+    // Checked first: the `rank <r>` keys allocate.
+    if cubesfc_obs::trace_enabled() {
+        let gauges = [
             ("lb_compute", stats.lb_compute()),
             ("lb_comm", stats.lb_comm()),
             ("wall_seconds", stats.wall_seconds),
-        ],
-        &stats.per_rank_compute,
-    );
+        ];
+        let values = cubesfc_obs::counter_values(&gauges, &stats.per_rank_compute);
+        cubesfc_obs::trace_counter("solver", &values);
+    }
     (global, stats)
 }
 

@@ -138,16 +138,13 @@ impl Shared {
     }
 
     fn emit_gauges(&self) {
-        let step = self.completed.load(Ordering::Relaxed);
-        cubesfc_obs::telemetry_record(
+        cubesfc_obs::trace_counter(
             "serve",
-            step,
             &[
                 ("queue_depth", self.queue.len() as f64),
                 ("inflight", self.inflight.load(Ordering::Relaxed) as f64),
                 ("cache_hit_rate", self.cache_hit_rate()),
             ],
-            &[],
         );
     }
 }

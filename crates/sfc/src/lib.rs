@@ -8,8 +8,7 @@
 //! * the paper's new **nested Hilbert-Peano** curve (side `2^n · 3^m`),
 //!
 //! all generated with the *major/joiner vector* recursion of the paper's
-//! Fig. 2–4 (after Pilkington & Baden), plus a Morton-order baseline and
-//! a one-face locality analysis of curve segments (`analysis`).
+//! Fig. 2–4 (after Pilkington & Baden), plus a Morton-order baseline.
 //!
 //! The key structural fact (paper §3): both primitive refinements travel
 //! through their domain along a single axis — the major vector — entering
@@ -31,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod curve;
 pub mod error;
 pub mod morton;

@@ -1,22 +1,23 @@
-//! Integration tests for the telemetry subsystem (`cubesfc-telemetry-v1`).
+//! Integration tests for counter tracks on the trace and the alerts
+//! `trace analyze` derives from them.
 //!
 //! Three layers:
 //!
-//! 1. A **property test** of the NDJSON wire format: arbitrary samples
-//!    (hostile key names, full-range `u64` counters, wide-magnitude
-//!    gauges) survive serialize → parse → deserialize bit-exactly, and
-//!    re-serialization is byte-identical (the format is canonical).
+//! 1. A **property test** of the counter wire form: arbitrary values
+//!    (hostile key names, wide-magnitude gauges) recorded as one `C`
+//!    event survive export → parse → analysis bit-exactly.
 //!
 //! 2. A **pinned end-to-end replay**: a seeded rebalance run with the
-//!    global sampler enabled must emit one `rebalance`-lane sample per
-//!    step whose `lb_measured` / `migration_fraction` gauges agree
-//!    bit-for-bit with the `SimReport` records, and the whole NDJSON
-//!    stream must be byte-identical across runs (no wall-clock leaks
-//!    into the wire format).
+//!    global tracer on must write one `rebalance` counter sample per
+//!    step whose `lb_before` / `lb_measured` / `migration_fraction` agree
+//!    bit-for-bit with the `SimReport` records, and the counter events
+//!    must be byte-identical across runs (they sit on the modelled time
+//!    axis, not the wall clock).
 //!
-//! 3. An **alert hysteresis** test under a mock clock: a rule fires
-//!    after `min_duration` hot samples, stays silent while hot, re-arms
-//!    only after the gauge dips below `rearm`, then fires again.
+//! 3. **Alert hysteresis** of the default `lb_high` rule (3 samples over
+//!    0.5, re-arm below 0.25) on a scripted mock-clock trace: fire,
+//!    silence while hot, re-arm only after a genuine dip, fire again;
+//!    non-finite samples skipped without resetting or re-arming.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,20 +26,27 @@ use cubesfc::balance::{
     run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, Repartitioner, SimConfig, SimReport,
     TrajectoryKind,
 };
-use cubesfc::obs::{
-    json_parse, parse_telemetry, AlertRule, MockClock, Registry, Sampler, TelemetrySample,
-};
+use cubesfc::obs::{analyze_trace, AnalyzeConfig, CounterTrack, MockClock, TraceAnalysis, Tracer};
 use cubesfc::{partition, CostModel, MachineModel, MeshCache, PartitionMethod, PartitionOptions};
 use proptest::prelude::*;
 
+fn analyze(trace: &str) -> TraceAnalysis {
+    analyze_trace(trace, &AnalyzeConfig::default()).expect("trace analyzes")
+}
+
+fn track<'a>(analysis: &'a TraceAnalysis, name: &str) -> &'a CounterTrack {
+    let found = analysis.counters.iter().find(|t| t.name == name);
+    found.unwrap_or_else(|| panic!("no counter track {name:?}"))
+}
+
 // ---------------------------------------------------------------------
-// 1. NDJSON wire-format roundtrip
+// 1. Counter-event roundtrip
 // ---------------------------------------------------------------------
 
 /// Key pool with the characters most likely to break a hand-rolled
 /// emitter: quotes, backslashes, control chars, non-ASCII, empty.
 const NAMES: &[&str] = &[
-    "lb_measured",
+    "lb_before",
     "migration/fraction",
     "quote\"d",
     "back\\slash",
@@ -57,51 +65,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn ndjson_lines_roundtrip_bit_exact(
-        seq in any::<u64>(),
-        step in any::<u64>(),
-        lane_idx in 0usize..8,
+    fn counter_values_roundtrip_bit_exact(
+        name_idx in 0usize..8,
         gauges in proptest::collection::vec((0usize..8, 0.0f64..1.0, 0u32..61), 0..5),
-        counters in proptest::collection::vec((0usize..8, any::<u64>()), 0..5),
-        quants in proptest::collection::vec((0usize..8, 0.0f64..1.0), 0..4),
         ranks in proptest::collection::vec((0.0f64..1.0, 0u32..61), 0..6),
-        alerts in proptest::collection::vec(0usize..8, 0..3),
     ) {
-        let mut s = TelemetrySample {
-            seq,
-            lane: NAMES[lane_idx].to_string(),
-            step,
-            gauges: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            quantiles: BTreeMap::new(),
-            ranks: ranks.iter().map(|&(u, e)| wide_f64(u, e)).collect(),
-            alerts: alerts.iter().map(|&i| NAMES[i].to_string()).collect(),
-        };
-        for &(i, u, e) in &gauges {
-            s.gauges.insert(NAMES[i].to_string(), wide_f64(u, e));
-        }
-        for &(i, v) in &counters {
-            s.counters.insert(NAMES[i].to_string(), v);
-        }
-        for &(i, u) in &quants {
-            s.quantiles.insert(NAMES[i].to_string(), [u, 2.0 * u, 4.0 * u]);
-        }
+        let values: BTreeMap<&str, f64> = gauges
+            .iter()
+            .map(|&(i, u, e)| (NAMES[i], wide_f64(u, e)))
+            .collect();
+        let ranks: Vec<f64> = ranks.iter().map(|&(u, e)| wide_f64(u, e)).collect();
+        let gauges: Vec<(&str, f64)> = values.iter().map(|(&k, &v)| (k, v)).collect();
 
-        let line = s.to_json_line();
-        let doc = json_parse(&line).expect("emitted line is valid JSON");
-        let back = TelemetrySample::from_json(&doc).expect("sample recovered");
-        prop_assert_eq!(&back, &s);
-        // Canonical format: re-serialization is byte-identical.
-        prop_assert_eq!(back.to_json_line(), line.clone());
-        // The stream parser agrees on a one-line stream.
-        let stream = parse_telemetry(&line).expect("stream parses");
-        prop_assert_eq!(stream.len(), 1);
-        prop_assert_eq!(&stream[0], &s);
+        let tracer = Tracer::with_clock(Arc::new(MockClock::new()));
+        let lane = tracer.lane("rank 0");
+        lane.counter(NAMES[name_idx], &cubesfc::obs::counter_values(&gauges, &ranks));
+        let analysis = analyze(&tracer.export_chrome());
+
+        prop_assert_eq!(analysis.counters.len(), 1);
+        let sample = &track(&analysis, NAMES[name_idx]).samples[0];
+        for (k, v) in &values {
+            prop_assert_eq!(sample.gauges[*k].to_bits(), v.to_bits(), "gauge {:?}", k);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&sample.ranks), bits(&ranks));
     }
 }
 
 // ---------------------------------------------------------------------
-// 2. Pinned end-to-end replay through the global sampler
+// 2. Pinned end-to-end replay through the global tracer
 // ---------------------------------------------------------------------
 
 const NE: usize = 4;
@@ -109,14 +101,11 @@ const NPROC: usize = 8;
 const STEPS: usize = 12;
 const SEED: u64 = 42;
 
-/// One seeded AMR rebalance with global telemetry on; returns the
-/// report plus the sampler's view of the run.
-fn telemetered_replay() -> (SimReport, Vec<TelemetrySample>, String) {
-    cubesfc::obs::reset();
-    let sampler = cubesfc::obs::telemetry();
-    sampler.reset();
-    cubesfc::obs::set_enabled(true);
-    cubesfc::obs::set_telemetry_enabled(true);
+/// One seeded AMR rebalance with global tracing on; returns the report
+/// and the exported trace.
+fn traced_replay() -> (SimReport, String) {
+    cubesfc::obs::tracer().reset();
+    cubesfc::obs::set_trace_enabled(true);
 
     let cache = MeshCache::new();
     let bundle = cache.bundle(NE);
@@ -142,119 +131,122 @@ fn telemetered_replay() -> (SimReport, Vec<TelemetrySample>, String) {
     )
     .unwrap();
 
-    cubesfc::obs::set_telemetry_enabled(false);
-    cubesfc::obs::set_enabled(false);
-    let samples = sampler.samples();
-    let ndjson = sampler.export_ndjson();
-    (report, samples, ndjson)
+    cubesfc::obs::set_trace_enabled(false);
+    (report, cubesfc::obs::tracer().export_chrome())
+}
+
+/// The trace's counter events, one JSON text each, in document order.
+fn counter_events(trace: &str) -> Vec<String> {
+    let doc = cubesfc::obs::json_parse(trace).unwrap();
+    let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+    let counters = events.iter().filter(|e| e.opt_str("ph") == Some("C"));
+    counters.map(|e| format!("{e:?}")).collect()
 }
 
 #[test]
 fn rebalance_samples_agree_with_report_and_replay_byte_identically() {
-    let (report, samples, ndjson) = telemetered_replay();
+    let (report, trace) = traced_replay();
+    let analysis = analyze(&trace);
+    let lane = &track(&analysis, "rebalance").samples;
 
-    // One rebalance-lane sample per simulated step, in step order.
-    let lane: Vec<&TelemetrySample> = samples.iter().filter(|s| s.lane == "rebalance").collect();
+    // One rebalance sample per simulated step, in step order.
     assert_eq!(lane.len(), STEPS);
     assert_eq!(report.records.len(), STEPS);
-
-    for (rec, s) in report.records.iter().zip(&lane) {
-        assert_eq!(s.step, rec.step as u64);
+    for (rec, s) in report.records.iter().zip(lane) {
+        assert_eq!(s.seq, rec.step as u64);
         // The sample's gauges are the report's numbers, bit-for-bit.
-        assert_eq!(s.gauges["lb_measured"], rec.lb_after, "step {}", rec.step);
+        let bits = |name: &str| s.gauges[name].to_bits();
         assert_eq!(
-            s.gauges["migration_fraction"], rec.migration_fraction,
+            bits("lb_measured"),
+            rec.lb_after.to_bits(),
             "step {}",
             rec.step
         );
-        assert_eq!(s.gauges["lb_before"], rec.lb_before);
+        assert_eq!(bits("lb_before"), rec.lb_before.to_bits());
+        assert_eq!(
+            bits("migration_fraction"),
+            rec.migration_fraction.to_bits(),
+            "step {}",
+            rec.step
+        );
         // Pre-action per-rank loads: one entry per processor.
         assert_eq!(s.ranks.len(), NPROC);
     }
 
-    // The exported stream parses back into exactly the same samples.
-    let parsed = parse_telemetry(&ndjson).unwrap();
-    assert_eq!(parsed, samples);
-
-    // Determinism: nothing time-dependent leaks into the wire bytes.
-    let (_, _, again) = telemetered_replay();
-    assert_eq!(again, ndjson);
+    // Determinism: the counter events carry no wall-clock time.
+    let (_, again) = traced_replay();
+    assert_eq!(counter_events(&again), counter_events(&trace));
+    assert_eq!(counter_events(&trace).len(), STEPS);
 }
 
 // ---------------------------------------------------------------------
-// 3. Alert hysteresis re-arm under a mock clock
+// 3. Alert hysteresis on a scripted mock-clock trace
 // ---------------------------------------------------------------------
+
+/// Record `script` as `lb_measured` samples of counter track `sim`, one
+/// per 10 ns of mock time, and analyse the exported trace.
+fn scripted(script: &[f64]) -> TraceAnalysis {
+    let clock = Arc::new(MockClock::new());
+    let tracer = Tracer::with_clock(clock.clone());
+    let lane = tracer.lane("steps");
+    for &lb in script {
+        clock.advance(10);
+        lane.counter("sim", &[("lb_measured", lb)]);
+    }
+    analyze(&tracer.export_chrome())
+}
+
+fn fired(analysis: &TraceAnalysis) -> Vec<(String, u64)> {
+    let alerts = track(analysis, "sim").alerts();
+    alerts.map(|(rule, seq)| (rule.to_string(), seq)).collect()
+}
 
 #[test]
 fn alert_fires_rearms_and_fires_again_under_mock_clock() {
-    let clock = Arc::new(MockClock::new());
-    let registry = Registry::with_clock(clock.clone());
-    let sampler = Sampler::with_clock_and_capacity(clock.clone(), registry, 64);
-    sampler.set_rules(vec![AlertRule::new("hot", "lb_measured", 0.5, 2, 0.2)]);
-    sampler.set_interval_ns(10);
-
-    // Script: two hot samples arm-then-fire, continued heat is silent,
-    // a dip below rearm resets, then two hot samples fire again.
-    let script = [0.9, 0.9, 0.9, 0.9, 0.1, 0.9, 0.9];
-    let mut fired_at = Vec::new();
-    for (i, &lb) in script.iter().enumerate() {
-        clock.advance(10);
-        assert!(sampler.record("sim", i as u64, &[("lb_measured", lb)], &[]));
-        let last = sampler.samples().pop().unwrap();
-        if !last.alerts.is_empty() {
-            assert_eq!(last.alerts, vec!["hot".to_string()]);
-            fired_at.push(i);
-        }
-    }
-    // Fires at sample 1 (two consecutive hot) and again at sample 6
-    // (two hot after the re-arm dip) — never in between.
-    assert_eq!(fired_at, vec![1, 6]);
-    assert_eq!(sampler.total_alerts(), 2);
-
-    // Cadence is mock-clock driven: a call inside the interval is
-    // suppressed and leaves no sample behind.
-    assert!(!sampler.record("sim", 99, &[("lb_measured", 0.9)], &[]));
-    assert_eq!(sampler.sample_count(), script.len());
+    // Three hot samples fire; continued heat is silent; a value between
+    // re-arm and threshold only breaks the streak; a dip below re-arm
+    // re-arms; three more hot samples fire again.
+    let script = [0.9, 0.9, 0.9, 0.9, 0.3, 0.9, 0.1, 0.9, 0.9, 0.9];
+    let analysis = scripted(&script);
+    let lb_high = |seq| ("lb_high".to_string(), seq);
+    assert_eq!(fired(&analysis), vec![lb_high(2), lb_high(9)]);
+    assert_eq!(analysis.alerts_fired(), 2);
+    assert_eq!(track(&analysis, "sim").samples.len(), script.len());
 }
-
-// ---------------------------------------------------------------------
-// 4. Non-finite gauges under a mock clock: skipped, never poisoning
-// ---------------------------------------------------------------------
 
 #[test]
 fn non_finite_gauges_are_skipped_without_poisoning_alerts_or_summary() {
-    let clock = Arc::new(MockClock::new());
-    let registry = Registry::with_clock(clock.clone());
-    let sampler = Sampler::with_clock_and_capacity(clock.clone(), registry, 64);
-    sampler.set_rules(vec![AlertRule::new("hot", "lb_measured", 0.5, 2, 0.2)]);
-    sampler.set_interval_ns(10);
+    // NaN and ±inf land mid-streak: they neither fire, nor reset the
+    // streak, nor (after the fire) re-arm the rule. Only the dip to 0.1
+    // re-arms it.
+    let script = [
+        0.9,
+        f64::NAN,
+        0.9,
+        f64::NEG_INFINITY,
+        0.9,
+        f64::NAN,
+        0.9,
+        f64::INFINITY,
+        0.1,
+        0.9,
+        0.9,
+        0.9,
+    ];
+    let analysis = scripted(&script);
+    let lb_high = |seq| ("lb_high".to_string(), seq);
+    assert_eq!(fired(&analysis), vec![lb_high(4), lb_high(11)]);
 
-    // One hot sample arms the rule, a NaN lands mid-streak, the next
-    // finite hot sample completes min_duration: the NaN must neither
-    // fire the alert, reset the streak, nor re-arm it.
-    let script = [0.9, f64::NAN, 0.9, f64::INFINITY, 0.9, 0.1];
-    let mut fired_at = Vec::new();
-    for (i, &lb) in script.iter().enumerate() {
-        clock.advance(10);
-        assert!(sampler.record("sim", i as u64, &[("lb_measured", lb)], &[]));
-        let last = sampler.samples().pop().unwrap();
-        if !last.alerts.is_empty() {
-            assert_eq!(last.alerts, vec!["hot".to_string()]);
-            fired_at.push(i);
-        }
-    }
-    // Fires exactly once, at the second *finite* hot sample; the
-    // post-fire infinity keeps it silent rather than re-firing.
-    assert_eq!(fired_at, vec![2]);
-    assert_eq!(sampler.total_alerts(), 1);
-
-    // The exported stream survives its own parser (non-finite gauges
-    // serialize as null and are skipped on ingest), and the replayed
-    // summary statistics come out finite.
-    let ndjson = sampler.export_ndjson();
-    let samples = parse_telemetry(&ndjson).unwrap();
-    assert_eq!(samples.len(), script.len());
-    let summary = sampler.render_summary();
-    assert!(!summary.contains("NaN"), "{summary}");
-    assert!(!summary.contains("inf"), "{summary}");
+    // The report stays finite, and the statistics after a non-finite
+    // sample still see every finite one (min 0.1, last 0.9).
+    let text = analysis.render();
+    assert!(!text.contains("NaN"), "{text}");
+    assert!(!text.contains("inf"), "{text}");
+    let row = text.lines().find(|l| l.starts_with("sim/lb_measured"));
+    let cells: Vec<&str> = row.expect("lb_measured row").split_whitespace().collect();
+    assert_eq!(
+        &cells[1..5],
+        ["0.9000", "0.1000", "0.8000", "0.9000"],
+        "{text}"
+    );
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of `cubesfc trace analyze`: replaying a recorded
 //! `cubesfc-trace-v1` timeline into the wait-state / critical-path
-//! analysis, the baseline regression gate, and the replay commands'
-//! shared malformed-input contract.
+//! analysis, the counter-track alerts, the baseline regression gate, and
+//! the malformed-input contract.
 
 use cubesfc::obs::JsonValue;
 use std::process::Command;
@@ -49,12 +49,19 @@ fn analysis_json_is_byte_identical_across_runs() {
             .args(["--json", out.to_str().unwrap()])
             .output()
             .unwrap();
-        assert!(
-            run.status.success(),
+        // The uncorrected fault fires the straggler alert: exit 1, with
+        // the analysis written all the same.
+        assert_eq!(
+            run.status.code(),
+            Some(1),
             "{}",
             String::from_utf8_lossy(&run.stderr)
         );
         let text = String::from_utf8(run.stdout).unwrap();
+        assert!(
+            text.contains("straggler            lane=rebalance"),
+            "{text}"
+        );
         assert!(text.contains("wait-state decomposition"), "{text}");
         assert!(text.contains("critical path:"), "{text}");
         assert!(text.contains("imbalance attribution"), "{text}");
@@ -82,7 +89,13 @@ fn decomposition_sums_exactly_to_traced_lane_time() {
         .args(["--json", out.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(run.status.success());
+    // The uncorrected fault fires the straggler alert (exit 1).
+    assert_eq!(run.status.code(), Some(1));
+    let text = String::from_utf8(run.stdout).unwrap();
+    assert!(
+        text.contains("straggler            lane=rebalance"),
+        "{text}"
+    );
 
     let doc = cubesfc::obs::json_parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
     let lanes = doc.get("lanes").and_then(JsonValue::as_arr).unwrap();
@@ -192,10 +205,7 @@ fn malformed_replay_input_exits_2_with_line_and_column() {
     std::fs::write(&bad, "{\"traceEvents\": [tru").unwrap();
     let bad_s = bad.to_str().unwrap();
 
-    let argvs: Vec<Vec<&str>> = vec![
-        vec!["trace", "analyze", bad_s],
-        vec!["telemetry", "report", bad_s],
-    ];
+    let argvs: Vec<Vec<&str>> = vec![vec!["trace", "analyze", bad_s]];
     for argv in argvs {
         let out = cli().args(&argv).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{argv:?}");

@@ -12,15 +12,14 @@
 //! scratch directory (the failure message names the file) so a deliberate
 //! change is reviewed as a diff and copied over the fixture by hand.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cubesfc::balance::{
     run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, SimConfig, SimReport, TrajectoryKind,
 };
 use cubesfc::obs::{
-    analyze_doc, json_parse, parse_access, parse_telemetry, AccessRecord, AnalyzeConfig, Bucket,
-    HistogramSnapshot, MockClock, Snapshot, SpanStat, TelemetrySample, Tracer,
+    analyze_doc, json_parse, parse_access, AccessRecord, AnalyzeConfig, Bucket, HistogramSnapshot,
+    MockClock, Snapshot, SpanStat, Tracer,
 };
 use cubesfc::serve::{error_body, Backend, PartitionRequest, RebalanceStepRequest, SERVE_SCHEMA};
 use cubesfc::{partition_curve, CostModel, EngineBackend, MachineModel, MeshCache};
@@ -155,62 +154,60 @@ fn trace_v1_and_analysis_v1_bytes_are_pinned() {
 }
 
 // ---------------------------------------------------------------------
-// cubesfc-telemetry-v1 and cubesfc-access-v1
+// Counter tracks on cubesfc-trace-v1, and cubesfc-access-v1
 // ---------------------------------------------------------------------
 
-fn telemetry_samples() -> Vec<TelemetrySample> {
-    let full = TelemetrySample {
-        seq: 0,
-        lane: "rebal\"ance\u{7}\n".into(),
-        step: u64::MAX,
-        gauges: BTreeMap::from([
-            ("lb_measured".into(), 0.25),
-            ("nan".into(), f64::NAN),
-            ("neg_inf".into(), f64::NEG_INFINITY),
-            ("tiny".into(), 1.0e-7),
-            ("whole".into(), 3.0),
-            ("ta\tb".into(), -0.0),
-        ]),
-        counters: BTreeMap::from([("max".into(), u64::MAX), ("ops/\\n".into(), 7)]),
-        quantiles: BTreeMap::from([
-            ("lat".into(), [8.0, 1.5e9, f64::INFINITY]),
-            ("q\"x".into(), [0.1, 0.2, 0.30000000000000004]),
-        ]),
-        ranks: vec![1.0, f64::NAN, 2.5, 1e21],
-        alerts: vec!["straggler".into(), "a\"b".into()],
-    };
-    let bare = TelemetrySample {
-        seq: 1,
-        lane: String::new(),
-        step: 0,
-        gauges: BTreeMap::new(),
-        counters: BTreeMap::new(),
-        quantiles: BTreeMap::new(),
-        ranks: Vec::new(),
-        alerts: Vec::new(),
-    };
-    vec![full, bare]
+/// Counter samples on a mock clock: hostile track and key names, every
+/// `f64` edge the writer handles, a per-rank ensemble with a straggler.
+fn counter_trace() -> String {
+    let clock = Arc::new(MockClock::new());
+    let tracer = Tracer::with_clock(clock.clone());
+    let steps = tracer.lane("steps");
+    steps.counter_at(
+        "rebal\"ance\u{7}\n",
+        0,
+        &[
+            ("lb_measured", 0.25),
+            ("nan", f64::NAN),
+            ("neg_inf", f64::NEG_INFINITY),
+            ("tiny", 1.0e-7),
+            ("whole", 3.0),
+            ("ta\tb", -0.0),
+            ("big", 1e21),
+        ],
+    );
+    let mut ranks = vec![1.0; 8];
+    ranks[5] = 3.0;
+    let values = cubesfc::obs::counter_values(&[("lb_measured", 0.75)], &ranks);
+    steps.counter_at("rebal\"ance\u{7}\n", 1_500, &values);
+    clock.set(2_000);
+    tracer
+        .lane("main")
+        .counter("solver", &[("lb_compute", 0.5)]);
+    tracer.export_chrome()
 }
 
 #[test]
-fn telemetry_v1_bytes_are_pinned() {
-    let samples = telemetry_samples();
-    let mut text = String::new();
-    for s in &samples {
-        text.push_str(&s.to_json_line());
-        text.push('\n');
-    }
-    assert_golden("telemetry.ndjson", &text);
-    // NaN != NaN, so the round trip is checked on the canonical bytes
-    // (non-finite values travel as `null` and come back as NaN).
-    let back = parse_telemetry(&text).unwrap();
-    assert_eq!(back.len(), samples.len());
-    assert_eq!(back[1], samples[1]);
-    assert_eq!(back[0].counters, samples[0].counters);
-    assert_eq!(back[0].lane, samples[0].lane);
-    assert!(back[0].gauges["neg_inf"].is_nan());
-    let again = back[1].to_json_line();
-    assert_eq!(again, text.lines().nth(1).unwrap());
+fn trace_counter_bytes_are_pinned() {
+    let trace = counter_trace();
+    assert_golden("trace_counters.json", &trace);
+    let doc = json_parse(&trace).unwrap();
+    let analysis = analyze_doc(&doc, &AnalyzeConfig::default()).unwrap();
+    assert_golden("analysis_counters.json", &analysis.to_json());
+
+    // Finite values come back exactly (`-0` as zero); non-finite ones
+    // travel as `null` and come back as NaN.
+    let track = &analysis.counters[0];
+    assert_eq!(track.name, "rebal\"ance\u{7}\n");
+    let first = &track.samples[0].gauges;
+    assert_eq!(first["tiny"].to_bits(), 1.0e-7f64.to_bits());
+    assert_eq!(first["big"], 1e21);
+    assert_eq!(first["ta\tb"], 0.0);
+    assert!(first["neg_inf"].is_nan());
+    // The straggler rank fires the one alert, on the second sample.
+    let alerts: Vec<(&str, u64)> = track.alerts().collect();
+    assert_eq!(alerts, vec![("straggler", 1)]);
+    assert_eq!(track.samples[1].gauges["lb_drift"], 0.5);
 }
 
 #[test]

@@ -12,8 +12,10 @@
 //! ```
 
 use cubesfc::report::PartitionReport;
-use cubesfc::{partition_curve, CubedSphere, PartitionMethod, Schedule};
-use cubesfc_bench::{divisor_procs, paper_models};
+use cubesfc::{
+    partition_curve, CubedSphere, PartitionMethod, Resolution, Schedule, NCAR_P690_MAX_PROCS,
+};
+use cubesfc_bench::paper_models;
 
 fn eval(
     mesh: &CubedSphere,
@@ -40,11 +42,11 @@ pub fn run() {
     for (n, m) in [(1usize, 1usize), (2, 1), (1, 2), (3, 1)] {
         let sched_pf = Schedule::hilbert_peano(n, m).unwrap();
         let sched_hf = Schedule::peano_hilbert(n, m).unwrap();
-        let ne = sched_pf.side();
-        let k = 6 * ne * ne;
+        let res = Resolution::for_ne(sched_pf.side(), NCAR_P690_MAX_PROCS).unwrap();
+        let (ne, k) = (res.ne, res.k);
         let mesh_pf = CubedSphere::with_schedule(&sched_pf);
         let mesh_hf = CubedSphere::with_schedule(&sched_hf);
-        for nproc in divisor_procs(k, 768.min(k), 6) {
+        for nproc in res.thinned_procs(6) {
             if nproc < 4 {
                 continue;
             }

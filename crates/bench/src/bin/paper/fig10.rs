@@ -9,17 +9,14 @@
 //! Paper shape: ≈ +22 % for the SFC partition at 768 processors
 //! (2 elements per processor).
 
-use cubesfc::CubedSphere;
-use cubesfc_bench::{divisor_procs, maybe_write_csv, paper_models, print_gflops_figure, sweep};
+use cubesfc::NCAR_P690_MAX_PROCS;
+use cubesfc_bench::{grid_cells, maybe_write_csv, print_gflops_figure, run_cells};
 
 pub fn run() {
-    let mesh = CubedSphere::new(16); // K = 1536
-    let (machine, cost) = paper_models();
-    let procs = divisor_procs(1536, 768, 32);
-    let rows = sweep(&mesh, &procs, &machine, &cost);
-    maybe_write_csv(&rows);
+    let results = run_cells(&grid_cells(16, NCAR_P690_MAX_PROCS, 32)); // K = 1536
+    maybe_write_csv(&results);
     print_gflops_figure(
         "Figure 10: sustained Gflops, K=1536: SFC vs METIS (max 768 procs)",
-        &rows,
+        &results,
     );
 }

@@ -10,17 +10,14 @@
 //! opens once each processor holds fewer than eight elements, reaching
 //! ≈ +37 % at 384 processors.
 
-use cubesfc::CubedSphere;
-use cubesfc_bench::{divisor_procs, maybe_write_csv, paper_models, print_speedup_figure, sweep};
+use cubesfc::NCAR_P690_MAX_PROCS;
+use cubesfc_bench::{grid_cells, maybe_write_csv, print_speedup_figure, run_cells};
 
 pub fn run() {
-    let mesh = CubedSphere::new(8); // K = 384
-    let (machine, cost) = paper_models();
-    let procs = divisor_procs(384, 384, 32);
-    let rows = sweep(&mesh, &procs, &machine, &cost);
-    maybe_write_csv(&rows);
+    let results = run_cells(&grid_cells(8, NCAR_P690_MAX_PROCS, 32)); // K = 384
+    maybe_write_csv(&results);
     print_speedup_figure(
         "Figure 7: speedup vs single processor, K=384 (Hilbert level 3)",
-        &rows,
+        &results,
     );
 }

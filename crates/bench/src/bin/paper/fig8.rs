@@ -9,17 +9,14 @@
 //! reaches ≈ +51 % over the best METIS partition at 486 processors —
 //! validating the m-Peano curve for 3^m-sized problems.
 
-use cubesfc::CubedSphere;
-use cubesfc_bench::{divisor_procs, maybe_write_csv, paper_models, print_speedup_figure, sweep};
+use cubesfc::NCAR_P690_MAX_PROCS;
+use cubesfc_bench::{grid_cells, maybe_write_csv, print_speedup_figure, run_cells};
 
 pub fn run() {
-    let mesh = CubedSphere::new(9); // K = 486
-    let (machine, cost) = paper_models();
-    let procs = divisor_procs(486, 486, 32);
-    let rows = sweep(&mesh, &procs, &machine, &cost);
-    maybe_write_csv(&rows);
+    let results = run_cells(&grid_cells(9, NCAR_P690_MAX_PROCS, 32)); // K = 486
+    maybe_write_csv(&results);
     print_speedup_figure(
         "Figure 8: speedup vs single processor, K=486 (m-Peano level 2)",
-        &rows,
+        &results,
     );
 }

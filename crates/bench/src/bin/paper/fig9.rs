@@ -8,19 +8,17 @@
 //! Paper shape: ≈ +37 % sustained Gflops for the SFC partition at 384
 //! processors.
 
-use cubesfc::CubedSphere;
-use cubesfc_bench::{divisor_procs, maybe_write_csv, paper_models, print_gflops_figure, sweep};
+use cubesfc::NCAR_P690_MAX_PROCS;
+use cubesfc_bench::{grid_cells, maybe_write_csv, paper_models, print_gflops_figure, run_cells};
 
 pub fn run() {
-    let mesh = CubedSphere::new(8); // K = 384
-    let (machine, cost) = paper_models();
-    let procs = divisor_procs(384, 384, 32);
-    let rows = sweep(&mesh, &procs, &machine, &cost);
-    maybe_write_csv(&rows);
-    print_gflops_figure("Figure 9: sustained Gflops, K=384: SFC vs METIS", &rows);
+    let results = run_cells(&grid_cells(8, NCAR_P690_MAX_PROCS, 32)); // K = 384
+    maybe_write_csv(&results);
+    print_gflops_figure("Figure 9: sustained Gflops, K=384: SFC vs METIS", &results);
 
     // The paper's single-processor calibration: 841 Mflops = 16% of peak.
-    let single = &rows[0].reports[0];
+    let single = &results[0].report;
+    let (machine, _) = paper_models();
     println!(
         "single-processor sustained rate: {:.0} Mflops ({:.1}% of Power-4 peak)",
         single.perf.sustained_gflops * 1e3,

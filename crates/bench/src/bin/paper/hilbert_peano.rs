@@ -12,43 +12,31 @@
 //! curve's advantage is "less apparent", the open question our
 //! `ablation_order` experiment digs into.
 
-use cubesfc::CubedSphere;
-use cubesfc_bench::{paper_models, sweep};
+use cubesfc::engine::GRID_METHODS;
+use cubesfc_bench::{cells_at, run_cells, sfc_vs_best_metis};
 
 pub fn run() {
-    let (machine, cost) = paper_models();
-
-    // K = 1944 (Hilbert-Peano) at 4 elements per processor.
-    let mesh_hp = CubedSphere::new(18);
-    let rows_hp = sweep(&mesh_hp, &[486], &machine, &cost);
-    let hp = &rows_hp[0];
-
-    // K = 384 (pure Hilbert) at 4 elements per processor.
-    let mesh_h = CubedSphere::new(8);
-    let rows_h = sweep(&mesh_h, &[96], &machine, &cost);
-    let h = &rows_h[0];
+    // K = 1944 (Hilbert-Peano) and K = 384 (pure Hilbert), both at 4
+    // elements per processor.
+    let results = run_cells(&cells_at(&[(18, 486), (8, 96)]));
+    let labels = ["K=1944 Hilbert-Peano(1,2)", "K=384  Hilbert(3)"];
 
     println!("Hilbert-Peano vs pure Hilbert at 4 elements per processor");
     println!(
         "{:<28} {:>7} {:>7} {:>14} {:>14}",
         "case", "K", "Nproc", "SFC time (us)", "SFC advantage"
     );
-    println!(
-        "{:<28} {:>7} {:>7} {:>14.0} {:>+13.1}%",
-        "K=1944 Hilbert-Peano(1,2)",
-        1944,
-        hp.nproc,
-        hp.sfc().time_us,
-        hp.sfc_advantage_pct()
-    );
-    println!(
-        "{:<28} {:>7} {:>7} {:>14.0} {:>+13.1}%",
-        "K=384  Hilbert(3)",
-        384,
-        h.nproc,
-        h.sfc().time_us,
-        h.sfc_advantage_pct()
-    );
+    for (label, row) in labels.iter().zip(results.chunks(GRID_METHODS.len())) {
+        let sfc = &row[0];
+        println!(
+            "{:<28} {:>7} {:>7} {:>14.0} {:>+13.1}%",
+            label,
+            6 * sfc.cell.ne * sfc.cell.ne,
+            sfc.cell.nproc,
+            sfc.report.time_us,
+            sfc_vs_best_metis(row).1
+        );
+    }
     println!();
     println!(
         "paper: +7% (K=1944/486p) vs +13% (K=384/96p) — the Hilbert-Peano \

@@ -9,7 +9,13 @@
 //! `NAME` is one of the names in `EXPERIMENTS` below; with no name or an
 //! unknown one the list is printed and the exit code is 2. Every experiment except
 //! `measured_scaling` (wall clock) prints the same bytes on every run.
-//! The figure sweeps honour `CUBESFC_CSV` (see `cubesfc_bench::maybe_write_csv`).
+//!
+//! `table2`, `fig7`–`fig10`, `hilbert_peano` and `scaling_extrapolation`
+//! are views of one (K, Nproc, method) grid: each builds its cells
+//! (`cubesfc::cells_for` over a `Resolution`, or explicit points) and runs
+//! them on `cubesfc::ExperimentEngine`, the evaluator `cubesfc experiment`
+//! uses too. Figures 7–10 honour `CUBESFC_CSV` (see
+//! `cubesfc_bench::maybe_write_csv`).
 
 use std::process::ExitCode;
 

@@ -12,35 +12,31 @@
 //! cargo run -p cubesfc-bench --release --bin paper -- scaling_extrapolation
 //! ```
 
-use cubesfc::CubedSphere;
-use cubesfc_bench::{divisor_procs, paper_models, print_speedup_figure, sweep};
+use cubesfc_bench::{grid_cells, print_speedup_figure, run_cells};
+
+/// The speedup figure of face size `ne` with no machine limit, at the
+/// 40-point thinned counts of at least `min_nproc` processors.
+fn extrapolate(title: &str, ne: usize, min_nproc: usize) {
+    let k = 6 * ne * ne;
+    let mut cells = grid_cells(ne, k, 40);
+    cells.retain(|c| c.nproc >= min_nproc);
+    print_speedup_figure(title, &run_cells(&cells));
+}
 
 pub fn run() {
-    let (machine, cost) = paper_models();
-
     // K = 1536 beyond the paper's 768-processor cap.
-    let mesh = CubedSphere::new(16);
-    let procs: Vec<usize> = divisor_procs(1536, 1536, 40)
-        .into_iter()
-        .filter(|&p| p >= 96)
-        .collect();
-    let rows = sweep(&mesh, &procs, &machine, &cost);
-    print_speedup_figure(
+    extrapolate(
         "Extrapolation: K=1536 beyond the 768-processor machine limit",
-        &rows,
+        16,
+        96,
     );
 
     // K = 3456 (Ne = 24 = 2^3·3): "typical climate resolutions require
     // anywhere from K=384 … to K=3456 total spectral elements" (§1).
-    let mesh = CubedSphere::new(24);
-    let procs: Vec<usize> = divisor_procs(3456, 3456, 40)
-        .into_iter()
-        .filter(|&p| p >= 108)
-        .collect();
-    let rows = sweep(&mesh, &procs, &machine, &cost);
-    print_speedup_figure(
+    extrapolate(
         "Extrapolation: K=3456 (Ne=24), the paper's largest named resolution",
-        &rows,
+        24,
+        108,
     );
 
     println!(

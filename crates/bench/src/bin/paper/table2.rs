@@ -12,45 +12,34 @@
 //! produces is recorded in EXPERIMENTS.md.
 
 use cubesfc::report::PartitionReport;
-use cubesfc::CubedSphere;
-use cubesfc_bench::{paper_models, SWEEP_METHODS};
+use cubesfc_bench::{cells_at, run_cells, sfc_vs_best_metis};
 
 pub fn run() {
-    let ne = 16; // K = 1536
-    let nproc = 768;
-    let mesh = CubedSphere::new(ne);
-    let (machine, cost) = paper_models();
+    let (ne, nproc) = (16, 768); // K = 1536
+    let results = run_cells(&cells_at(&[(ne, nproc)]));
 
     println!(
         "Table 2: partition statistics for K={} on {} processors",
-        mesh.num_elems(),
+        6 * ne * ne,
         nproc
     );
     println!("{}", PartitionReport::table_header());
-    let mut reports = Vec::new();
-    for m in SWEEP_METHODS {
-        let r = PartitionReport::compute(&mesh, m, nproc, &machine, &cost)
-            .expect("table 2 configuration is valid");
-        println!("{}", r.table_row());
-        reports.push(r);
+    for r in &results {
+        println!("{}", r.report.table_row());
     }
 
     println!();
-    let sfc = &reports[0];
-    let best_other = reports[1..]
-        .iter()
-        .min_by(|a, b| a.time_us.total_cmp(&b.time_us))
-        .unwrap();
+    let (best, advantage) = sfc_vs_best_metis(&results);
     println!(
-        "SFC vs best METIS ({}): {:+.1}% execution rate",
-        best_other.method,
-        (best_other.time_us / sfc.time_us - 1.0) * 100.0
+        "SFC vs best METIS ({}): {advantage:+.1}% execution rate",
+        best.method
     );
+    let nelemd = |i: usize| &results[i].report.perf.stats.nelemd;
     println!(
         "max/min elements per processor: SFC {}/{}, KWAY {}/{}",
-        sfc.perf.stats.nelemd.iter().max().unwrap(),
-        sfc.perf.stats.nelemd.iter().min().unwrap(),
-        reports[1].perf.stats.nelemd.iter().max().unwrap(),
-        reports[1].perf.stats.nelemd.iter().min().unwrap(),
+        nelemd(0).iter().max().unwrap(),
+        nelemd(0).iter().min().unwrap(),
+        nelemd(1).iter().max().unwrap(),
+        nelemd(1).iter().min().unwrap(),
     );
 }

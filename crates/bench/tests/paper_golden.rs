@@ -5,30 +5,52 @@
 //! these files alone. A change meant to move quality re-pins them in a
 //! commit of its own, so its diff is the paper's tables, old → new.
 //! `measured_scaling` prints wall-clock seconds and is not pinned.
+//! Figure 7's `CUBESFC_CSV` export is pinned in `fig7.csv` the same way.
 
 use std::process::Command;
 
-fn assert_paper_golden(name: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
-        .arg(name)
-        .env_remove("CUBESFC_CSV")
-        .output()
-        .unwrap();
+/// Run `paper NAME`, with `CUBESFC_CSV` set to `csv` or removed, and
+/// return its stdout.
+fn run_paper(name: &str, csv: Option<&str>) -> Vec<u8> {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_paper"));
+    match csv {
+        Some(path) => cmd.env("CUBESFC_CSV", path),
+        None => cmd.env_remove("CUBESFC_CSV"),
+    };
+    let out = cmd.arg(name).output().unwrap();
     assert!(
         out.status.success(),
         "paper {name} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    out.stdout
+}
+
+/// Compare `actual` with `tests/golden/paper/FILE`; on a mismatch the
+/// actual bytes are written to `target/tmp/paper_FILE`.
+fn assert_golden(file: &str, actual: &[u8]) {
     let path = format!(
-        "{}/../../tests/golden/paper/{name}.txt",
+        "{}/../../tests/golden/paper/{file}",
         env!("CARGO_MANIFEST_DIR")
     );
     let expected = std::fs::read(&path).unwrap_or_default();
-    if expected != out.stdout {
-        let dump = format!("{}/paper_{name}.txt", env!("CARGO_TARGET_TMPDIR"));
-        std::fs::write(&dump, &out.stdout).unwrap();
-        panic!("paper {name}: stdout differs from {path}; actual written to {dump}");
+    if expected != actual {
+        let dump = format!("{}/paper_{file}", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&dump, actual).unwrap();
+        panic!("{file} differs from {path}; actual written to {dump}");
     }
+}
+
+fn assert_paper_golden(name: &str) {
+    assert_golden(&format!("{name}.txt"), &run_paper(name, None));
+}
+
+/// The `CUBESFC_CSV` plot-data export of Figure 7, byte for byte.
+#[test]
+fn fig7_csv() {
+    let csv = format!("{}/paper_fig7_export.csv", env!("CARGO_TARGET_TMPDIR"));
+    run_paper("fig7", Some(&csv));
+    assert_golden("fig7.csv", &std::fs::read(&csv).unwrap());
 }
 
 macro_rules! pinned {

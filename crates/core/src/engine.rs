@@ -20,6 +20,11 @@
 //! `CUBESFC_JOBS`); [`ExperimentEngine::run_serial`] bypasses the pool
 //! entirely and is the reference the scaling benchmark and the
 //! determinism tests compare against.
+//!
+//! The engine is the one evaluator of the grid: `cubesfc experiment`,
+//! the `paper_grid` benchmark, and the `paper` binary's Table 2,
+//! Figures 7–10, §4 Hilbert-Peano case and scaling extrapolation all
+//! run [`cells_for`] (or hand-built cells) through [`ExperimentEngine::run`].
 
 use crate::experiment::Resolution;
 use crate::partitioner::{partition_with_graph, PartitionMethod, PartitionOptions};
@@ -266,25 +271,19 @@ pub const GRID_METHODS: [PartitionMethod; 4] = [
 ];
 
 /// The grid cells of one Table-1 resolution: every method at every
-/// equal-share processor count, thinned to at most `max_points` counts
-/// (keeping the largest, where the paper's effect lives).
+/// processor count of [`Resolution::thinned_procs`], nproc-major, so
+/// each `GRID_METHODS.len()` consecutive cells share one count.
 pub fn cells_for(res: &Resolution, max_points: usize) -> Vec<ExperimentCell> {
-    let mut procs = res.equal_share_procs();
-    if procs.len() > max_points && max_points > 0 {
-        let skip = procs.len() - max_points;
-        procs.drain(1..1 + skip);
-    }
-    let mut cells = Vec::with_capacity(procs.len() * GRID_METHODS.len());
-    for nproc in procs {
-        for method in GRID_METHODS {
-            cells.push(ExperimentCell {
+    res.thinned_procs(max_points)
+        .into_iter()
+        .flat_map(|nproc| {
+            GRID_METHODS.map(|method| ExperimentCell {
                 ne: res.ne,
                 nproc,
                 method,
-            });
-        }
-    }
-    cells
+            })
+        })
+        .collect()
 }
 
 /// The full paper grid: [`cells_for`] over every Table-1 row.

@@ -89,6 +89,19 @@ impl Resolution {
             .collect()
     }
 
+    /// [`equal_share_procs`](Self::equal_share_procs) thinned to at most
+    /// `max_points` counts (0 = no limit). Thinning keeps the largest
+    /// counts, where the paper's effect lives, and `Nproc = 1`, the
+    /// speedup baseline, whenever the budget leaves room for it.
+    pub fn thinned_procs(&self, max_points: usize) -> Vec<usize> {
+        let mut procs = self.equal_share_procs();
+        if max_points > 0 && procs.len() > max_points {
+            let keep_first = usize::from(max_points > 1);
+            procs.drain(keep_first..procs.len() + keep_first - max_points);
+        }
+        procs
+    }
+
     /// Elements per processor at a given count (exact divisors only).
     pub fn elems_per_proc(&self, nproc: usize) -> usize {
         debug_assert_eq!(self.k % nproc, 0);
@@ -165,6 +178,37 @@ mod tests {
                 assert_eq!(r.elems_per_proc(p) * p, r.k);
             }
         }
+    }
+
+    #[test]
+    fn divisors_of_384() {
+        let d = Resolution::for_ne(8, 384).unwrap().thinned_procs(100);
+        assert_eq!(d.first(), Some(&1));
+        assert_eq!(d.last(), Some(&384));
+        assert!(d.contains(&96));
+        assert!(d.iter().all(|p| 384 % p == 0));
+    }
+
+    #[test]
+    fn divisors_capped_at_machine_size() {
+        let d = Resolution::for_ne(16, 768).unwrap().thinned_procs(100);
+        assert_eq!(d.last(), Some(&768));
+        assert!(!d.contains(&1536));
+    }
+
+    #[test]
+    fn thinning_keeps_large_counts() {
+        let r = Resolution::for_ne(8, 384).unwrap();
+        let all = r.equal_share_procs();
+        let d = r.thinned_procs(5);
+        assert_eq!(d.len(), 5);
+        assert_eq!(d[0], 1);
+        assert_eq!(d[1..], all[all.len() - 4..]);
+        // A budget of one keeps the largest count, not the baseline.
+        assert_eq!(r.thinned_procs(1), vec![384]);
+        // A budget of zero, or one that covers every count, keeps them all.
+        assert_eq!(r.thinned_procs(0), all);
+        assert_eq!(r.thinned_procs(all.len()), all);
     }
 
     #[test]

@@ -90,29 +90,6 @@ impl PartitionReport {
         ))
     }
 
-    /// [`PartitionReport::compute`] against a cached dual graph: both the
-    /// partitioning (for the METIS-family methods) and the metrics reuse
-    /// `g` instead of rebuilding it.
-    pub fn compute_with_graph(
-        mesh: &CubedSphere,
-        g: &CsrGraph,
-        method: PartitionMethod,
-        nproc: usize,
-        machine: &MachineModel,
-        cost: &CostModel,
-    ) -> Result<PartitionReport, PartitionError> {
-        let part = crate::partitioner::partition_with_graph(
-            mesh,
-            g,
-            method,
-            nproc,
-            &PartitionOptions::default(),
-        )?;
-        Ok(PartitionReport::from_partition_with_graph(
-            g, method, &part, machine, cost,
-        ))
-    }
-
     /// The Table 2 header row.
     pub fn table_header() -> String {
         format!(

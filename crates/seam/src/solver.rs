@@ -10,7 +10,7 @@
 
 use crate::dss::{Assembler, GlobalDofs};
 use crate::field::Field;
-use crate::gll::GllBasis;
+use crate::gll::{tensor_derivs, with_np, GllBasis};
 use crate::metric::{elem_geometry_mapped, ElemGeometry};
 use cubesfc_mesh::{ElemId, Mapping, Topology};
 
@@ -58,15 +58,6 @@ pub fn stable_dt(ne: usize, np: usize, omega_mag: f64) -> f64 {
     let elem = std::f64::consts::FRAC_PI_2 / ne as f64;
     let min_dx = elem * 2.0 / ((np - 1) * (np - 1)) as f64 / 2.0;
     0.5 * min_dx / omega_mag.max(1e-12)
-}
-
-/// Per-element right-hand-side kernel workspace (shared with the
-/// parallel runner).
-pub(crate) struct Workspace {
-    pub(crate) fr: Vec<f64>,
-    pub(crate) fs: Vec<f64>,
-    pub(crate) dfr: Vec<f64>,
-    pub(crate) dfs: Vec<f64>,
 }
 
 /// The serial solver.
@@ -185,24 +176,12 @@ impl SerialSolver {
     /// Evaluate the DSS-assembled right-hand side of the current state.
     fn rhs_current(&mut self) -> Field {
         let n = self.cfg.np;
-        let npts = n * n;
         let q = &self.q;
         let mut out = Field::zeros(q.data.len(), n, self.cfg.nlev);
-        let mut ws = Workspace {
-            fr: vec![0.0; npts],
-            fs: vec![0.0; npts],
-            dfr: vec![0.0; npts],
-            dfs: vec![0.0; npts],
-        };
         {
             let _span = cubesfc_obs::span("compute");
-            for (e, data) in q.data.iter().enumerate() {
-                let g = &self.geoms[e];
-                for lev in 0..self.cfg.nlev {
-                    let slab = &data[lev * npts..(lev + 1) * npts];
-                    let oslab = &mut out.data[e][lev * npts..(lev + 1) * npts];
-                    rhs_kernel(&self.basis, g, slab, oslab, &mut ws);
-                }
+            for ((g, data), odata) in self.geoms.iter().zip(&q.data).zip(&mut out.data) {
+                rhs_kernel(&self.basis, g, data, odata);
             }
         }
         self.assembler.dss(&mut out, &self.masses);
@@ -231,55 +210,35 @@ impl SerialSolver {
     }
 }
 
-/// One element-level RHS evaluation:
+/// One element's RHS on each of its levels:
 /// `rhs = −( Dr(J u^r q) + Ds(J u^s q) ) / J`.
-pub(crate) fn rhs_kernel(
+pub(crate) fn rhs_kernel(basis: &GllBasis, g: &ElemGeometry, q: &[f64], out: &mut [f64]) {
+    with_np!(basis.n, 3, advection_rhs(basis, g, q, out))
+}
+
+/// [`rhs_kernel`] for `N` points (`N = 0`: `basis.n`), over the scratch
+/// `fr`, `fs` and `ds`; `∂fr/∂r` goes straight into the output slab.
+#[inline(always)]
+fn advection_rhs<const N: usize>(
     basis: &GllBasis,
     g: &ElemGeometry,
     q: &[f64],
     out: &mut [f64],
-    ws: &mut Workspace,
+    scratch: &mut [f64],
 ) {
-    let n = basis.n;
-    for (k, &qk) in q.iter().enumerate().take(n * n) {
-        let f = g.jac[k] * qk;
-        ws.fr[k] = f * g.ur[k];
-        ws.fs[k] = f * g.us[k];
-    }
-    // ∂/∂r: apply D along `a` for each row `b`.
-    for b in 0..n {
-        for i in 0..n {
-            let mut s = 0.0;
-            let drow = &basis.d[i * n..(i + 1) * n];
-            let frow = &ws.fr[b * n..(b + 1) * n];
-            for (dv, fv) in drow.iter().zip(frow) {
-                s += dv * fv;
-            }
-            ws.dfr[b * n + i] = s;
+    let npts = if N == 0 { basis.n * basis.n } else { N * N };
+    let (jac, ur, us) = (&g.jac[..npts], &g.ur[..npts], &g.us[..npts]);
+    let (fr, rest) = scratch.split_at_mut(npts);
+    let (fs, ds) = rest.split_at_mut(npts);
+    for (slab, oslab) in q.chunks_exact(npts).zip(out.chunks_exact_mut(npts)) {
+        for k in 0..npts {
+            let f = jac[k] * slab[k];
+            fr[k] = f * ur[k];
+            fs[k] = f * us[k];
         }
-    }
-    // ∂/∂s: apply D along `b` for each column `a`.
-    for a in 0..n {
-        for i in 0..n {
-            let mut s = 0.0;
-            for j in 0..n {
-                s += basis.d[i * n + j] * ws.fs[j * n + a];
-            }
-            ws.dfs[i * n + a] = s;
-        }
-    }
-    for (k, o) in out.iter_mut().enumerate().take(n * n) {
-        *o = -(ws.dfr[k] + ws.dfs[k]) / g.jac[k];
-    }
-}
-
-impl Workspace {
-    pub(crate) fn new(n: usize) -> Workspace {
-        Workspace {
-            fr: vec![0.0; n * n],
-            fs: vec![0.0; n * n],
-            dfr: vec![0.0; n * n],
-            dfs: vec![0.0; n * n],
+        tensor_derivs::<N>(basis, fr, fs, oslab, ds);
+        for k in 0..npts {
+            oslab[k] = -(oslab[k] + ds[k]) / jac[k];
         }
     }
 }
@@ -334,6 +293,34 @@ pub fn gaussian_blob(c: [f64; 3], width: f64) -> impl Fn([f64; 3]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gll::tests::random_values;
+
+    /// `advection_rhs::<N>` and the runtime-count body agree to the bit on
+    /// seeded random slabs over a few elements of a warped grid.
+    fn advection_matches_runtime<const N: usize>() {
+        let basis = GllBasis::new(N);
+        let nlev = 3;
+        for e in [0u32, 17, 40] {
+            let g =
+                elem_geometry_mapped(3, ElemId(e), &basis, [0.3, -0.5, 1.0], Mapping::Equiangular);
+            let q = random_values(u64::from(e) * 31 + N as u64, nlev * N * N);
+            let mut fast = vec![0.0; q.len()];
+            let mut slow = fast.clone();
+            advection_rhs::<N>(&basis, &g, &q, &mut fast, &mut vec![0.0; 3 * N * N]);
+            advection_rhs::<0>(&basis, &g, &q, &mut slow, &mut vec![0.0; 3 * N * N]);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "n = {N}, element {e}");
+        }
+    }
+
+    #[test]
+    fn specialised_advection_kernel_is_bit_equal_to_the_runtime_count() {
+        advection_matches_runtime::<4>();
+        advection_matches_runtime::<5>();
+        advection_matches_runtime::<6>();
+        advection_matches_runtime::<7>();
+        advection_matches_runtime::<8>();
+    }
 
     fn solver(ne: usize, np: usize, nlev: usize) -> SerialSolver {
         let topo = Topology::build(ne);

@@ -39,25 +39,34 @@ impl Field {
         (lev * self.n + b) * self.n + a
     }
 
-    /// Maximum absolute difference to another field of the same shape.
+    /// Maximum absolute difference to another field of the same shape;
+    /// NaN if either field holds a NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n`, `nlev`, the element count or an element's length
+    /// differ.
     pub fn max_abs_diff(&self, other: &Field) -> f64 {
-        assert_eq!(self.data.len(), other.data.len(), "field shape mismatch");
-        let mut m: f64 = 0.0;
-        for (x, y) in self.data.iter().zip(&other.data) {
-            for (a, b) in x.iter().zip(y) {
-                m = m.max((a - b).abs());
-            }
-        }
-        m
+        let shape = |f: &Field| (f.n, f.nlev, f.data.len());
+        assert_eq!(shape(self), shape(other), "field shape mismatch");
+        nan_max(self.data.iter().zip(&other.data).flat_map(|(x, y)| {
+            assert_eq!(x.len(), y.len(), "field shape mismatch");
+            x.iter().zip(y).map(|(a, b)| (a - b).abs())
+        }))
     }
 
-    /// Maximum absolute value.
+    /// Maximum absolute value; NaN if the field holds a NaN.
     pub fn max_abs(&self) -> f64 {
-        self.data
-            .iter()
-            .flat_map(|e| e.iter())
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
+        nan_max(self.data.iter().flatten().map(|v| v.abs()))
     }
+}
+
+/// The maximum of non-negative `values` (0 when empty); unlike a fold with
+/// `f64::max`, a NaN anywhere makes the result NaN.
+pub(crate) fn nan_max(values: impl IntoIterator<Item = f64>) -> f64 {
+    values
+        .into_iter()
+        .fold(0.0, |m, v| if v > m || v.is_nan() { v } else { m })
 }
 
 #[cfg(test)]
@@ -88,6 +97,40 @@ mod tests {
         b.data[1][5] = 0.25;
         assert_eq!(a.max_abs_diff(&b), 0.25);
         assert_eq!(b.max_abs(), 0.25);
+    }
+
+    #[test]
+    fn a_nan_is_never_hidden() {
+        let clean = Field::zeros(2, 3, 1);
+        for (e, k) in [(0, 0), (1, 4), (1, 8)] {
+            let mut dirty = clean.clone();
+            dirty.data[e][k] = f64::NAN;
+            assert!(dirty.max_abs().is_nan());
+            assert!(dirty.max_abs_diff(&clean).is_nan());
+            assert!(clean.max_abs_diff(&dirty).is_nan());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn diff_requires_the_same_point_count() {
+        // Same element count, and zeros on the common prefix.
+        Field::zeros(2, 3, 1).max_abs_diff(&Field::zeros(2, 4, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn diff_requires_the_same_level_count() {
+        Field::zeros(2, 3, 2).max_abs_diff(&Field::zeros(2, 3, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn diff_requires_equal_element_lengths() {
+        let a = Field::zeros(2, 3, 1);
+        let mut b = a.clone();
+        b.data[1].pop();
+        a.max_abs_diff(&b);
     }
 
     #[test]

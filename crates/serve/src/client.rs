@@ -1,6 +1,8 @@
-//! A minimal blocking HTTP/1.1 client, shared by the integration tests
-//! and the `serve_probe` smoke binary. One request per connection
-//! (the server replies `connection: close`).
+//! A minimal blocking HTTP/1.1 client, shared by the integration tests,
+//! `cubesfc top` and the `serve_probe` smoke binary. One request per
+//! connection: every request says `connection: close`, so the server
+//! closes after its reply and the client reads that reply to EOF. (The
+//! server keeps a connection open for clients that do not say so.)
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -54,7 +56,7 @@ pub fn request_with_headers(
     stream.set_write_timeout(Some(timeout))?;
     stream.set_nodelay(true)?;
 
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: cubesfc\r\n");
+    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: cubesfc\r\nconnection: close\r\n");
     for (name, value) in headers {
         head.push_str(&format!("{name}: {value}\r\n"));
     }
@@ -62,10 +64,9 @@ pub fn request_with_headers(
         head.push_str(&format!("content-length: {}\r\n", body.len()));
     }
     head.push_str("\r\n");
+    // One write, so the server reads the whole request in one wake-up.
+    head.push_str(body.unwrap_or(""));
     stream.write_all(head.as_bytes())?;
-    if let Some(body) = body {
-        stream.write_all(body.as_bytes())?;
-    }
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;

@@ -8,6 +8,11 @@
 //!    grows memory, it sheds load.
 //! 2. A worker dequeues the connection. If the admission deadline has
 //!    already passed it answers `504` without touching the backend.
+//!    Otherwise it waits for the first request's first byte, in
+//!    `YIELD_SLICE` reads that notice drain, for at most what is left
+//!    of the deadline. This wait never yields to the queue (the client
+//!    of a fresh connection cannot retry); a connection still silent
+//!    when the deadline passes or drain begins is closed unanswered.
 //! 3. `POST /v1/partition` consults the bounded LRU result cache, then
 //!    the single-flight table: identical concurrent misses compute
 //!    once and share the body. The `x-cubesfc-cache` header reports
@@ -21,14 +26,15 @@
 //!    drain flag are checked between them, so a client that holds a
 //!    connection open never pins a worker others are waiting for. A
 //!    reply after which the worker closes says `connection: close`, and
-//!    the worker drains what the client sent after it before closing. A
-//!    later request's deadline and `service_us` start at its first
-//!    byte, and its `queue_us` is 0: idle time is never billed.
+//!    the worker drains what the client sent after it before closing.
+//!    Every request's `service_us` starts at its first byte, and so does
+//!    a later request's deadline; only the first has a `queue_us`
+//!    (accept to dequeue). Idle time is never billed.
 //! 5. On shutdown the flag is set and one self-connect to the bound
 //!    port (loopback when bound to an unspecified address) wakes the
 //!    acceptor, which drops that connection unserved and uncounted,
 //!    stops, and closes the queue. Workers drain every connection
-//!    accepted before the close, then exit.
+//!    accepted before the close that has sent a request, then exit.
 //!
 //! Every response — including acceptor-side 429s and queue-deadline
 //! 504s — carries an `x-cubesfc-request-id` header (client-supplied via
@@ -424,11 +430,10 @@ fn worker_loop(shared: Arc<Shared>) {
 
 /// Where one request's clocks start.
 struct RequestClock {
-    /// Accept time, for the first request of a connection only: later
-    /// requests never waited in the queue (`queue_us` 0).
-    accepted_at: Option<Instant>,
-    /// Service start: dequeue for the first request, first byte for a
-    /// later one.
+    /// Accept and dequeue times, for the first request of a connection
+    /// only: later requests never waited in the queue (`queue_us` 0).
+    queued: Option<(Instant, Instant)>,
+    /// Service start: the request's first byte.
     started: Instant,
     /// What is left of the deadline at `started`.
     budget: Duration,
@@ -436,8 +441,8 @@ struct RequestClock {
 
 /// Serve every request of one admitted connection, then close it.
 fn serve_connection(shared: &Shared, job: Job) {
-    let started = Instant::now();
-    let queue_wait = started.saturating_duration_since(job.accepted_at);
+    let dequeued = Instant::now();
+    let queue_wait = dequeued.saturating_duration_since(job.accepted_at);
     let stream = job.stream;
     let _ = stream.set_nodelay(true);
 
@@ -458,7 +463,7 @@ fn serve_connection(shared: &Shared, job: Job) {
             504,
             "-",
             queue_wait.as_micros() as u64,
-            started.elapsed().as_micros() as u64,
+            dequeued.elapsed().as_micros() as u64,
             0,
             bytes_out,
             "deadline",
@@ -466,45 +471,50 @@ fn serve_connection(shared: &Shared, job: Job) {
         return;
     };
 
+    // The client of a fresh connection cannot retry, so its first
+    // request never yields to the queue; it waits out the budget.
     let mut reader = BufReader::new(stream);
+    if !await_request(shared, &mut reader, budget, false) {
+        return;
+    }
     let mut clock = RequestClock {
-        accepted_at: Some(job.accepted_at),
-        started,
-        budget,
+        queued: Some((job.accepted_at, dequeued)),
+        started: Instant::now(),
+        budget: budget.saturating_sub(dequeued.elapsed()),
     };
     loop {
         shared.inflight.fetch_add(1, Ordering::SeqCst);
         let keep_alive = serve_request(shared, &mut reader, &clock);
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        if !keep_alive || !await_next_request(shared, &mut reader) {
+        if !keep_alive || !await_request(shared, &mut reader, KEEPALIVE_IDLE, true) {
             return;
         }
         clock = RequestClock {
-            accepted_at: None,
+            queued: None,
             started: Instant::now(),
             budget: shared.deadline,
         };
     }
 }
 
-/// Wait on a kept-alive connection until the next request's first byte
-/// is readable. `false` means close instead: the peer closed or failed,
-/// drain began, another connection waits for a worker, or the socket
-/// idled past `KEEPALIVE_IDLE`. Bytes already buffered (a pipelined
-/// request) are served even then; the reply will say `connection: close`.
-fn await_next_request(shared: &Shared, reader: &mut BufReader<TcpStream>) -> bool {
+/// Wait, in `YIELD_SLICE` reads, until a request's first byte is
+/// readable. `false` means close instead: the peer closed or failed, or
+/// a read found nothing and drain had begun, the socket had idled for
+/// `limit`, or, with `yield_to_queue`, another connection waited for a
+/// worker. Bytes already sent (a pipelined request, or one that raced
+/// the drain) are served even then; the reply will say `connection: close`.
+fn await_request(
+    shared: &Shared,
+    reader: &mut BufReader<TcpStream>,
+    limit: Duration,
+    yield_to_queue: bool,
+) -> bool {
     if !reader.buffer().is_empty() {
         return true;
     }
     let idle_since = Instant::now();
     let _ = reader.get_ref().set_read_timeout(Some(YIELD_SLICE));
     loop {
-        if shared.draining.load(Ordering::SeqCst)
-            || !shared.queue.is_empty()
-            || idle_since.elapsed() >= KEEPALIVE_IDLE
-        {
-            return false;
-        }
         match reader.fill_buf() {
             Ok(bytes) => return !bytes.is_empty(),
             Err(e)
@@ -514,6 +524,12 @@ fn await_next_request(shared: &Shared, reader: &mut BufReader<TcpStream>) -> boo
                 ) => {}
             Err(_) => return false,
         }
+        if shared.draining.load(Ordering::SeqCst)
+            || (yield_to_queue && !shared.queue.is_empty())
+            || idle_since.elapsed() >= limit
+        {
+            return false;
+        }
     }
 }
 
@@ -521,8 +537,8 @@ fn await_next_request(shared: &Shared, reader: &mut BufReader<TcpStream>) -> boo
 /// stays open for another.
 fn serve_request(shared: &Shared, reader: &mut BufReader<TcpStream>, clock: &RequestClock) -> bool {
     let started = clock.started;
-    let queue_us = clock.accepted_at.map_or(0, |at| {
-        started.saturating_duration_since(at).as_micros() as u64
+    let queue_us = clock.queued.map_or(0, |(accepted, dequeued)| {
+        dequeued.saturating_duration_since(accepted).as_micros() as u64
     });
     let remaining = clock.budget.saturating_sub(started.elapsed());
     let _ = reader.get_ref().set_read_timeout(Some(remaining));
@@ -639,11 +655,11 @@ fn serve_request(shared: &Shared, reader: &mut BufReader<TcpStream>, clock: &Req
         let anchor = Instant::now();
         let anchor_ns = cubesfc_obs::tracer().now_ns();
         let at = |t: Instant| anchor_ns.saturating_sub(ns(t, anchor));
-        if let Some(accepted_at) = clock.accepted_at {
+        if let Some((accepted, dequeued)) = clock.queued {
             lane.slice_at(
                 "queue",
-                at(accepted_at),
-                at(started),
+                at(accepted),
+                at(dequeued),
                 &[("queue_us", queue_us)],
             );
         }

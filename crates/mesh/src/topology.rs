@@ -363,7 +363,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::dualgraph::{build_dual_graph, ExchangeWeights};
     use crate::face::IVec3;
-    use rustc_hash::FxHashMap;
+    use std::collections::HashMap;
 
     /// The sizes the oracles sweep: every `Ne ≤ 24`, every
     /// `Ne = 2^a·3^b·5^c ≤ 64` (the sizes that admit a curve), and 81.
@@ -436,7 +436,7 @@ pub(crate) mod tests {
         let nel = 6 * ne * ne;
         let ne_i = ne as i64;
 
-        let mut at_point: FxHashMap<IVec3, Vec<ElemId>> = FxHashMap::default();
+        let mut at_point: HashMap<IVec3, Vec<ElemId>> = HashMap::new();
         for eid in 0..nel {
             let (face, i, j) = split_eid(ne, ElemId(eid as u32));
             for cj in 0..2 {
@@ -447,7 +447,7 @@ pub(crate) mod tests {
             }
         }
 
-        let mut shared: FxHashMap<(ElemId, ElemId), u8> = FxHashMap::default();
+        let mut shared: HashMap<(ElemId, ElemId), u8> = HashMap::new();
         for elems in at_point.values() {
             for (x, &a) in elems.iter().enumerate() {
                 for &b in &elems[x + 1..] {

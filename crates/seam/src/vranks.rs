@@ -2,7 +2,7 @@
 //!
 //! Each partition part becomes a *virtual rank* running on its own thread
 //! with its own element storage; ranks communicate only by message
-//! passing (crossbeam channels), mirroring an MPI decomposition. Per RK
+//! passing (`std::sync::mpsc` channels), mirroring an MPI decomposition. Per RK
 //! stage each rank computes its elements' right-hand sides, then performs
 //! the distributed DSS: local partial sums for shared dofs are packed per
 //! neighbour rank, exchanged, and combined. Wall-clock and per-rank
@@ -23,11 +23,11 @@ use crate::gll::GllBasis;
 use crate::metric::{elem_geometry_mapped, ElemGeometry};
 use crate::shallow_water::{sw_elem_rhs, SwConfig, SwState};
 use crate::solver::{rhs_kernel, AdvectionConfig};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use cubesfc_graph::{load_balance_f64, Partition};
 use cubesfc_mesh::{ElemId, Topology};
 use cubesfc_obs::Lane;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 
 /// A halo message: partial DSS sums for the dofs shared between two ranks.
@@ -318,7 +318,7 @@ fn run_ranks<P: Physics>(
     }
 
     let (senders, receivers): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) =
-        (0..nranks).map(|_| unbounded()).unzip();
+        (0..nranks).map(|_| channel()).unzip();
     let wall_start = Instant::now();
     let results: Vec<RankResult> = std::thread::scope(|scope| {
         let (decomp, dofs, basis, assembled_mass) = (&decomp, &dofs, &basis, &assembled_mass);

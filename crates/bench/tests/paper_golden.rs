@@ -5,7 +5,8 @@
 //! these files alone. A change meant to move quality re-pins them in a
 //! commit of its own, so its diff is the paper's tables, old → new.
 //! `measured_scaling` prints wall-clock seconds and is not pinned.
-//! Figure 7's `CUBESFC_CSV` export is pinned in `fig7.csv` the same way.
+//! Figure 7's `CUBESFC_CSV` export is pinned in `fig7.csv` the same way,
+//! and EXPERIMENTS.md's Table 2 block must quote `table2.txt` verbatim.
 
 use std::process::Command;
 
@@ -43,6 +44,28 @@ fn assert_golden(file: &str, actual: &[u8]) {
 
 fn assert_paper_golden(name: &str) {
     assert_golden(&format!("{name}.txt"), &run_paper(name, None));
+}
+
+/// EXPERIMENTS.md's Table 2 block quotes the golden's table (its lines
+/// 2–6) verbatim, so the prose cannot drift from the pinned numbers.
+#[test]
+fn experiments_md_quotes_the_table2_golden() {
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(format!("{root}/EXPERIMENTS.md")).unwrap();
+    let golden = std::fs::read_to_string(format!("{root}/tests/golden/paper/table2.txt")).unwrap();
+    let section = doc.split("\n## Table 2").nth(1).expect("a Table 2 section");
+    let quoted: Vec<&str> = section
+        .split("```")
+        .nth(1)
+        .expect("a fenced block under Table 2")
+        .lines()
+        .filter(|line| !line.is_empty())
+        .collect();
+    let pinned: Vec<&str> = golden.lines().skip(1).take(5).collect();
+    assert_eq!(
+        quoted, pinned,
+        "EXPERIMENTS.md's Table 2 block vs the golden"
+    );
 }
 
 /// The `CUBESFC_CSV` plot-data export of Figure 7, byte for byte.

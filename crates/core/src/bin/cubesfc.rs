@@ -99,6 +99,7 @@
 //!
 //! The assignment output format is one line per element: `elem part`.
 
+use cubesfc::analysis::{analyze_doc, GateMetrics};
 use cubesfc::report::PartitionReport;
 use cubesfc::viz::{render_partition_ascii, render_partition_ppm};
 use cubesfc::{
@@ -510,14 +511,7 @@ fn load<T>(
 /// threshold, unless `--report-only`.
 fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
     let path = &args.paths[1];
-    let (alpha_s, beta_bytes_per_s) = MachineModel::ncar_p690().alpha_beta();
-    let cfg = cubesfc_obs::AnalyzeConfig {
-        comm: cubesfc_obs::CommModel {
-            alpha_s,
-            beta_bytes_per_s,
-        },
-    };
-    let analysis = load(path, |doc| cubesfc_obs::analyze_doc(doc, &cfg))?;
+    let analysis = load(path, analyze_doc)?;
     print!("{}", analysis.render());
     if let Some(out) = &args.json {
         std::fs::write(out, analysis.to_json())
@@ -526,7 +520,7 @@ fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
     let mut failures = Vec::new();
     if let Some(base) = &args.baseline {
         let old = load(base, |doc| {
-            cubesfc_obs::GateMetrics::from_json(doc).map_err(|e| format!("baseline analysis: {e}"))
+            GateMetrics::from_json(doc).map_err(|e| format!("baseline analysis: {e}"))
         })?;
         let threshold = args.threshold.unwrap_or(25.0);
         let report = analysis.gate_metrics().compare(&old, threshold);

@@ -40,11 +40,14 @@
 //! * [`cubesfc_mesh`] — cubed-sphere topology, geometry, six-face curve;
 //! * [`cubesfc_graph`] — the METIS-substitute multilevel partitioner;
 //! * [`cubesfc_seam`] — mini spectral-element app + machine model;
-//! * this crate — the partitioning API, reports, and the paper's
-//!   experiment configurations.
+//! * [`cubesfc_obs`] — spans, counters and traces: it records;
+//! * this crate — the partitioning API, reports, the paper's
+//!   experiment configurations, and [`analysis`], which explains a
+//!   recorded trace with Eq. (1) and the machine model.
 
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod dynamics;
 pub mod engine;
 pub mod error;

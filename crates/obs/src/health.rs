@@ -11,12 +11,13 @@
 //!   Eq. (1) load balance relative to the track's first sample, so slow
 //!   degradation is visible as a trend, not just a level.
 //!
-//! Alerting ([`AlertEngine`]) follows the rebalance `PolicyEngine`
-//! discipline: a rule has a *trigger* threshold, a lower *re-arm*
-//! threshold (hysteresis: once fired it stays silent until the signal
-//! falls back below `rearm`), and a *minimum duration* in consecutive
-//! samples, so a one-sample spike does not page anyone unless the rule
-//! says it should.
+//! Alerting ([`AlertEngine`]) is the one hysteresis engine: a rule has
+//! a *trigger* threshold, a lower *re-arm* threshold (once fired it
+//! stays silent until the signal falls back below `rearm`), and a
+//! *minimum duration* in consecutive samples, so a one-sample spike does
+//! not page anyone unless the rule says it should. The rebalance
+//! `PolicyEngine`'s threshold policy runs on it too, as one rule over
+//! the step's LB.
 
 use std::collections::BTreeMap;
 
@@ -111,8 +112,8 @@ pub fn default_rules() -> Vec<AlertRule> {
     ]
 }
 
-/// Per-rule hysteresis state (the `PolicyEngine { armed }` pattern plus
-/// a consecutive-sample streak for `min_duration`).
+/// Per-rule hysteresis state: armed or not, plus a consecutive-sample
+/// streak for `min_duration`.
 #[derive(Clone, Debug)]
 struct RuleState {
     rule: AlertRule,
@@ -160,9 +161,8 @@ impl AlertEngine {
             if !v.is_finite() {
                 continue;
             }
-            // Re-arm half of the hysteresis loop, mirroring
-            // `PolicyEngine::observe`: only a genuine recovery below
-            // `rearm` makes the rule live again.
+            // Re-arm half of the hysteresis loop: only a genuine
+            // recovery below `rearm` makes the rule live again.
             if v < st.rule.rearm {
                 st.armed = true;
                 st.streak = 0;
@@ -180,6 +180,11 @@ impl AlertEngine {
             }
         }
         fired
+    }
+
+    /// Whether every rule is armed (an engine without rules is).
+    pub fn armed(&self) -> bool {
+        self.states.iter().all(|s| s.armed)
     }
 
     /// Total fires per rule since construction, in rule order.
@@ -226,12 +231,14 @@ mod tests {
         let mut eng = AlertEngine::new(vec![AlertRule::new("hot", "lb", 0.5, 1, 0.2)]);
         assert!(eng.observe(&gauges(&[("lb", 0.1)])).is_empty());
         assert_eq!(eng.observe(&gauges(&[("lb", 0.9)])), vec!["hot"]);
+        assert!(!eng.armed());
         // Still hot: hysteresis holds, no refire.
         assert!(eng.observe(&gauges(&[("lb", 0.9)])).is_empty());
         // Between rearm and threshold: still silent.
         assert!(eng.observe(&gauges(&[("lb", 0.3)])).is_empty());
         // Recovery below rearm re-arms; the next excursion fires again.
         assert!(eng.observe(&gauges(&[("lb", 0.1)])).is_empty());
+        assert!(eng.armed());
         assert_eq!(eng.observe(&gauges(&[("lb", 0.9)])), vec!["hot"]);
         assert_eq!(eng.total_fired(), 2);
         assert_eq!(eng.fired_counts(), vec![("hot".to_string(), 2)]);

@@ -1,7 +1,9 @@
 //! `cubesfc-obs`: zero-dependency observability for the cubed-sphere
-//! partitioning workspace.
+//! partitioning workspace. It records and exports; explaining a trace
+//! (Eq. (1), the machine model) is the domain's job, in
+//! `cubesfc::analysis`.
 //!
-//! Three pieces:
+//! The pieces:
 //!
 //! * **Phase-scoped span timers** — [`span`] returns an RAII guard; spans
 //!   opened while another span is live on the same thread nest under it,
@@ -17,8 +19,10 @@
 //!   samples onto named *lanes* ([`Lane`]), so logical actors (virtual
 //!   ranks, the DSS exchange) get their own timeline rows;
 //!   [`Tracer::export_chrome`] writes Chrome Trace Event Format JSON
-//!   openable in Perfetto, and [`analyze_trace`] replays it, alerting on
-//!   the counter tracks through [`AlertEngine`].
+//!   openable in Perfetto.
+//! * **Health rules** — [`straggler_z`] and the hysteresis
+//!   [`AlertEngine`] over sampled gauges, with the [`default_rules`]
+//!   that trace replay runs over counter tracks.
 //! * **Exporters** — `Snapshot::render_table()` (human-readable profile
 //!   tree) and `Snapshot::to_json()` (stable `cubesfc-profile-v1`
 //!   schema, read back by [`Snapshot::from_json`]).
@@ -32,7 +36,6 @@
 //! embedders) always record.
 
 mod access;
-mod analysis;
 mod chrome;
 mod clock;
 mod events;
@@ -45,11 +48,6 @@ mod snapshot;
 mod value;
 
 pub use access::{parse_access, AccessLog, AccessRecord, ACCESS_SCHEMA};
-pub use analysis::{
-    analyze_doc, analyze_trace, compare_analyses, AnalysisCompare, AnalysisDelta, AnalyzeConfig,
-    CommModel, CounterTrack, CriticalPath, GateMetrics, Imbalance, LaneTimeline, RankSummary,
-    Slice, Straggler, TraceAnalysis, ANALYSIS_SCHEMA,
-};
 pub use chrome::TRACE_SCHEMA;
 pub use clock::{Clock, MockClock, MonotonicClock};
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};

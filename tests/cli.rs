@@ -566,7 +566,8 @@ fn rebalance_trace_has_one_lane_per_phase() {
 
 #[test]
 fn rebalance_counter_track_matches_json_report_and_is_deterministic() {
-    use cubesfc::obs::{analyze_trace, AnalyzeConfig, JsonValue};
+    use cubesfc::analysis::analyze_trace;
+    use cubesfc::obs::JsonValue;
     let dir = tmpdir("counter-track");
     let json_path = dir.join("report.json");
     let run = |trace: &std::path::Path| {
@@ -606,7 +607,7 @@ fn rebalance_counter_track_matches_json_report_and_is_deterministic() {
     assert_eq!(counters(&a).len(), 5);
 
     // Per-step gauges agree exactly with the JSON report records.
-    let analysis = analyze_trace(&a, &AnalyzeConfig::default()).unwrap();
+    let analysis = analyze_trace(&a).unwrap();
     let track = analysis.counters.iter().find(|t| t.name == "rebalance");
     let samples = &track.unwrap().samples;
     let doc = cubesfc::obs::json_parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();

@@ -22,16 +22,17 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use cubesfc::analysis::{analyze_trace, CounterTrack, TraceAnalysis};
 use cubesfc::balance::{
     run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, Repartitioner, SimConfig, SimReport,
     TrajectoryKind,
 };
-use cubesfc::obs::{analyze_trace, AnalyzeConfig, CounterTrack, MockClock, TraceAnalysis, Tracer};
+use cubesfc::obs::{MockClock, Tracer};
 use cubesfc::{partition, CostModel, MachineModel, MeshCache, PartitionMethod, PartitionOptions};
 use proptest::prelude::*;
 
 fn analyze(trace: &str) -> TraceAnalysis {
-    analyze_trace(trace, &AnalyzeConfig::default()).expect("trace analyzes")
+    analyze_trace(trace).expect("trace analyzes")
 }
 
 fn track<'a>(analysis: &'a TraceAnalysis, name: &str) -> &'a CounterTrack {

@@ -14,12 +14,13 @@
 
 use std::sync::Arc;
 
+use cubesfc::analysis::analyze_doc;
 use cubesfc::balance::{
     run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, SimConfig, SimReport, TrajectoryKind,
 };
 use cubesfc::obs::{
-    analyze_doc, json_parse, parse_access, AccessRecord, AnalyzeConfig, Bucket, HistogramSnapshot,
-    MockClock, Snapshot, SpanStat, Tracer,
+    json_parse, parse_access, AccessRecord, Bucket, HistogramSnapshot, MockClock, Snapshot,
+    SpanStat, Tracer,
 };
 use cubesfc::serve::{error_body, Backend, PartitionRequest, RebalanceStepRequest, SERVE_SCHEMA};
 use cubesfc::{partition_curve, CostModel, EngineBackend, MachineModel, MeshCache};
@@ -138,18 +139,16 @@ fn trace_v1_and_analysis_v1_bytes_are_pinned() {
     assert_golden("trace_empty.json", &Tracer::new().export_chrome());
 
     let doc = json_parse(&trace).unwrap();
-    let analysis = analyze_doc(&doc, &AnalyzeConfig::default()).unwrap();
+    let analysis = analyze_doc(&doc).unwrap();
     let json = analysis.to_json();
     assert_golden("analysis.json", &json);
     // The analysis is its own baseline: the gate reads it back cleanly.
-    let gate = cubesfc::obs::compare_analyses(&json, &json, 25.0).unwrap();
+    let gate = cubesfc::analysis::compare_analyses(&json, &json, 25.0).unwrap();
     assert_eq!(gate.regressions(), 0);
 
     // No rank lanes at all: the `straggler: null` / empty-map branches.
     let empty = json_parse(&Tracer::new().export_chrome()).unwrap();
-    let json = analyze_doc(&empty, &AnalyzeConfig::default())
-        .unwrap()
-        .to_json();
+    let json = analyze_doc(&empty).unwrap().to_json();
     assert_golden("analysis_empty.json", &json);
 }
 
@@ -192,7 +191,7 @@ fn trace_counter_bytes_are_pinned() {
     let trace = counter_trace();
     assert_golden("trace_counters.json", &trace);
     let doc = json_parse(&trace).unwrap();
-    let analysis = analyze_doc(&doc, &AnalyzeConfig::default()).unwrap();
+    let analysis = analyze_doc(&doc).unwrap();
     assert_golden("analysis_counters.json", &analysis.to_json());
 
     // Finite values come back exactly (`-0` as zero); non-finite ones

@@ -3,9 +3,21 @@
 
 use cubesfc::graph::metrics::{edgecut, load_balance, partition_stats};
 use cubesfc::{partition_default, CubedSphere, PartitionMethod};
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// The lock around the process-global obs registry. Every test here
+/// partitions under a shared guard; the one test that switches the
+/// registry on and pins its counters holds it exclusively, so no other
+/// test's partitions land in its counts.
+static OBS: RwLock<()> = RwLock::new(());
+
+fn partitioning() -> RwLockReadGuard<'static, ()> {
+    OBS.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn every_method_assigns_every_element_exactly_once() {
+    let _shared = partitioning();
     let mesh = CubedSphere::new(6); // K = 216, Hilbert-Peano face
     for method in PartitionMethod::ALL {
         for nproc in [1usize, 4, 9, 27, 54] {
@@ -18,6 +30,7 @@ fn every_method_assigns_every_element_exactly_once() {
 
 #[test]
 fn sfc_parts_are_connected_on_the_sphere() {
+    let _shared = partitioning();
     // A contiguous segment of a continuous curve is a connected set of
     // elements under edge adjacency.
     let mesh = CubedSphere::new(8);
@@ -50,6 +63,7 @@ fn sfc_parts_are_connected_on_the_sphere() {
 
 #[test]
 fn sfc_balance_is_optimal_for_all_table1_divisors() {
+    let _shared = partitioning();
     for res in cubesfc::table1() {
         let mesh = CubedSphere::new(res.ne);
         for nproc in res.equal_share_procs() {
@@ -62,6 +76,7 @@ fn sfc_balance_is_optimal_for_all_table1_divisors() {
 
 #[test]
 fn metis_methods_respect_their_tolerance() {
+    let _shared = partitioning();
     let mesh = CubedSphere::new(8);
     let g = mesh.dual_graph(Default::default());
     for method in PartitionMethod::METIS {
@@ -78,6 +93,7 @@ fn metis_methods_respect_their_tolerance() {
 
 #[test]
 fn kway_cuts_less_than_sfc_cuts() {
+    let _shared = partitioning();
     // The trade the whole paper is about: KWAY wins edgecut, SFC wins
     // balance.
     let mesh = CubedSphere::new(16);
@@ -102,6 +118,7 @@ fn kway_cuts_less_than_sfc_cuts() {
 
 #[test]
 fn unsupported_sizes_fall_back_to_metis_only() {
+    let _shared = partitioning();
     // Ne = 14 = 2·7: outside even the extended curve family; the METIS
     // path must still work ("both are retained in SEAM").
     let mesh = CubedSphere::new(14);
@@ -112,6 +129,7 @@ fn unsupported_sizes_fall_back_to_metis_only() {
 
 #[test]
 fn partitions_are_deterministic_across_calls() {
+    let _shared = partitioning();
     let mesh = CubedSphere::new(8);
     for method in PartitionMethod::ALL {
         let a = partition_default(&mesh, method, 24).unwrap();
@@ -141,6 +159,7 @@ fn quality_bits(ne: usize, method: PartitionMethod, nproc: usize) -> (u64, u64, 
 
 #[test]
 fn report_quality_bits_are_pinned() {
+    let _shared = partitioning();
     // The values the tree produced before the fused metrics sweep, the
     // arithmetic `Topology` and the single CSR type went in (PR 23): the
     // SFC reports of `big_sfc`'s smallest size and the paper's Table-2
@@ -224,11 +243,12 @@ fn graph_grid_fingerprint(
 /// `crates/graph` that is meant to keep partitions must leave every value
 /// alone; only a deliberate quality change (ROADMAP item 1) re-pins them.
 mod graph_fingerprint {
-    use super::graph_grid_fingerprint;
+    use super::{graph_grid_fingerprint, partitioning, OBS};
     use cubesfc::mesh::ExchangeWeights;
 
     #[test]
     fn default_seed_full_grid() {
+        let _shared = partitioning();
         assert_eq!(
             graph_grid_fingerprint(usize::MAX, ExchangeWeights::default(), 0x5EED, None),
             (207, 12396402889382892977)
@@ -237,6 +257,7 @@ mod graph_fingerprint {
 
     #[test]
     fn one_job_matches_default_jobs() {
+        let _shared = partitioning();
         // Both halves in one test: `set_jobs` is process-global, and the
         // other tests of this binary do not care which value they see.
         let pooled = graph_grid_fingerprint(6, ExchangeWeights::default(), 0x5EED, None);
@@ -249,6 +270,7 @@ mod graph_fingerprint {
 
     #[test]
     fn seed_1_full_grid() {
+        let _shared = partitioning();
         assert_eq!(
             graph_grid_fingerprint(usize::MAX, ExchangeWeights::default(), 1, None),
             (207, 18242216872731176475)
@@ -257,6 +279,7 @@ mod graph_fingerprint {
 
     #[test]
     fn seed_42_full_grid() {
+        let _shared = partitioning();
         assert_eq!(
             graph_grid_fingerprint(usize::MAX, ExchangeWeights::default(), 42, None),
             (207, 1287216411701474060)
@@ -265,6 +288,7 @@ mod graph_fingerprint {
 
     #[test]
     fn non_uniform_vertex_weights() {
+        let _shared = partitioning();
         // Weights 1, 1.5, 2, 3.25 by element id: integer vwgt 17, 25, 33, 53.
         let w = |e: usize| [1.0, 1.5, 2.0, 3.25][(e * 7 + e / 5) % 4];
         assert_eq!(
@@ -275,6 +299,7 @@ mod graph_fingerprint {
 
     #[test]
     fn zero_weight_corner_edges() {
+        let _shared = partitioning();
         // `corner_points: 0` keeps the corner edges in the graph at weight
         // zero, so FM and `kway_refine` see zero-weight neighbours.
         let exchange = ExchangeWeights {
@@ -285,5 +310,30 @@ mod graph_fingerprint {
             graph_grid_fingerprint(6, exchange, 0x5EED, None),
             (72, 7292690453941048302)
         );
+    }
+
+    #[test]
+    fn initial_work_counts_on_the_thinned_grid() {
+        // Exact work of greedy graph growing over the thinned grid, with
+        // this test alone partitioning while the registry is on. A change
+        // meant to keep partitions keeps the fingerprint; one meant to
+        // save work shows it here in tries and passes.
+        let _alone = OBS.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+        cubesfc::obs::set_enabled(true);
+        cubesfc::obs::reset();
+        let fingerprint = graph_grid_fingerprint(6, ExchangeWeights::default(), 0x5EED, None);
+        let counters = cubesfc::obs::snapshot().counters;
+        cubesfc::obs::set_enabled(false);
+        cubesfc::obs::reset();
+        assert_eq!(fingerprint, (72, 4448211649226004680));
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let counts = [
+            count("initial/tries_grown"),
+            count("initial/tries_polished"),
+            count("initial/tries_duplicate"),
+            count("initial/fm_passes"),
+        ];
+        // grown, polished, skipped as duplicates, FM passes of the polish.
+        assert_eq!(counts, [58692, 44015, 14677, 78583]);
     }
 }

@@ -9,7 +9,8 @@
 //!   opened while another span is live on the same thread nest under it,
 //!   producing slash-joined paths like `partition/coarsen/match`. Time
 //!   comes from an injectable [`Clock`], so tests use [`MockClock`] and
-//!   never sleep.
+//!   never sleep. [`thread_cpu_ns`] / [`process_cpu_ns`] read on-CPU
+//!   time instead, for claims that must not depend on an idle host.
 //! * **Mergeable metrics** — counters and log2-bucket histograms are
 //!   written to per-thread shards (one mutex each, never contended in
 //!   steady state) and merged into a [`Snapshot`] on demand; safe under
@@ -38,6 +39,7 @@
 mod access;
 mod chrome;
 mod clock;
+mod cpu;
 mod events;
 mod health;
 mod json;
@@ -50,6 +52,7 @@ mod value;
 pub use access::{parse_access, AccessLog, AccessRecord, ACCESS_SCHEMA};
 pub use chrome::TRACE_SCHEMA;
 pub use clock::{Clock, MockClock, MonotonicClock};
+pub use cpu::{process_cpu_ns, thread_cpu_ns};
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};
 pub use health::{default_rules, straggler_z, AlertEngine, AlertRule};
 pub use json::{escape as json_escape, JsonScalar, JsonWriter, Layout};

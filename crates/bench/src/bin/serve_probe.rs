@@ -6,9 +6,9 @@
 //!
 //! Exercises an already-running server — health, readiness, a partition
 //! round-trip, a cache hit, a malformed body (must be 400), a rebalance
-//! step, an unknown route (404), `/metrics` in both JSON and Prometheus
-//! text form, `/statusz`, and the request-ID echo — and exits nonzero on
-//! any contract violation. CI uses this as the serve smoke gate.
+//! step, an unknown route (404), the JSON `/metrics` snapshot, and the
+//! request-ID echo — and exits nonzero on any contract violation. CI
+//! uses this as the serve smoke gate.
 
 use cubesfc::serve::{http_request, http_request_with_headers};
 use std::net::SocketAddr;
@@ -112,37 +112,6 @@ fn probe(addr: SocketAddr) -> usize {
             format!("status {} body {}", r.status, r.body),
         ),
         Err(e) => check("readyz is 200 while serving", false, e.to_string()),
-    }
-    match http_request(addr, "GET", "/statusz", None, TIMEOUT) {
-        Ok(r) => check(
-            "statusz renders the operator summary",
-            r.status == 200 && r.body.contains("ready:") && r.body.contains("queue:"),
-            format!("status {} body {:.80}", r.status, r.body),
-        ),
-        Err(e) => check("statusz renders the operator summary", false, e.to_string()),
-    }
-    match http_request_with_headers(
-        addr,
-        "GET",
-        "/metrics",
-        &[("accept", "text/plain")],
-        None,
-        TIMEOUT,
-    ) {
-        Ok(r) => check(
-            "metrics negotiates Prometheus text",
-            r.status == 200
-                && r.body.contains("# TYPE")
-                && r.header("content-type")
-                    .is_some_and(|ct| ct.starts_with("text/plain")),
-            format!(
-                "status {} content-type {:?} body {:.60}",
-                r.status,
-                r.header("content-type"),
-                r.body
-            ),
-        ),
-        Err(e) => check("metrics negotiates Prometheus text", false, e.to_string()),
     }
     match http_request_with_headers(
         addr,

@@ -15,7 +15,6 @@
 //! cubesfc serve     [--addr HOST:PORT] [--workers N] [--queue N]
 //!                   [--cache-entries N] [--deadline-ms MS]
 //!                   [--access-log[=PATH]]
-//! cubesfc top URL   [--interval-ms N] [--once]
 //! ```
 //!
 //! `rebalance` simulates a time-varying load (`--trajectory`) over
@@ -69,7 +68,8 @@
 //!
 //! `serve` runs the partitioning service: an HTTP/1.1 JSON API
 //! (`cubesfc-serve-v1`) with `POST /v1/partition`,
-//! `POST /v1/rebalance/step`, `GET /healthz`, and `GET /metrics`,
+//! `POST /v1/rebalance/step`, `GET /healthz`, `GET /readyz`, and
+//! `GET /metrics` (the server registry as `cubesfc-profile-v1` JSON),
 //! backed by the experiment engine's bounded mesh cache plus a
 //! server-side LRU result cache and in-flight request coalescing.
 //! `--queue` bounds admission (overload is answered with 429 +
@@ -88,14 +88,6 @@
 //! `x-cubesfc-request-id` (client-supplied via the same header, else a
 //! server-assigned sequence number), so a log line can be matched to
 //! the client that saw it.
-//!
-//! `top URL` polls a running server's `GET /metrics` endpoint and
-//! renders a live terminal dashboard: requests/s, queue depth,
-//! in-flight worker utilization, cache hit ratio, and per-cache-class
-//! latency quantiles with sparkline history. `--interval-ms` sets the
-//! poll cadence (default 1000), `--once` prints a single frame without
-//! clearing the screen and exits — the scriptable form used by the CI
-//! smoke test.
 //!
 //! The assignment output format is one line per element: `elem part`.
 
@@ -119,7 +111,7 @@ struct Args {
     ascii: bool,
     profile: bool,
     trace: Option<String>,
-    /// Positional operands (subcommand words, replay paths, the `top` URL).
+    /// Positional operands (subcommand words, replay paths).
     paths: Vec<String>,
     threshold: Option<f64>,
     report_only: bool,
@@ -157,10 +149,6 @@ struct Args {
     deadline_ms: u64,
     /// Access-log output path for `serve` (`--access-log[=PATH]`).
     access_log: Option<String>,
-    /// Poll cadence for `top`, in milliseconds.
-    interval_ms: u64,
-    /// Print one `top` frame and exit (`--once`).
-    once: bool,
 }
 
 /// What to do with the profile when the command finishes.
@@ -189,7 +177,6 @@ fn usage() -> ExitCode {
          \tcubesfc serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
          \t  [--cache-entries N] [--deadline-ms MS] [--access-log[=PATH]]\n\
          \t  (or CUBESFC_ACCESS_LOG=1|PATH; default cubesfc-access.ndjson)\n\
-         \tcubesfc top URL [--interval-ms N] [--once]\n\
          \tcubesfc --version"
     );
     ExitCode::from(2)
@@ -259,8 +246,6 @@ fn parse_args() -> Result<Args, String> {
         cache_entries: 256,
         deadline_ms: 30_000,
         access_log: None,
-        interval_ms: 1000,
-        once: false,
     };
     while let Some(flag) = it.next() {
         let flag = flag.as_str();
@@ -320,8 +305,6 @@ fn parse_args() -> Result<Args, String> {
             "--cache-entries" => args.cache_entries = positive(flag, value(&mut it, flag)?)?,
             "--deadline-ms" => args.deadline_ms = positive(flag, value(&mut it, flag)?)?,
             "--access-log" => args.access_log = Some("cubesfc-access.ndjson".to_string()),
-            "--interval-ms" => args.interval_ms = positive(flag, value(&mut it, flag)?)?,
-            "--once" => args.once = true,
             other => {
                 if let Some(path) = path_suffix(other, "--access-log") {
                     args.access_log = Some(path?);
@@ -337,11 +320,6 @@ fn parse_args() -> Result<Args, String> {
         "trace" => {
             if args.paths.len() != 2 || args.paths[0] != "analyze" {
                 return Err("trace needs a subcommand: trace analyze FILE.json".into());
-            }
-        }
-        "top" => {
-            if args.paths.len() != 1 {
-                return Err("top needs exactly one server URL: top http://HOST:PORT".into());
             }
         }
         _ => {
@@ -755,27 +733,12 @@ fn run_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Poll a running server's `/metrics` endpoint and render the live
-/// dashboard (or, with `--once`, a single deterministic frame).
-fn run_top_cmd(args: &Args) -> Result<(), String> {
-    install_shutdown_signals();
-    cubesfc::top::run_top(
-        &args.paths[0],
-        std::time::Duration::from_millis(args.interval_ms),
-        args.once,
-        &SERVE_STOP,
-    )
-}
-
 fn run(args: Args) -> Result<(), CliError> {
     if args.command == "trace" {
         return run_trace_analyze(&args);
     }
     if args.command == "serve" {
         return run_serve(&args).map_err(CliError::Runtime);
-    }
-    if args.command == "top" {
-        return run_top_cmd(&args).map_err(CliError::Runtime);
     }
     run_mesh_command(args)
 }

@@ -33,8 +33,8 @@ use crate::PartitionError;
 use cubesfc_graph::{CsrGraph, Partition};
 use cubesfc_mesh::{CubedSphere, ExchangeWeights};
 use cubesfc_seam::{CostModel, MachineModel};
+use cubesfc_serve::LruCache;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -71,31 +71,23 @@ pub const DEFAULT_MESH_CACHE_CAPACITY: usize = 16;
 /// requests for the same `ne` all land on the same slot and
 /// `get_or_init` guarantees exactly one of them runs the build while
 /// the rest block on it.
-struct CacheEntry {
-    slot: Arc<OnceLock<Arc<MeshBundle>>>,
-    tick: u64,
-}
-
-struct CacheState {
-    map: HashMap<usize, CacheEntry>,
-    tick: u64,
-}
+type Slot = Arc<OnceLock<Arc<MeshBundle>>>;
 
 /// A bounded, thread-safe memo of [`MeshBundle`]s keyed by face size,
 /// with LRU eviction and coalesced builds.
 ///
-/// `bundle` takes the lock only around the map probe/insert; the build
-/// itself runs outside it via `OnceLock::get_or_init`, so a slow build
-/// never serializes readers of other resolutions, and concurrent
-/// requests for the same unbuilt `ne` compute the bundle exactly once.
-/// When the cache is full, inserting a new resolution evicts the
-/// least-recently-used one. Hit/miss/eviction counts are kept both on
-/// the cache (for direct assertion) and as `engine/cache_*` counters in
-/// the global observability registry.
+/// The slots live in the service's [`LruCache`], so the workspace has
+/// one LRU. `bundle` takes the lock only around the map probe/insert;
+/// the build itself runs outside it via `OnceLock::get_or_init`, so a
+/// slow build never serializes readers of other resolutions, and
+/// concurrent requests for the same unbuilt `ne` compute the bundle
+/// exactly once. When the cache is full, inserting a new resolution
+/// evicts the least-recently-used one. Hit/miss/eviction counts are
+/// kept both on the cache (for direct assertion) and as `engine/cache_*`
+/// counters in the global observability registry.
 pub struct MeshCache {
     exchange: ExchangeWeights,
-    capacity: usize,
-    inner: Mutex<CacheState>,
+    slots: Mutex<LruCache<usize, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -122,11 +114,7 @@ impl MeshCache {
     pub fn with_exchange_and_capacity(exchange: ExchangeWeights, capacity: usize) -> MeshCache {
         MeshCache {
             exchange,
-            capacity: capacity.max(1),
-            inner: Mutex::new(CacheState {
-                map: HashMap::new(),
-                tick: 0,
-            }),
+            slots: Mutex::new(LruCache::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -141,37 +129,20 @@ impl MeshCache {
     /// equal builds.
     pub fn bundle(&self, ne: usize) -> Arc<MeshBundle> {
         let slot = {
-            let mut state = self.inner.lock().unwrap();
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(entry) = state.map.get_mut(&ne) {
-                entry.tick = tick;
+            let mut slots = self.slots.lock().unwrap();
+            if let Some(slot) = slots.get(&ne) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 cubesfc_obs::counter_add("engine/cache_hits", 1);
-                Arc::clone(&entry.slot)
+                Arc::clone(slot)
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 cubesfc_obs::counter_add("engine/cache_misses", 1);
-                if state.map.len() >= self.capacity {
-                    if let Some(oldest) = state
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.tick)
-                        .map(|(&k, _)| k)
-                    {
-                        state.map.remove(&oldest);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                        cubesfc_obs::counter_add("engine/cache_evictions", 1);
-                    }
+                let slot = Slot::default();
+                let evicted = slots.insert(ne, Arc::clone(&slot)) as u64;
+                if evicted > 0 {
+                    self.evictions.fetch_add(evicted, Ordering::Relaxed);
+                    cubesfc_obs::counter_add("engine/cache_evictions", evicted);
                 }
-                let slot = Arc::new(OnceLock::new());
-                state.map.insert(
-                    ne,
-                    CacheEntry {
-                        slot: Arc::clone(&slot),
-                        tick,
-                    },
-                );
                 slot
             }
         };
@@ -181,7 +152,7 @@ impl MeshCache {
 
     /// Number of memoized resolutions.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.slots.lock().unwrap().len()
     }
 
     /// Whether nothing is memoized yet.
@@ -191,7 +162,7 @@ impl MeshCache {
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.lock().unwrap().capacity()
     }
 
     /// Lookups that found an existing slot.
@@ -211,7 +182,7 @@ impl MeshCache {
 
     /// Whether `ne` currently has a slot (without touching recency).
     pub fn contains(&self, ne: usize) -> bool {
-        self.inner.lock().unwrap().map.contains_key(&ne)
+        self.slots.lock().unwrap().contains(&ne)
     }
 }
 

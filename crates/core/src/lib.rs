@@ -57,7 +57,6 @@ pub mod rcb;
 pub mod report;
 pub mod service;
 pub mod sfc_partition;
-pub mod top;
 pub mod viz;
 
 pub use dynamics::MethodRepartitioner;

@@ -43,7 +43,6 @@ mod cpu;
 mod events;
 mod health;
 mod json;
-mod prometheus;
 mod render;
 mod series;
 mod snapshot;
@@ -56,7 +55,7 @@ pub use cpu::{process_cpu_ns, thread_cpu_ns};
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};
 pub use health::{default_rules, straggler_z, AlertEngine, AlertRule};
 pub use json::{escape as json_escape, JsonScalar, JsonWriter, Layout};
-pub use series::{Series, SeriesBank, SeriesSample};
+pub use series::{SeriesBank, SeriesSample};
 pub use snapshot::{Bucket, HistogramSnapshot, Snapshot, SpanStat, SCHEMA};
 pub use value::{
     load_doc, parse as json_parse, parse_with_limits as json_parse_with_limits, read_ndjson,

@@ -11,8 +11,8 @@
 //!   stays one point and never leaks into its neighbours.
 //! * [`SeriesBank`] — per-lane gauge and per-rank series built from
 //!   [`SeriesSample`]s, rendered as a fixed-width table of sparklines
-//!   plus the alert log. `trace analyze` (counter tracks, per-segment
-//!   rank work) and `top` (dashboard history) both render through it.
+//!   plus the alert log. Its one reader is `trace analyze` (counter
+//!   tracks, per-segment rank work).
 
 use crate::render::{sparkline, sparkline_scaled};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -75,56 +75,32 @@ impl<T> Ring<T> {
 
 /// One metric's bounded history of `(seq, value)` points.
 #[derive(Clone, Debug)]
-pub struct Series {
+pub(crate) struct Series {
     ring: Ring<(u64, f64)>,
-    /// Last value pushed (0.0 before any push).
-    last: f64,
 }
 
 impl Series {
     /// A series retaining at most `capacity` points.
-    pub fn new(capacity: usize) -> Series {
+    pub(crate) fn new(capacity: usize) -> Series {
         Series {
             ring: Ring::new(capacity),
-            last: 0.0,
         }
     }
 
     /// Record `value` observed at sample `seq`; when full, the oldest
     /// point is evicted and counted.
-    pub fn push(&mut self, seq: u64, value: f64) {
-        self.last = value;
+    pub(crate) fn push(&mut self, seq: u64, value: f64) {
         self.ring.push((seq, value));
     }
 
     /// The retained window as `(seq, value)` points, oldest first.
-    pub fn points(&self) -> Vec<(u64, f64)> {
+    pub(crate) fn points(&self) -> Vec<(u64, f64)> {
         self.ring.iter().copied().collect()
     }
 
     /// Just the values of [`Series::points`] (sparkline input).
-    pub fn values(&self) -> Vec<f64> {
+    pub(crate) fn values(&self) -> Vec<f64> {
         self.points().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// The most recent absolute value (0.0 before any push).
-    pub fn last(&self) -> f64 {
-        self.last
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the series holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Exact number of points evicted by the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
     }
 }
 
@@ -140,7 +116,7 @@ const MAX_RANK_ROWS: usize = 32;
 pub struct SeriesSample {
     /// The sample's position on its lane (the series' x axis).
     pub seq: u64,
-    /// The lane: a counter track, `segments`, `top`, ...
+    /// The lane: a counter track, `segments`, ...
     pub lane: String,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
@@ -354,8 +330,7 @@ mod tests {
             s.push(seq, v);
         }
         assert_eq!(s.points(), vec![(0, 2.0), (1, 5.0), (2, 5.0), (3, 1.0)]);
-        assert_eq!(s.last(), 1.0);
-        assert_eq!(s.dropped(), 0);
+        assert_eq!(s.ring.dropped(), 0);
     }
 
     #[test]
@@ -365,11 +340,10 @@ mod tests {
         for (seq, &v) in values.iter().enumerate() {
             s.push(seq as u64, v);
         }
-        assert_eq!(s.dropped(), 3);
+        assert_eq!(s.ring.dropped(), 3);
         // The window shows the last 3 values, exactly.
         assert_eq!(s.points(), vec![(3, 16.0), (4, 1.0), (5, 32.0)]);
         assert_eq!(s.values(), vec![16.0, 1.0, 32.0]);
-        assert_eq!(s.last(), 32.0);
     }
 
     #[test]
@@ -382,7 +356,7 @@ mod tests {
             total += (seq % 7) as f64;
             s.push(seq, total);
         }
-        assert_eq!(s.dropped(), 96);
+        assert_eq!(s.ring.dropped(), 96);
         let pts = s.points();
         assert_eq!(pts.len(), 4);
         let mut expect = 0.0;

@@ -186,9 +186,8 @@ impl Snapshot {
 
     /// Rebuild a snapshot from a parsed `cubesfc-profile-v1` document
     /// (the inverse of [`Snapshot::to_json`]; derived fields like
-    /// `mean_ns` are ignored). This is what lets remote consumers — the
-    /// `cubesfc top` dashboard polling `GET /metrics` — reuse the full
-    /// quantile/render machinery on the wire format.
+    /// `mean_ns` are ignored), so a document read back from a file or
+    /// from `GET /metrics` is a snapshot again.
     pub fn from_json(doc: &JsonValue) -> Result<Snapshot, String> {
         doc.expect_schema(SCHEMA)?;
         let mut snap = Snapshot::default();

@@ -1,5 +1,5 @@
-//! A minimal blocking HTTP/1.1 client, shared by the integration tests,
-//! `cubesfc top` and the `serve_probe` smoke binary. One request per
+//! A minimal blocking HTTP/1.1 client, shared by the integration tests
+//! and the `serve_probe` smoke binary. One request per
 //! connection: every request says `connection: close`, so the server
 //! closes after its reply and the client reads that reply to EOF. (The
 //! server keeps a connection open for clients that do not say so.)

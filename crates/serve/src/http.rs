@@ -223,17 +223,6 @@ impl Response {
         }
     }
 
-    /// A plain-text response (Prometheus exposition format version, so
-    /// scrapers accept `GET /metrics` output as-is).
-    pub fn text(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            headers: Vec::new(),
-            body: body.into_bytes(),
-        }
-    }
-
     /// Attach an extra header.
     pub fn with_header(mut self, name: &str, value: &str) -> Response {
         self.headers.push((name.to_string(), value.to_string()));
@@ -431,19 +420,5 @@ mod tests {
         assert!(text.contains("content-length: 2\r\n"));
         assert!(!text.contains("connection:"), "the server decides: {text}");
         assert!(text.ends_with("\r\n\r\n{}"));
-    }
-
-    #[test]
-    fn text_response_carries_prometheus_content_type() {
-        let mut out = Vec::new();
-        Response::text(200, "up 1\n".to_string())
-            .write(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(
-            text.contains("content-type: text/plain; version=0.0.4; charset=utf-8\r\n"),
-            "{text}"
-        );
-        assert!(text.ends_with("\r\n\r\nup 1\n"));
     }
 }

@@ -58,7 +58,6 @@ use cubesfc_obs::{Lane, Registry, Snapshot};
 
 use crate::api::{
     error_body, parse_partition_request, parse_rebalance_request, status_body, PartitionRequest,
-    SERVE_SCHEMA,
 };
 use crate::coalesce::{Coalescer, Outcome};
 use crate::http::{read_request, ReadError, Request, Response};
@@ -703,8 +702,7 @@ fn serve_request(shared: &Shared, reader: &mut BufReader<TcpStream>, clock: &Req
 }
 
 /// The registry snapshot plus point-in-time gauges (`serve/gauge/*`),
-/// injected at scrape time so both the JSON and Prometheus views of
-/// `GET /metrics` are self-sufficient for dashboards.
+/// injected at scrape time so `GET /metrics` is self-sufficient.
 fn metrics_snapshot(shared: &Shared) -> Snapshot {
     let mut snap = shared.registry.snapshot();
     let gauges = [
@@ -720,37 +718,6 @@ fn metrics_snapshot(shared: &Shared) -> Snapshot {
         snap.counters.insert(name.to_string(), value);
     }
     snap
-}
-
-/// The `GET /statusz` body: a compact fixed-width operator summary.
-fn statusz_body(shared: &Shared) -> String {
-    let depth = shared.queue.len();
-    let capacity = shared.queue.capacity();
-    let draining = shared.draining.load(Ordering::SeqCst);
-    let ready = match (readiness(draining, depth, capacity), draining) {
-        (true, _) => "yes",
-        (false, true) => "no (draining)",
-        (false, false) => "no (queue saturated)",
-    };
-    format!(
-        "cubesfc serve ({SERVE_SCHEMA})\n\
-         ready:     {ready}\n\
-         accepted:  {}\n\
-         completed: {}\n\
-         rejected:  {}\n\
-         queue:     {depth}/{capacity}\n\
-         inflight:  {}/{} workers\n\
-         cache:     {} entries, hit rate {:.3}\n\
-         coalesced: {} waiting\n",
-        shared.accepted.load(Ordering::Relaxed),
-        shared.completed.load(Ordering::Relaxed),
-        shared.rejected.load(Ordering::Relaxed),
-        shared.inflight.load(Ordering::Relaxed),
-        shared.workers,
-        shared.cache.lock().expect("cache poisoned").len(),
-        shared.cache_hit_rate(),
-        shared.coalescer.waiting(),
-    )
 }
 
 fn route(
@@ -779,17 +746,10 @@ fn route(
             };
             ("readyz", response)
         }
-        ("GET", "/metrics") => {
-            let snap = metrics_snapshot(shared);
-            let accept = request.header("accept").unwrap_or("");
-            let response = if accept.contains("text/plain") {
-                Response::text(200, snap.to_prometheus())
-            } else {
-                Response::json(200, snap.to_json())
-            };
-            ("metrics", response)
-        }
-        ("GET", "/statusz") => ("statusz", Response::text(200, statusz_body(shared))),
+        ("GET", "/metrics") => (
+            "metrics",
+            Response::json(200, metrics_snapshot(shared).to_json()),
+        ),
         ("POST", "/v1/partition") => (
             "partition",
             handle_partition(shared, request, remaining, lane),
@@ -798,7 +758,6 @@ fn route(
         (_, "/healthz")
         | (_, "/readyz")
         | (_, "/metrics")
-        | (_, "/statusz")
         | (_, "/v1/partition")
         | (_, "/v1/rebalance/step") => (
             "bad_method",
@@ -983,8 +942,5 @@ mod tests {
         assert_eq!(snap.counters["serve/gauge/workers"], 2);
         assert_eq!(snap.counters["serve/gauge/queue_depth"], 0);
         assert_eq!(snap.counters["serve/gauge/inflight"], 0);
-        let status = statusz_body(&shared);
-        assert!(status.contains("ready:     yes"), "{status}");
-        assert!(status.contains("queue:     0/4"), "{status}");
     }
 }

@@ -824,3 +824,67 @@ fn fault_injection_flags_and_chaos_are_gone() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown fault kind \"stall\""), "{err}");
 }
+
+#[test]
+fn top_is_an_unknown_command() {
+    // The dashboard is gone, and with it `--interval-ms` and `--once`.
+    let out = cli().args(["top", "--ne", "4"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(err, "error: unknown command 'top'\n");
+    for argv in [
+        &["top", "http://127.0.0.1:8437"][..],
+        &["serve", "--interval-ms", "200"],
+        &["serve", "--once"],
+    ] {
+        let out = cli().args(argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("usage:"), "{argv:?}: {err}");
+    }
+}
+
+/// The subcommands `usage()` prints: the word after each `cubesfc`, with
+/// `<a|b|c>` alternatives split and flags (`--version`) left out.
+fn usage_subcommands() -> std::collections::BTreeSet<String> {
+    let out = cli().output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8(out.stderr).unwrap();
+    let words: Vec<&str> = usage.split_whitespace().collect();
+    words
+        .windows(2)
+        .filter(|w| w[0] == "cubesfc" && !w[1].starts_with('-'))
+        .flat_map(|w| w[1].trim_matches(|c| c == '<' || c == '>').split('|'))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The first word of each `CLI` row of DESIGN.md's readers table.
+fn readers_table_subcommands() -> std::collections::BTreeSet<String> {
+    let design =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md")).unwrap();
+    let section = design
+        .split("\n## 8. Surfaces and their readers")
+        .nth(1)
+        .expect("DESIGN.md has the readers table");
+    section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| CLI | `"))
+        .map(|rest| {
+            let name = rest.split('`').next().unwrap();
+            name.split_whitespace().next().unwrap().to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn usage_subcommands_are_the_readers_table_rows() {
+    // Every subcommand names its reader in DESIGN.md §8, so a new one
+    // cannot land without a row, and a deleted one takes its row along.
+    let usage = usage_subcommands();
+    assert!(
+        usage.contains("partition") && usage.contains("serve"),
+        "{usage:?}"
+    );
+    assert_eq!(usage, readers_table_subcommands());
+}

@@ -6,12 +6,11 @@
 //! 3. graceful shutdown drains every admitted request,
 //!
 //! plus deadline expiry (504), hostile-input rejection (400/413), and
-//! the observability surface: JSON/Prometheus content negotiation on
-//! `/metrics` (including the scrape observing itself before it
-//! snapshots), request-ID echo on the success, shed, and deadline
-//! paths, `/readyz` and `/statusz`, access-log totals agreeing with
-//! Prometheus `_count` series and with a closed-loop client's own books,
-//! and a `top` dashboard frame computed over live HTTP.
+//! the observability surface: the JSON `/metrics` document (including
+//! the scrape observing itself before it snapshots), request-ID echo on
+//! the success, shed, and deadline paths, `/readyz`, and access-log
+//! totals agreeing with the `/metrics` latency counts and with a
+//! closed-loop client's own books.
 //!
 //! The mechanics tests use a gated mock backend so concurrency is
 //! *controlled*, not raced: the gate holds computations open until the
@@ -357,7 +356,7 @@ fn metrics_endpoint_reports_cache_and_queue_counters() {
 }
 
 #[test]
-fn metrics_negotiates_prometheus_text_and_pins_its_own_observation() {
+fn metrics_answers_json_and_pins_its_own_observation() {
     let (handle, addr) = start(ServeConfig::default(), Arc::new(EngineBackend::new()));
 
     // Default Accept: the JSON profile document.
@@ -382,7 +381,7 @@ fn metrics_negotiates_prometheus_text_and_pins_its_own_observation() {
         Some(1)
     );
 
-    // Accept: text/plain negotiates the Prometheus exposition.
+    // There is one format: `Accept: text/plain` gets the same JSON.
     let resp = http_request_with_headers(
         addr,
         "GET",
@@ -393,16 +392,12 @@ fn metrics_negotiates_prometheus_text_and_pins_its_own_observation() {
     )
     .unwrap();
     assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("content-type"), Some("application/json"));
     assert!(
-        resp.header("content-type")
-            .is_some_and(|ct| ct.starts_with("text/plain")),
-        "content-type: {:?}",
-        resp.header("content-type")
+        cubesfc::obs::json_parse(&resp.body).is_ok(),
+        "{}",
+        resp.body
     );
-    assert!(resp.body.contains("# TYPE serve_requests counter"));
-    assert!(resp.body.contains("# TYPE serve_gauge_queue_depth gauge"));
-    assert!(resp.body.contains("serve_latency_metrics_us_bucket"));
-    assert!(resp.body.ends_with('\n'));
     handle.shutdown();
 }
 
@@ -504,7 +499,7 @@ fn request_ids_are_echoed_on_success_shed_and_deadline_paths() {
 }
 
 #[test]
-fn readyz_and_statusz_report_operational_state() {
+fn readyz_reports_operational_state_and_statusz_is_gone() {
     let (handle, addr) = start(ServeConfig::default(), Arc::new(EngineBackend::new()));
 
     let resp = http_request(addr, "GET", "/readyz", None, TIMEOUT).unwrap();
@@ -515,29 +510,22 @@ fn readyz_and_statusz_report_operational_state() {
         resp.body
     );
 
-    let resp = http_request(addr, "GET", "/statusz", None, TIMEOUT).unwrap();
-    assert_eq!(resp.status, 200);
-    assert!(resp
-        .header("content-type")
-        .is_some_and(|ct| ct.starts_with("text/plain")));
-    assert!(resp.body.contains("ready:     yes"), "body: {}", resp.body);
-    assert!(resp.body.contains("workers"));
-    assert!(resp.body.contains("cache:"));
-
     // The operational endpoints are GET-only.
     let resp = http_request(addr, "POST", "/readyz", Some("{}"), TIMEOUT).unwrap();
     assert_eq!(resp.status, 405);
-    let resp = http_request(addr, "POST", "/statusz", Some("{}"), TIMEOUT).unwrap();
-    assert_eq!(resp.status, 405);
+
+    // `/statusz` is an unknown path like any other.
+    let resp = http_request(addr, "GET", "/statusz", None, TIMEOUT).unwrap();
+    assert_eq!(resp.status, 404);
     handle.shutdown();
 }
 
 #[test]
-fn access_log_counts_agree_with_prometheus_totals() {
+fn access_log_counts_agree_with_metrics_totals() {
     // The access log is process-global; every request in this test
     // carries a recognizable ID so lines from concurrently running
-    // tests are filtered out, while the Prometheus text comes from this
-    // server's own registry and so counts exactly our requests.
+    // tests are filtered out, while `/metrics` comes from this server's
+    // own registry and so counts exactly our requests.
     cubesfc::obs::set_access_enabled(true);
     let (handle, addr) = start(ServeConfig::default(), Arc::new(EngineBackend::new()));
     let prefix = "agree9";
@@ -566,16 +554,13 @@ fn access_log_counts_agree_with_prometheus_totals() {
         addr,
         "GET",
         "/metrics",
-        &[
-            ("accept", "text/plain"),
-            ("x-cubesfc-request-id", "agree9-m0"),
-        ],
+        &[("x-cubesfc-request-id", "agree9-m0")],
         None,
         TIMEOUT,
     )
     .unwrap();
     assert_eq!(resp.status, 200);
-    let text = resp.body;
+    let doc = cubesfc::obs::json_parse(&resp.body).unwrap();
     // Drain before reading the log: access lines are written after the
     // response bytes.
     handle.shutdown();
@@ -591,17 +576,17 @@ fn access_log_counts_agree_with_prometheus_totals() {
     assert_eq!(metrics, 1);
     assert!(ours.iter().all(|r| r.outcome == "ok" && r.status == 200));
 
-    // The scrape's `_count` totals equal the access-log line counts per
+    // The scrape's latency counts equal the access-log line counts per
     // endpoint: the scrape observed itself before snapshotting.
     let count_of = |name: &str| -> u64 {
-        text.lines()
-            .find(|l| l.starts_with(&format!("{name} ")) || l.starts_with(&format!("{name}{{")))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no sample for {name} in:\n{text}"))
+        doc.get("histograms")
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get("count"))
+            .and_then(|c| c.as_u64())
+            .unwrap_or_else(|| panic!("no histogram {name} in {}", resp.body))
     };
-    assert_eq!(count_of("serve_latency_partition_us_count"), partitions);
-    assert_eq!(count_of("serve_latency_metrics_us_count"), metrics);
+    assert_eq!(count_of("serve/latency/partition_us"), partitions);
+    assert_eq!(count_of("serve/latency/metrics_us"), metrics);
 }
 
 #[test]
@@ -697,38 +682,6 @@ fn access_log_agrees_with_the_clients_books_under_load() {
             r.service_us
         );
     }
-}
-
-#[test]
-fn top_computes_a_live_frame_over_http() {
-    let (handle, addr) = start(ServeConfig::default(), Arc::new(EngineBackend::new()));
-    let body = "{\"ne\": 4, \"nproc\": 6, \"method\": \"sfc\"}";
-
-    let prev = cubesfc::top::fetch_snapshot(addr, TIMEOUT).unwrap();
-    for _ in 0..4 {
-        let resp = http_request(addr, "POST", "/v1/partition", Some(body), TIMEOUT).unwrap();
-        assert_eq!(resp.status, 200);
-    }
-    let cur = cubesfc::top::fetch_snapshot(addr, TIMEOUT).unwrap();
-
-    let stats = cubesfc::top::FrameStats::compute(&prev, &cur, Duration::from_secs(1));
-    // Four partitions plus the second scrape itself.
-    assert_eq!(stats.requests_delta, 5);
-    assert!(stats.rps > 0.0);
-    assert_eq!(stats.workers, ServeConfig::default().workers as u64);
-    assert!(stats.cache_hit_ratio > 0.0, "3 of 4 posts were cache hits");
-    let labels: Vec<&str> = stats.latency.iter().map(|(l, _)| l.as_str()).collect();
-    assert!(labels.contains(&"partition"), "rows: {labels:?}");
-    assert!(labels.contains(&"partition hit"), "rows: {labels:?}");
-    assert!(labels.contains(&"partition miss"), "rows: {labels:?}");
-
-    let mut bank = cubesfc::obs::SeriesBank::new(8);
-    bank.ingest(&stats.to_sample(1));
-    let frame = cubesfc::top::render_frame("test", 1, &stats, &bank);
-    assert!(frame.contains("rps"));
-    assert!(frame.contains("partition hit"));
-    assert!(frame.contains("top/rps"));
-    handle.shutdown();
 }
 
 // ---------------------------------------------------------------------

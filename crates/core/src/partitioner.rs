@@ -189,8 +189,8 @@ fn partition_impl(
                 Some(w) => Some(integer_vertex_weights(w, k)?),
             };
             // A prebuilt graph is used as-is unless the weights replace
-            // its vertex weights (then only vwgt is cloned, never the
-            // O(E) adjacency).
+            // its vertex weights: then the whole graph is cloned, its
+            // O(E) adjacency included, and the clone takes the new vwgt.
             let owned: Option<CsrGraph>;
             let g: &CsrGraph = match (prebuilt, vwgt) {
                 (Some(g), None) => g,

@@ -17,8 +17,9 @@
 //! neighbour's own. The two agree when every `(u, v, w)` entry has its
 //! own reverse entry — true of every graph this workspace builds (dual
 //! graphs, `contract`, `subgraph`, `from_lists` of a simple graph).
-//! `CsrGraph::validate` checks that an equal-weight reverse entry exists,
-//! but not that a repeated `(u, v, w)` entry has a reverse of its own.
+//! `CsrGraph::validate` enforces it: it refuses a neighbour repeated
+//! within a row (`GraphError::RepeatedNeighbor`) as well as an entry
+//! without an equal-weight reverse.
 //!
 //! The crate-private entry keeps a cut ledger instead of sweeping for the
 //! cut: a `rebalance` move changes the cut by minus its gain, and a pass

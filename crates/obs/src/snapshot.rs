@@ -70,43 +70,6 @@ impl HistogramSnapshot {
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
-
-    /// Estimate the `q`-quantile (`q` in `[0, 1]`, clamped) by linear
-    /// interpolation within the log2 buckets.
-    ///
-    /// The histogram only knows per-bucket counts, so the `c` samples of
-    /// a bucket `[lo, hi]` are treated as probability mass spread
-    /// uniformly over the bucket's value range. The target mass
-    /// `q · count` then lands in exactly one bucket, and the estimate
-    /// interpolates linearly inside it. Consequences worth pinning:
-    ///
-    /// * `q = 0` returns the first bucket's `lo`, `q = 1` the last
-    ///   bucket's `hi` (the tightest bounds the buckets can certify).
-    /// * A target mass falling exactly on the boundary between two
-    ///   buckets resolves to the *lower* bucket's `hi` (which is
-    ///   `upper.lo - 1`), never jumping a gap of empty buckets.
-    /// * Works unchanged on the overflow bucket `[2^63, u64::MAX]`.
-    ///
-    /// Returns 0.0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.count as f64;
-        let mut cum = 0.0f64;
-        for b in &self.buckets {
-            let c = b.count as f64;
-            if cum + c >= target {
-                let frac = if c > 0.0 { (target - cum) / c } else { 0.0 };
-                return b.lo as f64 + frac.clamp(0.0, 1.0) * (b.hi - b.lo) as f64;
-            }
-            cum += c;
-        }
-        // Float round-off can leave `target` a hair above the final
-        // cumulative mass; the answer is then the distribution's top.
-        self.buckets.last().map(|b| b.hi as f64).unwrap_or(0.0)
-    }
 }
 
 /// Bucket index for a log2 histogram: 0 holds value 0, bucket `i >= 1`
@@ -334,114 +297,6 @@ mod tests {
         let b = snap.to_json();
         assert_eq!(a, b);
         assert!(a.find("alpha").unwrap() < a.find("zeta").unwrap());
-    }
-
-    fn hist(buckets: Vec<Bucket>) -> HistogramSnapshot {
-        let count = buckets.iter().map(|b| b.count).sum();
-        HistogramSnapshot {
-            count,
-            sum: 0,
-            buckets,
-        }
-    }
-
-    #[test]
-    fn quantile_of_empty_histogram_is_zero() {
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn quantile_endpoints_are_exact_bucket_bounds() {
-        let h = hist(vec![
-            Bucket {
-                lo: 4,
-                hi: 7,
-                count: 3,
-            },
-            Bucket {
-                lo: 64,
-                hi: 127,
-                count: 1,
-            },
-        ]);
-        // q=0 pins to the first occupied bucket's lo; q=1 to the last's hi.
-        assert_eq!(h.quantile(0.0), 4.0);
-        assert_eq!(h.quantile(1.0), 127.0);
-        // Out-of-range q clamps rather than extrapolating.
-        assert_eq!(h.quantile(-3.0), 4.0);
-        assert_eq!(h.quantile(7.0), 127.0);
-    }
-
-    #[test]
-    fn quantile_single_sample_interpolates_within_its_bucket() {
-        let h = hist(vec![Bucket {
-            lo: 8,
-            hi: 15,
-            count: 1,
-        }]);
-        assert_eq!(h.quantile(0.0), 8.0);
-        assert_eq!(h.quantile(0.5), 11.5); // midpoint of [8, 15]
-        assert_eq!(h.quantile(1.0), 15.0);
-    }
-
-    #[test]
-    fn quantile_bucket_boundary_resolves_to_lower_bucket() {
-        // Equal mass in [2,3] and [8,15]: target mass for q=0.5 sits
-        // exactly on the boundary between the two buckets. The estimate
-        // must be the lower bucket's hi (3.0), not the upper's lo (8.0)
-        // and not anywhere in the empty [4,7] gap.
-        let h = hist(vec![
-            Bucket {
-                lo: 2,
-                hi: 3,
-                count: 2,
-            },
-            Bucket {
-                lo: 8,
-                hi: 15,
-                count: 2,
-            },
-        ]);
-        assert_eq!(h.quantile(0.5), 3.0);
-        // Just past the boundary the estimate continues from the upper
-        // bucket's lo.
-        assert_eq!(h.quantile(0.75), 11.5);
-        assert_eq!(h.quantile(0.25), 2.5);
-    }
-
-    #[test]
-    fn quantile_median_interpolates_linearly() {
-        let h = hist(vec![Bucket {
-            lo: 0,
-            hi: 0,
-            count: 4,
-        }]);
-        assert_eq!(h.quantile(0.5), 0.0);
-        let h = hist(vec![
-            Bucket {
-                lo: 1,
-                hi: 1,
-                count: 1,
-            },
-            Bucket {
-                lo: 2,
-                hi: 3,
-                count: 3,
-            },
-        ]);
-        // q=0.5 → target mass 2.0: one unit past bucket [1,1], i.e. 1/3
-        // into bucket [2,3].
-        assert!((h.quantile(0.5) - (2.0 + 1.0 / 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_overflow_bucket_keeps_u64_range() {
-        let (lo, hi) = bucket_range(64);
-        let h = hist(vec![Bucket { lo, hi, count: 2 }]);
-        assert_eq!(h.quantile(0.0), lo as f64);
-        assert_eq!(h.quantile(1.0), hi as f64);
-        let mid = h.quantile(0.5);
-        assert!(mid > lo as f64 && mid < hi as f64, "mid {mid}");
     }
 
     #[test]

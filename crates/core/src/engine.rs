@@ -14,7 +14,9 @@
 //!   `(ne, nproc, method, seed)` — the partitioners are deterministic for
 //!   a fixed seed — so the grid fans out over the rayon pool and the
 //!   collected results are **bit-identical** to the serial sweep, in the
-//!   same order.
+//!   same order. Each cell worker holds a core, so recursive bisection
+//!   forks only once a worker has finished its cells and left its core
+//!   idle.
 //!
 //! Worker count is controlled with [`set_jobs`] (the CLI's `--jobs N` /
 //! `CUBESFC_JOBS`); [`ExperimentEngine::run_serial`] bypasses the pool

@@ -75,8 +75,22 @@ impl Default for EngineBackend {
     }
 }
 
+/// Each call holds its worker's core for the whole request (partition,
+/// report and body) through `rayon::occupy`: the partitioner's forks then
+/// take only a core that no other request holds, so a loaded server runs
+/// each request on its worker alone while a lone request still forks.
 impl Backend for EngineBackend {
     fn partition(&self, req: &PartitionRequest) -> Result<String, BackendError> {
+        rayon::occupy(|| self.partition_body(req))
+    }
+
+    fn rebalance_step(&self, req: &RebalanceStepRequest) -> Result<String, BackendError> {
+        rayon::occupy(|| self.rebalance_step_body(req))
+    }
+}
+
+impl EngineBackend {
+    fn partition_body(&self, req: &PartitionRequest) -> Result<String, BackendError> {
         let _span = cubesfc_obs::span("service/partition");
         let method = method_from_name(&req.method).ok_or_else(|| {
             BackendError::BadRequest(format!(
@@ -121,7 +135,7 @@ impl Backend for EngineBackend {
         Ok(w.end_object().finish())
     }
 
-    fn rebalance_step(&self, req: &RebalanceStepRequest) -> Result<String, BackendError> {
+    fn rebalance_step_body(&self, req: &RebalanceStepRequest) -> Result<String, BackendError> {
         let _span = cubesfc_obs::span("service/rebalance_step");
         let bundle = self.cache.bundle(req.ne as usize);
         let nelem = bundle.graph.nv();

@@ -6,9 +6,12 @@
 //! chunks, which the calling thread and one `rayon::join` worker claim
 //! one at a time. A worker that starts late (waking an idle core takes a
 //! fraction of a millisecond) or gets no core of its own claims fewer
-//! chunks instead of holding the join up. Every chunk runs once and the
-//! results come back in chunk order, so an output never depends on which
-//! thread ran which chunk.
+//! chunks instead of holding the join up. The worker is forked only
+//! while fewer threads than the budget hold a core (the shim's fork
+//! rule), so on a server whose workers are all busy every chunk runs on
+//! the calling thread. Every chunk runs once and the results come back
+//! in chunk order, so an output never depends on which thread ran which
+//! chunk.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -21,8 +24,9 @@ use std::sync::Mutex;
 /// saves 26–38 % of the wall time for at most 12 % more CPU; at `Ne`
 /// 40–64 it saves at most 29 % for 12–62 % more CPU. With the second vCPU busy, a
 /// report takes longer on two threads at every size measured (28–97 %
-/// at `Ne` 64–128). Smaller graphs, among them every graph of the paper
-/// grid, run on the calling thread alone.
+/// at `Ne` 64–128), which is why the fork waits for an idle core.
+/// Smaller graphs, among them every graph of the paper grid, run on the
+/// calling thread alone.
 pub const PARALLEL_MIN_VERTICES: usize = 32_768;
 
 /// Run `task(state, chunk)` on every chunk and return the results in
@@ -86,5 +90,47 @@ mod tests {
             assert!(inits.load(Ordering::Relaxed) <= 1 + share as usize);
         }
         assert!(share_chunks(Vec::<usize>::new(), true, || (), |_, c| c).is_empty());
+    }
+
+    #[test]
+    fn a_full_budget_runs_every_chunk_on_the_caller() {
+        // Other tests' threads can only add holders, and a holder more
+        // can only prevent a fork: with the budget filled by threads
+        // inside `rayon::occupy`, one thread claims every chunk.
+        let holders = rayon::current_num_threads();
+        let entered = std::sync::Barrier::new(holders + 1);
+        let release = std::sync::Barrier::new(holders + 1);
+        std::thread::scope(|s| {
+            for _ in 0..holders {
+                s.spawn(|| {
+                    rayon::occupy(|| {
+                        entered.wait();
+                        release.wait();
+                    })
+                });
+            }
+            entered.wait();
+            let inits = AtomicUsize::new(0);
+            let out = share_chunks(
+                (0..9).collect(),
+                true,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, c: usize| {
+                    // The first chunk gives a forked worker, were there
+                    // one, time to claim a chunk of its own and show.
+                    let start = std::time::Instant::now();
+                    while c == 0
+                        && inits.load(Ordering::Relaxed) < 2
+                        && start.elapsed() < std::time::Duration::from_millis(50)
+                    {
+                        std::thread::yield_now();
+                    }
+                    c * 10
+                },
+            );
+            release.wait();
+            assert_eq!(out, (0..9).map(|c| c * 10).collect::<Vec<_>>());
+            assert_eq!(inits.load(Ordering::Relaxed), 1);
+        });
     }
 }

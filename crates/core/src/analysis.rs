@@ -43,14 +43,12 @@
 //! Everything here is a pure function of the trace bytes — no clocks,
 //! no environment — so [`TraceAnalysis::to_json`] (schema
 //! `cubesfc-analysis-v1`) is byte-identical across replays of the same
-//! trace, and pinnable in tests. [`compare_analyses`] diffs two
-//! analysis documents and gates on critical-path-seconds and
-//! wait-fraction regressions.
+//! trace, and pinnable in tests.
 
 use cubesfc_graph::load_balance_f64;
 use cubesfc_obs::{
-    default_rules, load_doc, straggler_z, AlertEngine, JsonValue, JsonWriter, Layout, SeriesBank,
-    SeriesSample, TRACE_SCHEMA,
+    default_rules, load_doc, render_samples, straggler_z, AlertEngine, JsonValue, JsonWriter,
+    Layout, SeriesSample, TRACE_SCHEMA,
 };
 use cubesfc_seam::MachineModel;
 use std::collections::BTreeMap;
@@ -782,8 +780,8 @@ impl TraceAnalysis {
 
     /// Render the fixed-width terminal report: lane table, wait-state
     /// decomposition, critical path, imbalance attribution, then one
-    /// [`SeriesBank`] holding the per-rank productive seconds (lane
-    /// `segments`, one point per segment) and every counter track, with
+    /// [`render_samples`] table of the per-rank productive seconds (lane
+    /// `segments`, one sample per segment) and every counter track, with
     /// the one alert log.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -912,198 +910,22 @@ impl TraceAnalysis {
 
         let work = &self.ranks.per_segment_work;
         if !work.is_empty() || !self.counters.is_empty() {
-            let longest = self.counters.iter().map(|t| t.samples.len());
-            let mut bank = SeriesBank::new(longest.fold(work.len(), usize::max));
-            for (k, busy) in work.iter().enumerate() {
-                bank.ingest(&SeriesSample {
-                    seq: k as u64,
-                    lane: "segments".to_string(),
-                    ranks: busy.clone(),
-                    ..SeriesSample::default()
-                });
-            }
-            for sample in self.counters.iter().flat_map(|t| &t.samples) {
-                bank.ingest(sample);
-            }
+            let segments = work.iter().enumerate().map(|(k, busy)| SeriesSample {
+                seq: k as u64,
+                lane: "segments".to_string(),
+                ranks: busy.clone(),
+                ..SeriesSample::default()
+            });
+            let tracks = self.counters.iter().flat_map(|t| t.samples.iter().cloned());
+            let samples: Vec<SeriesSample> = segments.chain(tracks).collect();
             let _ = writeln!(
                 out,
                 "\nper-rank productive seconds per segment (lane segments) and counter tracks"
             );
-            out.push_str(&bank.render());
+            out.push_str(&render_samples(&samples));
         }
         out
     }
-}
-
-// ---------------------------------------------------------------------------
-// Baseline comparison
-
-/// One gated metric in an analysis comparison.
-#[derive(Clone, Debug)]
-pub struct AnalysisDelta {
-    /// Metric path (e.g. `critical_path/seconds`).
-    pub name: String,
-    /// Baseline value.
-    pub old: f64,
-    /// New value.
-    pub new: f64,
-    /// Relative change in percent for absolute metrics; change in
-    /// percentage *points* for fraction metrics.
-    pub change: f64,
-    /// Whether the change crossed the threshold.
-    pub regressed: bool,
-}
-
-/// The diff of two `cubesfc-analysis-v1` documents.
-#[derive(Clone, Debug)]
-pub struct AnalysisCompare {
-    /// Gated and informational metrics, in report order.
-    pub deltas: Vec<AnalysisDelta>,
-    /// Threshold (percent / percentage points) the gates used.
-    pub threshold_pct: f64,
-}
-
-impl AnalysisCompare {
-    /// Number of regressed metrics.
-    pub fn regressions(&self) -> usize {
-        self.deltas.iter().filter(|d| d.regressed).count()
-    }
-
-    /// Render a human-readable comparison table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "analysis comparison (threshold {:.0}%)",
-            self.threshold_pct
-        );
-        let _ = writeln!(
-            out,
-            "\n{:<28} {:>14} {:>14} {:>10}  status",
-            "metric", "old", "new", "change"
-        );
-        for d in &self.deltas {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>14.6} {:>14.6} {:>9.1}{}  {}",
-                d.name,
-                d.old,
-                d.new,
-                d.change,
-                if d.name.ends_with("fraction") {
-                    "pp"
-                } else {
-                    "%"
-                },
-                if d.regressed { "REGRESSED" } else { "ok" },
-            );
-        }
-        let n = self.regressions();
-        if n == 0 {
-            let _ = writeln!(out, "\nno regressions");
-        } else {
-            let _ = writeln!(out, "\n{n} regression(s)");
-        }
-        out
-    }
-}
-
-/// The three numbers of an analysis the baseline gate reads.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GateMetrics {
-    /// `critical_path.seconds`.
-    pub critical_path_s: f64,
-    /// `ranks.wait_fraction`.
-    pub wait_fraction: f64,
-    /// `ranks.total_s`.
-    pub total_s: f64,
-}
-
-impl GateMetrics {
-    /// Read the gate metrics out of a parsed `cubesfc-analysis-v1`
-    /// document (absent numbers read as 0).
-    pub fn from_json(doc: &JsonValue) -> Result<GateMetrics, String> {
-        doc.expect_schema(ANALYSIS_SCHEMA)?;
-        let metric = |group: &str, key: &str| {
-            let value = doc.get(group).and_then(|g| g.opt_f64(key));
-            value.unwrap_or(0.0)
-        };
-        Ok(GateMetrics {
-            critical_path_s: metric("critical_path", "seconds"),
-            wait_fraction: metric("ranks", "wait_fraction"),
-            total_s: metric("ranks", "total_s"),
-        })
-    }
-
-    /// Diff against a baseline: critical-path seconds regress when they
-    /// grow by more than `threshold_pct` percent, the rank wait fraction when it grows by more than
-    /// `threshold_pct` percentage *points*; total rank seconds are an
-    /// informational row.
-    pub fn compare(&self, baseline: &GateMetrics, threshold_pct: f64) -> AnalysisCompare {
-        // `points` rows change in percentage points, the rest in percent.
-        let row = |name: &str, old: f64, new: f64, points: bool, gated: bool| {
-            let change = match (points, old > 0.0) {
-                (true, _) => (new - old) * 100.0,
-                (false, true) => (new / old - 1.0) * 100.0,
-                (false, false) => 0.0,
-            };
-            AnalysisDelta {
-                name: name.to_string(),
-                old,
-                new,
-                change,
-                regressed: gated && change > threshold_pct,
-            }
-        };
-        let (o, n) = (baseline, self);
-        let deltas = vec![
-            row(
-                "critical_path/seconds",
-                o.critical_path_s,
-                n.critical_path_s,
-                false,
-                true,
-            ),
-            row(
-                "ranks/wait_fraction",
-                o.wait_fraction,
-                n.wait_fraction,
-                true,
-                true,
-            ),
-            row("ranks/total_s", o.total_s, n.total_s, false, false),
-        ];
-        AnalysisCompare {
-            deltas,
-            threshold_pct,
-        }
-    }
-}
-
-impl TraceAnalysis {
-    /// The numbers [`TraceAnalysis::to_json`] publishes for the gate.
-    pub fn gate_metrics(&self) -> GateMetrics {
-        GateMetrics {
-            critical_path_s: self.critical_path.seconds,
-            wait_fraction: self.ranks.wait_fraction(),
-            total_s: self.ranks.total_ns as f64 / 1e9,
-        }
-    }
-}
-
-/// Compare two `cubesfc-analysis-v1` JSON documents against a
-/// regression threshold (see [`GateMetrics::compare`]). Errors on
-/// malformed JSON or wrong schema.
-pub fn compare_analyses(
-    old_json: &str,
-    new_json: &str,
-    threshold_pct: f64,
-) -> Result<AnalysisCompare, String> {
-    let load = |side: &str, text: &str| {
-        load_doc(text, GateMetrics::from_json).map_err(|e| format!("{side} analysis: {e}"))
-    };
-    let old = load("baseline", old_json)?;
-    Ok(load("new", new_json)?.compare(&old, threshold_pct))
 }
 
 #[cfg(test)]
@@ -1406,51 +1228,5 @@ mod tests {
         let rendered = analyze_trace(&text).unwrap().render();
         assert!(rendered.contains("critical path"), "{rendered}");
         assert!(rendered.contains("wait-state decomposition"), "{rendered}");
-    }
-
-    #[test]
-    fn compare_gates_on_critical_path_and_wait_fraction() {
-        let mk = |slow: u64| {
-            let tracer = Tracer::with_clock(Arc::new(MockClock::new()));
-            let steps = tracer.lane("steps");
-            let r0 = tracer.lane("rank 0");
-            let r1 = tracer.lane("rank 1");
-            let end = 1_000 * slow;
-            steps.slice_at("step", 0, end, &[("step", 0)]);
-            r0.slice_at("compute", 0, end, &[("elements", 4)]);
-            r1.slice_at("compute", 0, 1_000, &[("elements", 4)]);
-            r1.slice_at("wait", 1_000, end, &[]);
-            analyze(&tracer).to_json()
-        };
-        let base = mk(2); // cp 2µs, wait 1µs of 4µs sliced
-        let same = mk(2);
-        let slow = mk(6); // cp 6µs (+200%), wait 5µs of 12µs sliced
-
-        let ok = compare_analyses(&base, &same, 25.0).unwrap();
-        assert_eq!(ok.regressions(), 0);
-        assert!(ok.render().contains("no regressions"));
-
-        // cp +200% and wait fraction +16.7pp: both gate at 10.
-        let bad = compare_analyses(&base, &slow, 10.0).unwrap();
-        assert_eq!(bad.regressions(), 2, "{}", bad.render());
-        assert!(bad.render().contains("REGRESSED"));
-        // At 25 only the critical path crosses.
-        assert_eq!(
-            compare_analyses(&base, &slow, 25.0).unwrap().regressions(),
-            1
-        );
-        // The improvement direction never gates.
-        assert_eq!(
-            compare_analyses(&slow, &base, 10.0).unwrap().regressions(),
-            0
-        );
-
-        // Malformed / wrong-schema inputs are errors, not panics.
-        assert!(compare_analyses("{bad", &base, 25.0)
-            .unwrap_err()
-            .contains("line 1"));
-        assert!(compare_analyses(&base, "{\"schema\":\"x\"}", 25.0)
-            .unwrap_err()
-            .contains("unsupported schema"));
     }
 }

@@ -6,12 +6,11 @@
 //! cubesfc report    --ne 8 --nproc 96            # Table-2 style comparison
 //! cubesfc render    --ne 8 --nproc 24 --output net.ppm [--ascii]
 //! cubesfc info      --ne 8                       # mesh + curve facts
-//! cubesfc experiment [--ne N] [--max-points M] [--jobs N] [--serial]
+//! cubesfc experiment [--ne N] [--max-points M] [--jobs N]
 //! cubesfc rebalance --ne 16 --nproc 64 --steps 50 --trajectory amr
 //!                   [--policy threshold|periodic|costbenefit] [--method sfc|kway|...]
 //!                   [--every N] [--trigger LB] [--horizon N] [--json FILE]
-//! cubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]
-//!                       [--threshold PCT] [--report-only]
+//! cubesfc trace analyze FILE.json [--json PATH] [--report-only]
 //! cubesfc serve     [--addr HOST:PORT] [--workers N] [--queue N]
 //!                   [--cache-entries N] [--deadline-ms MS]
 //!                   [--access-log[=PATH]]
@@ -34,9 +33,9 @@
 //! `experiment` runs the paper's full (K, Nproc, method) grid — every
 //! method at the equal-share processor counts of every Table-1
 //! resolution (or one resolution with `--ne`) — on a worker pool.
-//! `--jobs N` sets the pool size (0 = auto), `CUBESFC_JOBS` is the
-//! environment equivalent (the flag wins), and `--serial` bypasses the
-//! pool entirely; both modes produce byte-identical output.
+//! `--jobs N` sets the pool size (0 = auto) and `CUBESFC_JOBS` is the
+//! environment equivalent (the flag wins); every pool size prints the
+//! same rows, and `--jobs 1` runs every cell on the calling thread.
 //!
 //! Any command accepts `--profile`, which prints a hierarchical phase
 //! profile (span tree, counters, histograms) to stderr on exit. The
@@ -58,11 +57,9 @@
 //! the wait-state decomposition, cross-rank critical path, and
 //! imbalance attribution, and runs the health alert rules (straggler,
 //! high LB, migration churn) over its counter tracks. `--json PATH`
-//! writes the `cubesfc-analysis-v1` document; `--baseline OLD.json`
-//! diffs against a previous analysis. It exits 0 when the run is clean,
-//! 1 when an alert fired or critical-path seconds or the wait fraction
-//! regressed past `--threshold` (default 25%) — `--report-only` turns
-//! both into exit 0 — and also 1 for a missing file or a wrong schema,
+//! writes the `cubesfc-analysis-v1` document. It exits 0 when the run
+//! is clean, 1 when an alert fired — `--report-only` turns that into
+//! exit 0 — and also 1 for a missing file or a wrong schema,
 //! and 2 for input that is not JSON at all, reported with the parser's
 //! line/column diagnostic, never a panic.
 //!
@@ -91,7 +88,7 @@
 //!
 //! The assignment output format is one line per element: `elem part`.
 
-use cubesfc::analysis::{analyze_doc, GateMetrics};
+use cubesfc::analysis::analyze_doc;
 use cubesfc::report::PartitionReport;
 use cubesfc::viz::{render_partition_ascii, render_partition_ppm};
 use cubesfc::{
@@ -113,16 +110,11 @@ struct Args {
     trace: Option<String>,
     /// Positional operands (subcommand words, replay paths).
     paths: Vec<String>,
-    threshold: Option<f64>,
     report_only: bool,
-    /// Previous analysis JSON to gate against (`trace analyze`).
-    baseline: Option<String>,
     /// Worker pool size for `experiment` (None → `CUBESFC_JOBS` → auto).
     jobs: Option<usize>,
     /// Processor-count ladder points per resolution for `experiment`.
     max_points: usize,
-    /// Run `experiment` without the worker pool.
-    serial: bool,
     /// Timesteps for `rebalance`.
     steps: usize,
     /// Load trajectory spec for `rebalance` (e.g. `amr+death:3@12`).
@@ -165,15 +157,14 @@ fn usage() -> ExitCode {
          \t[--method sfc|kway|tv|rb|morton|rcb] [--output FILE] [--seed N] [--ascii]\n\
          \t[--profile]  (or CUBESFC_PROFILE=1 | CUBESFC_PROFILE=json:FILE)\n\
          \t[--trace FILE]  (or CUBESFC_TRACE=FILE)\n\
-         \tcubesfc experiment [--ne N] [--max-points M] [--jobs N] [--serial]\n\
+         \tcubesfc experiment [--ne N] [--max-points M] [--jobs N]\n\
          \t  (CUBESFC_JOBS=N sets the pool size when --jobs is absent)\n\
          \tcubesfc rebalance --ne N --nproc P [--steps S] [--trajectory SPEC]\n\
          \t  [--policy threshold|periodic|costbenefit] [--method sfc|kway|tv|rb]\n\
          \t  [--every N] [--trigger LB] [--horizon N] [--json FILE] [--seed N]\n\
          \t  (SPEC: '+'-joined amr|diurnal|fault|death|uniform|death:R@S|\n\
          \t         slow:R@A..BxF — ranks R, steps S/A/B, factor F)\n\
-         \tcubesfc trace analyze FILE.json [--json PATH] [--baseline OLD.json]\n\
-         \t  [--threshold PCT] [--report-only]\n\
+         \tcubesfc trace analyze FILE.json [--json PATH] [--report-only]\n\
          \tcubesfc serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
          \t  [--cache-entries N] [--deadline-ms MS] [--access-log[=PATH]]\n\
          \t  (or CUBESFC_ACCESS_LOG=1|PATH; default cubesfc-access.ndjson)\n\
@@ -227,12 +218,9 @@ fn parse_args() -> Result<Args, String> {
         profile: false,
         trace: None,
         paths: Vec::new(),
-        threshold: None,
         report_only: false,
-        baseline: None,
         jobs: None,
         max_points: 4,
-        serial: false,
         steps: 20,
         trajectory: "amr".to_string(),
         policy: "threshold".to_string(),
@@ -268,18 +256,9 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.trace = Some(p);
             }
-            "--threshold" => {
-                let t: f64 = value(&mut it, flag)?;
-                if !t.is_finite() || t < 0.0 {
-                    return Err("--threshold must be a non-negative percentage".into());
-                }
-                args.threshold = Some(t);
-            }
             "--report-only" => args.report_only = true,
-            "--baseline" => args.baseline = Some(value(&mut it, flag)?),
             "--jobs" => args.jobs = Some(value(&mut it, flag)?),
             "--max-points" => args.max_points = positive(flag, value(&mut it, flag)?)?,
-            "--serial" => args.serial = true,
             "--steps" => args.steps = positive(flag, value(&mut it, flag)?)?,
             "--trajectory" => args.trajectory = value(&mut it, flag)?,
             "--policy" => args.policy = value(&mut it, flag)?,
@@ -440,7 +419,7 @@ fn emit(path: &Option<String>, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// A command failure, split by exit code. `Runtime` exits 1 (missing
-/// file, wrong schema, a tripped regression gate); `Malformed`
+/// file, wrong schema, a fired alert); `Malformed`
 /// exits 2 with the parser's line/column diagnostic — input that is not
 /// JSON at all is a usage-class problem, like a mistyped flag; `Usage`
 /// exits 2 with the usage text, for argument combinations that can
@@ -469,55 +448,26 @@ impl CliError {
     }
 }
 
-/// Read a replay input (unreadable files are runtime errors).
-fn read_input(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))
-}
-
-/// Load one JSON replay document through its schema's `shape` reader.
-fn load<T>(
-    path: &str,
-    shape: impl FnOnce(&cubesfc_obs::JsonValue) -> Result<T, String>,
-) -> Result<T, CliError> {
-    cubesfc_obs::load_doc(&read_input(path)?, shape).map_err(|e| CliError::load(path, e))
-}
-
 /// Replay a `cubesfc-trace-v1` timeline into the wait-state
 /// decomposition, critical path, imbalance attribution and counter-track
-/// alerts; `Err` (exit 1) when an alert fired or, with `--baseline`,
-/// critical-path seconds or the wait fraction regressed past the
-/// threshold, unless `--report-only`.
+/// alerts; `Err` (exit 1) when an alert fired, unless `--report-only`.
 fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
     let path = &args.paths[1];
-    let analysis = load(path, analyze_doc)?;
+    // An unreadable file is a runtime error.
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
+    let analysis =
+        cubesfc_obs::load_doc(&text, analyze_doc).map_err(|e| CliError::load(path, e))?;
     print!("{}", analysis.render());
     if let Some(out) = &args.json {
         std::fs::write(out, analysis.to_json())
             .map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
     }
-    let mut failures = Vec::new();
-    if let Some(base) = &args.baseline {
-        let old = load(base, |doc| {
-            GateMetrics::from_json(doc).map_err(|e| format!("baseline analysis: {e}"))
-        })?;
-        let threshold = args.threshold.unwrap_or(25.0);
-        let report = analysis.gate_metrics().compare(&old, threshold);
-        print!("{}", report.render());
-        let n = report.regressions();
-        if n > 0 {
-            failures.push(format!(
-                "{n} regression(s) beyond {threshold:.1}% threshold"
-            ));
-        }
-    }
     let fired = analysis.alerts_fired();
-    if fired > 0 {
-        failures.push(format!("{fired} alert(s) fired in {path}"));
-    }
-    if failures.is_empty() || args.report_only {
+    if fired == 0 || args.report_only {
         return Ok(());
     }
-    Err(failures.join("; ").into())
+    Err(format!("{fired} alert(s) fired in {path}").into())
 }
 
 /// Run a short parallel advection solve over the computed partition so
@@ -531,8 +481,8 @@ fn trace_mini_solve(mesh: &CubedSphere, part: &cubesfc::Partition) {
     let _ = run_parallel(mesh.topology(), part, cfg, 2, &ic);
 }
 
-/// Run the (K, Nproc, method) experiment grid on the worker pool (or
-/// serially with `--serial`) and print grouped Table-2 rows.
+/// Run the (K, Nproc, method) experiment grid on the worker pool and
+/// print grouped Table-2 rows.
 fn run_experiment(args: &Args) -> Result<(), String> {
     use cubesfc::{cells_for, paper_grid, resolve_jobs, set_jobs, ExperimentEngine, Resolution};
 
@@ -548,12 +498,7 @@ fn run_experiment(args: &Args) -> Result<(), String> {
         paper_grid(args.max_points)
     };
     let engine = ExperimentEngine::new();
-    let results = if args.serial {
-        engine.run_serial(&cells)
-    } else {
-        engine.run(&cells)
-    }
-    .map_err(|e| e.to_string())?;
+    let results = engine.run(&cells).map_err(|e| e.to_string())?;
 
     let mut out = String::new();
     let mut last = (0usize, 0usize);

@@ -300,28 +300,6 @@ impl CsrGraph {
         self.entry_fault().map_or(Ok(()), Err)
     }
 
-    /// Whether the graph is connected (trivially true for `nv <= 1`).
-    pub fn is_connected(&self) -> bool {
-        let nv = self.nv();
-        if nv <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; nv];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 0;
-        while let Some(v) = stack.pop() {
-            count += 1;
-            for (n, _) in self.neighbors(v) {
-                if !seen[n] {
-                    seen[n] = true;
-                    stack.push(n);
-                }
-            }
-        }
-        count == nv
-    }
-
     /// Extract the induced subgraph on `verts` (which must be distinct).
     ///
     /// Returns the subgraph and the mapping `local -> global`.
@@ -377,6 +355,30 @@ mod tests {
     use crate::rng::SplitMix64;
     use crate::testgraphs::{grid, wide_graph};
     use proptest::prelude::*;
+
+    impl CsrGraph {
+        /// Whether the graph is connected (trivially true for `nv <= 1`).
+        pub(crate) fn is_connected(&self) -> bool {
+            let nv = self.nv();
+            if nv <= 1 {
+                return true;
+            }
+            let mut seen = vec![false; nv];
+            let mut stack = vec![0usize];
+            seen[0] = true;
+            let mut count = 0;
+            while let Some(v) = stack.pop() {
+                count += 1;
+                for (n, _) in self.neighbors(v) {
+                    if !seen[n] {
+                        seen[n] = true;
+                        stack.push(n);
+                    }
+                }
+            }
+            count == nv
+        }
+    }
 
     /// 4-cycle with unit weights.
     fn cycle4() -> CsrGraph {

@@ -37,15 +37,6 @@ impl Mapping {
         }
     }
 
-    /// Inverse of [`Mapping::warp`].
-    #[inline]
-    pub fn unwarp(self, x: f64) -> f64 {
-        match self {
-            Mapping::Equidistant => x,
-            Mapping::Equiangular => x.atan() / std::f64::consts::FRAC_PI_4,
-        }
-    }
-
     /// Derivative `dx/dξ` — needed by metric terms.
     #[inline]
     pub fn warp_deriv(self, xi: f64) -> f64 {
@@ -90,28 +81,39 @@ impl Mapping {
         crate::geometry::triangle_solid_angle(&c[0], &c[1], &c[2]).abs()
             + crate::geometry::triangle_solid_angle(&c[0], &c[2], &c[3]).abs()
     }
-
-    /// Max/min element-area ratio over the whole sphere at face size `ne`
-    /// — the uniformity figure of merit for the mapping.
-    pub fn area_ratio(self, ne: usize) -> f64 {
-        let mut min = f64::MAX;
-        let mut max = f64::MIN;
-        // Symmetry: one face suffices.
-        for j in 0..ne {
-            for i in 0..ne {
-                let a = self.elem_area(FaceId(0), ne, i, j);
-                min = min.min(a);
-                max = max.max(a);
-            }
-        }
-        max / min
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// The checks' own inverse and uniformity figure of the mapping.
+    impl Mapping {
+        /// Inverse of [`Mapping::warp`].
+        fn unwarp(self, x: f64) -> f64 {
+            match self {
+                Mapping::Equidistant => x,
+                Mapping::Equiangular => x.atan() / std::f64::consts::FRAC_PI_4,
+            }
+        }
+
+        /// Max/min element-area ratio over the whole sphere at face size
+        /// `ne`.
+        fn area_ratio(self, ne: usize) -> f64 {
+            let mut min = f64::MAX;
+            let mut max = f64::MIN;
+            // Symmetry: one face suffices.
+            for j in 0..ne {
+                for i in 0..ne {
+                    let a = self.elem_area(FaceId(0), ne, i, j);
+                    min = min.min(a);
+                    max = max.max(a);
+                }
+            }
+            max / min
+        }
+    }
 
     #[test]
     fn warp_endpoints_and_center() {

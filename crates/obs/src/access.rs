@@ -3,7 +3,7 @@
 //! One [`AccessRecord`] per served request — request ID, endpoint,
 //! status, cache class, queue-wait and service microseconds, byte
 //! counts, and a coarse outcome (`ok|rejected|deadline|error`). Records
-//! live in a bounded [`Ring`](crate::series::Ring) with an exact
+//! live in a bounded [`Ring`] with an exact
 //! dropped counter (the same drop-with-exact-count contract the event
 //! buffers honor), so a busy server sheds old lines
 //! instead of growing without bound.
@@ -15,8 +15,8 @@
 //! allocates nothing) when off.
 
 use crate::json::{JsonWriter, Layout};
-use crate::series::Ring;
 use crate::value::{read_ndjson, JsonValue};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Schema tag carried by every access-log NDJSON line.
@@ -195,9 +195,101 @@ impl AccessLog {
     }
 }
 
+/// A fixed-capacity FIFO with an exact count of evicted entries.
+#[derive(Clone, Debug)]
+struct Ring<T> {
+    buf: VecDeque<T>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl<T> Ring<T> {
+    /// A ring holding at most `capacity` entries (at least 1).
+    fn new(capacity: usize) -> Ring<T> {
+        Ring {
+            buf: VecDeque::with_capacity(capacity.max(1)),
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
+    }
+
+    /// Append `item`; when full, the oldest entry is evicted, counted,
+    /// and handed back.
+    fn push(&mut self, item: T) -> Option<T> {
+        let evicted = if self.buf.len() == self.capacity {
+            self.dropped += 1;
+            self.buf.pop_front()
+        } else {
+            None
+        };
+        self.buf.push_back(item);
+        evicted
+    }
+
+    /// Entries oldest-first.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.buf.iter()
+    }
+
+    fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Exact number of entries evicted since creation (or last clear).
+    fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.dropped = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ring_push_under_capacity_drops_nothing() {
+        let mut r = Ring::new(4);
+        for i in 0..4 {
+            assert!(r.push(i).is_none());
+        }
+        assert_eq!(r.len(), 4);
+        assert_eq!(r.dropped(), 0);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn ring_wraparound_counts_every_eviction_exactly() {
+        let mut r = Ring::new(3);
+        let mut evicted = Vec::new();
+        for i in 0..10 {
+            if let Some(e) = r.push(i) {
+                evicted.push(e);
+            }
+        }
+        // 10 pushes into capacity 3: exactly 7 evictions, oldest-first.
+        assert_eq!(r.dropped(), 7);
+        assert_eq!(evicted, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
+        r.clear();
+        assert_eq!(r.dropped(), 0);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn zero_capacity_is_clamped_to_one() {
+        let mut r = Ring::new(0);
+        assert!(r.push(1).is_none());
+        assert_eq!(r.push(2), Some(1));
+        assert_eq!(r.len(), 1);
+    }
 
     fn record(seq: u64) -> AccessRecord {
         AccessRecord {

@@ -25,8 +25,9 @@
 //!   [`AlertEngine`] over sampled gauges, with the [`default_rules`]
 //!   that trace replay runs over counter tracks.
 //! * **Exporters** — `Snapshot::render_table()` (human-readable profile
-//!   tree) and `Snapshot::to_json()` (stable `cubesfc-profile-v1`
-//!   schema, read back by [`Snapshot::from_json`]).
+//!   tree), `Snapshot::to_json()` (stable `cubesfc-profile-v1` schema,
+//!   read back by [`Snapshot::from_json`]) and [`render_samples`] (the
+//!   gauge, per-rank and alert table `trace analyze` prints).
 //!
 //! The global registry and tracer are **disabled by default**: every
 //! [`span`] / [`counter_add`] / [`histogram_record`] / [`trace_lane`] /
@@ -44,7 +45,6 @@ mod events;
 mod health;
 mod json;
 mod render;
-mod series;
 mod snapshot;
 mod value;
 
@@ -55,7 +55,7 @@ pub use cpu::{process_cpu_ns, thread_cpu_ns};
 pub use events::{EventKind, Lane, LaneSpan, TraceEvent, Tracer};
 pub use health::{default_rules, straggler_z, AlertEngine, AlertRule};
 pub use json::{escape as json_escape, JsonScalar, JsonWriter, Layout};
-pub use series::{SeriesBank, SeriesSample};
+pub use render::{render_samples, SeriesSample};
 pub use snapshot::{Bucket, HistogramSnapshot, Snapshot, SpanStat, SCHEMA};
 pub use value::{
     load_doc, parse as json_parse, parse_with_limits as json_parse_with_limits, read_ndjson,
@@ -506,11 +506,6 @@ pub fn access_log() -> &'static AccessLog {
 /// Turn global access logging on or off.
 pub fn set_access_enabled(on: bool) {
     set_flag(FLAG_ACCESS, on);
-}
-
-/// Is global access logging currently on?
-pub fn access_enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) & FLAG_ACCESS != 0
 }
 
 /// Append one request record to the global access log; a single relaxed

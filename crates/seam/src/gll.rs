@@ -63,16 +63,6 @@ impl GllBasis {
         }
     }
 
-    /// Apply the derivative matrix to a vector of nodal values.
-    pub fn differentiate(&self, u: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(u.len(), self.n);
-        debug_assert_eq!(out.len(), self.n);
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.d[i * self.n..(i + 1) * self.n];
-            *o = row.iter().zip(u).map(|(dv, uv)| dv * uv).sum();
-        }
-    }
-
     /// Integrate nodal values with the GLL weights.
     pub fn integrate(&self, u: &[f64]) -> f64 {
         u.iter().zip(&self.weights).map(|(a, w)| a * w).sum()
@@ -209,6 +199,16 @@ fn derivative_matrix(nodes: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    impl GllBasis {
+        /// Apply the derivative matrix to a vector of nodal values.
+        fn differentiate(&self, u: &[f64], out: &mut [f64]) {
+            for (i, o) in out.iter_mut().enumerate() {
+                let row = &self.d[i * self.n..(i + 1) * self.n];
+                *o = row.iter().zip(u).map(|(dv, uv)| dv * uv).sum();
+            }
+        }
+    }
 
     /// A seeded xorshift64 stream, for the crate's randomised tests.
     pub(crate) fn xorshift(seed: u64) -> impl FnMut() -> u64 {

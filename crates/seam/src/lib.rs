@@ -41,7 +41,6 @@ pub mod field;
 pub mod gll;
 pub mod machine;
 pub mod metric;
-pub mod output;
 pub mod perfmodel;
 pub mod rankmap;
 pub mod shallow_water;
@@ -54,7 +53,6 @@ pub use dss::{Assembler, GlobalDofs};
 pub use field::Field;
 pub use gll::GllBasis;
 pub use machine::MachineModel;
-pub use output::{locate_element, sample_point, to_latlon};
 pub use perfmodel::{evaluate, evaluate_weighted, PerfReport};
 pub use rankmap::{greedy_node_packing, internode_traffic_fraction, RankMap};
 pub use shallow_water::{tc2_initial, SwConfig, SwSolver};

@@ -283,11 +283,6 @@ impl ServerHandle {
         self.shared.coalescer.waiting()
     }
 
-    /// Result-cache entry count.
-    pub fn cache_len(&self) -> usize {
-        self.shared.cache.lock().expect("cache poisoned").len()
-    }
-
     /// The server's metrics registry (also served at `GET /metrics`).
     pub fn registry(&self) -> &Registry {
         &self.shared.registry

@@ -9,7 +9,7 @@
 //! cubesfc experiment [--ne N] [--max-points M] [--jobs N]
 //! cubesfc rebalance --ne 16 --nproc 64 --steps 50 --trajectory amr
 //!                   [--policy threshold|periodic|costbenefit] [--method sfc|kway|...]
-//!                   [--every N] [--trigger LB] [--horizon N] [--json FILE]
+//!                   [--every N] [--json FILE]
 //! cubesfc trace analyze FILE.json [--json PATH] [--report-only]
 //! cubesfc serve     [--addr HOST:PORT] [--workers N] [--queue N]
 //!                   [--cache-entries N] [--deadline-ms MS]
@@ -32,10 +32,11 @@
 //!
 //! `experiment` runs the paper's full (K, Nproc, method) grid — every
 //! method at the equal-share processor counts of every Table-1
-//! resolution (or one resolution with `--ne`) — on a worker pool.
-//! `--jobs N` sets the pool size (0 = auto) and `CUBESFC_JOBS` is the
-//! environment equivalent (the flag wins); every pool size prints the
-//! same rows, and `--jobs 1` runs every cell on the calling thread.
+//! resolution (or one resolution with `--ne`) — on up to `--jobs N`
+//! threads that claim its cells one at a time. `--jobs` sets the core
+//! budget (0 = auto) and `CUBESFC_JOBS` is the environment equivalent
+//! (the flag wins); every budget prints the same rows, and `--jobs 1`
+//! runs every cell on the calling thread.
 //!
 //! Any command accepts `--profile`, which prints a hierarchical phase
 //! profile (span tree, counters, histograms) to stderr on exit. The
@@ -111,7 +112,7 @@ struct Args {
     /// Positional operands (subcommand words, replay paths).
     paths: Vec<String>,
     report_only: bool,
-    /// Worker pool size for `experiment` (None → `CUBESFC_JOBS` → auto).
+    /// Core budget for `experiment` (None → `CUBESFC_JOBS` → auto).
     jobs: Option<usize>,
     /// Processor-count ladder points per resolution for `experiment`.
     max_points: usize,
@@ -125,10 +126,6 @@ struct Args {
     json: Option<String>,
     /// Override the periodic policy's period.
     every: Option<usize>,
-    /// Override the threshold policy's trigger LB.
-    trigger: Option<f64>,
-    /// Override the cost-benefit policy's horizon.
-    horizon: Option<usize>,
     /// Bind address for `serve`.
     addr: String,
     /// Worker threads for `serve`.
@@ -158,10 +155,10 @@ fn usage() -> ExitCode {
          \t[--profile]  (or CUBESFC_PROFILE=1 | CUBESFC_PROFILE=json:FILE)\n\
          \t[--trace FILE]  (or CUBESFC_TRACE=FILE)\n\
          \tcubesfc experiment [--ne N] [--max-points M] [--jobs N]\n\
-         \t  (CUBESFC_JOBS=N sets the pool size when --jobs is absent)\n\
+         \t  (CUBESFC_JOBS=N sets the core budget when --jobs is absent)\n\
          \tcubesfc rebalance --ne N --nproc P [--steps S] [--trajectory SPEC]\n\
          \t  [--policy threshold|periodic|costbenefit] [--method sfc|kway|tv|rb]\n\
-         \t  [--every N] [--trigger LB] [--horizon N] [--json FILE] [--seed N]\n\
+         \t  [--every N] [--json FILE] [--seed N]\n\
          \t  (SPEC: '+'-joined amr|diurnal|fault|death|uniform|death:R@S|\n\
          \t         slow:R@A..BxF — ranks R, steps S/A/B, factor F)\n\
          \tcubesfc trace analyze FILE.json [--json PATH] [--report-only]\n\
@@ -226,8 +223,6 @@ fn parse_args() -> Result<Args, String> {
         policy: "threshold".to_string(),
         json: None,
         every: None,
-        trigger: None,
-        horizon: None,
         addr: "127.0.0.1:8437".to_string(),
         workers: 4,
         queue: 64,
@@ -264,14 +259,6 @@ fn parse_args() -> Result<Args, String> {
             "--policy" => args.policy = value(&mut it, flag)?,
             "--json" => args.json = Some(value(&mut it, flag)?),
             "--every" => args.every = Some(positive(flag, value(&mut it, flag)?)?),
-            "--trigger" => {
-                let t: f64 = value(&mut it, flag)?;
-                if !t.is_finite() || !(0.0..1.0).contains(&t) {
-                    return Err("--trigger must be an LB in [0, 1)".into());
-                }
-                args.trigger = Some(t);
-            }
-            "--horizon" => args.horizon = Some(value(&mut it, flag)?),
             "--addr" => {
                 let a: String = value(&mut it, flag)?;
                 if a.is_empty() {
@@ -481,7 +468,7 @@ fn trace_mini_solve(mesh: &CubedSphere, part: &cubesfc::Partition) {
     let _ = run_parallel(mesh.topology(), part, cfg, 2, &ic);
 }
 
-/// Run the (K, Nproc, method) experiment grid on the worker pool and
+/// Run the (K, Nproc, method) experiment grid on the core budget and
 /// print grouped Table-2 rows.
 fn run_experiment(args: &Args) -> Result<(), String> {
     use cubesfc::{cells_for, paper_grid, resolve_jobs, set_jobs, ExperimentEngine, Resolution};
@@ -545,23 +532,8 @@ fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
         "unknown policy '{}' (expected threshold, periodic, or costbenefit)",
         args.policy
     ))?;
-    match &mut policy {
-        RebalancePolicy::Threshold { trigger, rearm } => {
-            if let Some(t) = args.trigger {
-                *trigger = t;
-                *rearm = t / 2.0;
-            }
-        }
-        RebalancePolicy::Periodic { every } => {
-            if let Some(n) = args.every {
-                *every = n;
-            }
-        }
-        RebalancePolicy::CostBenefit { horizon } => {
-            if let Some(h) = args.horizon {
-                *horizon = h;
-            }
-        }
+    if let (RebalancePolicy::Periodic { every }, Some(n)) = (&mut policy, args.every) {
+        *every = n;
     }
 
     let cache = MeshCache::new();

@@ -1,5 +1,6 @@
 //! The parallel experiment engine: run the paper's (K, Nproc, method)
-//! grid with memoized meshes and a rayon fan-out.
+//! grid with memoized meshes, its cells claimed one at a time by up to
+//! the core budget's threads.
 //!
 //! The full paper reproduction evaluates every method at every
 //! equal-share processor count of every Table-1 resolution — hundreds of
@@ -12,16 +13,16 @@
 //!   rebuilt per cell as the naive loop did.
 //! * **Cell-level parallelism**: each cell is a pure function of
 //!   `(ne, nproc, method, seed)` — the partitioners are deterministic for
-//!   a fixed seed — so the grid fans out over the rayon pool and the
-//!   collected results are **bit-identical** to the serial sweep, in the
-//!   same order. Each cell worker holds a core, so recursive bisection
-//!   forks only once a worker has finished its cells and left its core
-//!   idle.
+//!   a fixed seed — so up to [`set_jobs`] threads claim the cells one at
+//!   a time ([`share_chunks`]), a thread that drew cheap cells taking
+//!   more of them, and the results are **bit-identical** to the serial
+//!   sweep, in the same order. Each claimer holds a core, so recursive
+//!   bisection forks only once a claimer has run out of cells and left
+//!   its core idle.
 //!
-//! Worker count is controlled with [`set_jobs`] (the CLI's `--jobs N` /
-//! `CUBESFC_JOBS`); [`ExperimentEngine::run_serial`] bypasses the pool
-//! entirely and is the reference the scaling benchmark and the
-//! determinism tests compare against.
+//! [`ExperimentEngine::run_serial`] runs every cell on the calling thread
+//! and is the reference the scaling benchmark and the determinism tests
+//! compare against.
 //!
 //! The engine is the one evaluator of the grid: `cubesfc experiment`,
 //! the `paper_grid` benchmark, and the `paper` binary's Table 2,
@@ -32,11 +33,11 @@ use crate::experiment::Resolution;
 use crate::partitioner::{partition_with_graph, PartitionMethod, PartitionOptions};
 use crate::report::PartitionReport;
 use crate::PartitionError;
+use cubesfc_graph::share::{budget, set_budget, share_chunks};
 use cubesfc_graph::{CsrGraph, Partition};
 use cubesfc_mesh::{CubedSphere, ExchangeWeights};
 use cubesfc_seam::{CostModel, MachineModel};
 use cubesfc_serve::LruCache;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -279,9 +280,9 @@ pub fn resolve_jobs(flag: Option<usize>) -> usize {
     .unwrap_or(0)
 }
 
-/// Apply a worker count to the process-global pool (0 = automatic).
+/// Set the process's core budget (`cubesfc_graph::share`; 0 = automatic).
 pub fn set_jobs(jobs: usize) {
-    rayon::set_num_threads(jobs);
+    set_budget(jobs);
 }
 
 /// The experiment engine: a [`MeshCache`] plus the machine and cost
@@ -359,8 +360,8 @@ impl ExperimentEngine {
 
     /// Build every distinct resolution of `cells` into the cache, on the
     /// calling thread. Both run paths do this first, so the expensive
-    /// mesh builds are neither raced by the whole pool at startup nor a
-    /// source of registry differences between serial and pooled runs.
+    /// mesh builds are neither raced by every claimer at startup nor a
+    /// source of registry differences between serial and parallel runs.
     fn prewarm(&self, cells: &[ExperimentCell]) {
         let mut nes: Vec<usize> = cells.iter().map(|c| c.ne).collect();
         nes.sort_unstable();
@@ -377,16 +378,15 @@ impl ExperimentEngine {
         cells.iter().map(|&c| self.run_cell(c)).collect()
     }
 
-    /// Run the grid on the rayon pool. Results come back in input cell
-    /// order and are bit-identical to [`ExperimentEngine::run_serial`] —
-    /// down to the merged observability registry, whose counters and
-    /// span-call counts reproduce the serial run's exactly.
+    /// Run the grid on up to the core budget's threads, which claim the
+    /// cells one at a time. Results come back in input cell order and are
+    /// bit-identical to [`ExperimentEngine::run_serial`] — down to the
+    /// merged observability registry, whose counters and span-call counts
+    /// reproduce the serial run's exactly.
     pub fn run(&self, cells: &[ExperimentCell]) -> Result<Vec<CellResult>, PartitionError> {
         self.prewarm(cells);
-        cells
-            .par_iter()
-            .map(|&c| self.run_cell(c))
-            .collect()
+        let threads = budget().min(cells.len());
+        share_chunks(cells.to_vec(), threads, || (), |_, c| self.run_cell(c))
             .into_iter()
             .collect()
     }

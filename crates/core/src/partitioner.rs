@@ -101,10 +101,12 @@ impl Default for PartitionOptions {
     }
 }
 
-/// A plain `clone()`, kept only because callers outside this repository
-/// still write `to_csr(&mesh.dual_graph(..))`: the mesh builds (and
+/// A plain `clone()`, kept only because the frozen benchmark package
+/// (`benchmark/src/workloads/big_sfc.rs` and `benchmark/src/probes.rs`)
+/// still writes `to_csr(&mesh.dual_graph(..))`: the mesh builds (and
 /// validates) the partitioner's [`CsrGraph`] directly, so there is nothing
-/// left to convert. Use `mesh.dual_graph(..)` as is.
+/// left to convert. Use `mesh.dual_graph(..)` as is; ROADMAP item 8(a)
+/// deletes this with those call sites.
 pub fn to_csr(dg: &CsrGraph) -> CsrGraph {
     dg.clone()
 }

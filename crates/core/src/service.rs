@@ -15,6 +15,7 @@ use crate::partitioner::{partition_with_graph, PartitionMethod, PartitionOptions
 use crate::report::PartitionReport;
 use crate::sfc_partition::partition_curve;
 use cubesfc_balance::{IncrementalSfc, Repartitioner};
+use cubesfc_graph::share::occupy;
 use cubesfc_graph::{load_balance_f64, part_loads, raw_migration};
 use cubesfc_seam::{CostModel, MachineModel};
 use cubesfc_serve::{body_writer, Backend, BackendError, PartitionRequest, RebalanceStepRequest};
@@ -76,16 +77,16 @@ impl Default for EngineBackend {
 }
 
 /// Each call holds its worker's core for the whole request (partition,
-/// report and body) through `rayon::occupy`: the partitioner's forks then
+/// report and body) through [`occupy`]: the partitioner's forks then
 /// take only a core that no other request holds, so a loaded server runs
 /// each request on its worker alone while a lone request still forks.
 impl Backend for EngineBackend {
     fn partition(&self, req: &PartitionRequest) -> Result<String, BackendError> {
-        rayon::occupy(|| self.partition_body(req))
+        occupy(|| self.partition_body(req))
     }
 
     fn rebalance_step(&self, req: &RebalanceStepRequest) -> Result<String, BackendError> {
-        rayon::occupy(|| self.rebalance_step_body(req))
+        occupy(|| self.rebalance_step_body(req))
     }
 }
 

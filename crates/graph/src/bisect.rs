@@ -85,11 +85,12 @@ const RB_PARALLEL_MIN_VERTS: usize = 192;
 /// the part-count split, so non-power-of-two part counts are handled.
 ///
 /// The two sub-bisections of each step are independent, so they recurse
-/// as parallel `rayon::join` jobs (the job-level parallelism METIS itself
-/// exploits in recursive bisection). Every branch seeds its RNG from its
-/// position in the bisection tree — not from whatever its siblings drew —
-/// so the result is **bit-identical** to [`recursive_bisection_serial`]
-/// no matter how many worker threads run.
+/// as parallel [`join`](crate::share::join) jobs (the job-level
+/// parallelism METIS itself exploits in recursive bisection). Every
+/// branch seeds its RNG from its position in the bisection tree — not
+/// from whatever its siblings drew — so the result is **bit-identical**
+/// to [`recursive_bisection_serial`] no matter how many worker threads
+/// run.
 pub fn recursive_bisection(g: &CsrGraph, cfg: &PartitionConfig) -> Partition {
     rb_partition(g, cfg, true)
 }
@@ -214,7 +215,7 @@ fn rb_recurse(
     };
     if fork {
         // The forked half cannot share this thread's buffers.
-        rayon::join(
+        crate::share::join(
             || rb_recurse(g, verts0, labels0, cfg, child0, scratch),
             || rb_recurse(g, verts1, labels1, cfg, child1, &mut Scratch::default()),
         );

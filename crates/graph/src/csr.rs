@@ -179,7 +179,7 @@ impl CsrGraph {
         let rows = (0..chunks).map(|c| c * nv / chunks..(c + 1) * nv / chunks);
         let counts = share_chunks(
             rows.collect(),
-            share,
+            if share { 2 } else { 1 },
             // One claim bit per entry of `adjncy`. A row's claims land in
             // other rows, but only a row can claim its own reverses twice,
             // so each thread keeps its bits across the chunks it runs.

@@ -233,7 +233,7 @@ fn cut_sweep_shared(
         .collect();
     let swept = share_chunks(
         starts.windows(2).map(|w| w[0]..w[1]).collect(),
-        share,
+        if share { 2 } else { 1 },
         || Accumulators::new(k),
         |acc, parts| sweep.run(parts, acc),
     );

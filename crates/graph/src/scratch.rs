@@ -3,7 +3,7 @@
 //! `rb_partition` / `multilevel_bisect` make one [`Scratch`] and hand it
 //! `&mut` down `rb_recurse → multilevel_bisect → greedy_graph_growing →
 //! fm_refine`, so a tree of thousands of small bisections allocates its
-//! buffers once; the forked half of a `rayon::join` makes its own. It is
+//! buffers once; the forked half of a `share::join` makes its own. It is
 //! a plain value: nothing here outlives the call that made it.
 
 use crate::fm::FmScratch;

@@ -1,18 +1,27 @@
-//! Two threads on the O(E) passes of a large graph.
+//! The process's one core budget, its fork rule and its one fan-out.
 //!
-//! From [`PARALLEL_MIN_VERTICES`] vertices on, the dual-graph fill,
-//! [`CsrGraph::validate`](crate::CsrGraph::validate) and
-//! [`cut_sweep`](crate::metrics::cut_sweep) cut their work into a few
-//! chunks, which the calling thread and one `rayon::join` worker claim
-//! one at a time. A worker that starts late (waking an idle core takes a
-//! fraction of a millisecond) or gets no core of its own claims fewer
-//! chunks instead of holding the join up. The worker is forked only
-//! while fewer threads than the budget hold a core (the shim's fork
-//! rule), so on a server whose workers are all busy every chunk runs on
-//! the calling thread. Every chunk runs once and the results come back
-//! in chunk order, so an output never depends on which thread ran which
-//! chunk.
+//! [`join`] runs its second closure on a new thread only while the
+//! threads that hold a core are fewer than the budget ([`set_budget`]).
+//! A thread holds a core while it runs a `join`, a forked closure or an
+//! [`occupy`] scope, and it counts once however these nest. A caller that
+//! registered nothing (the CLI's main thread) counts as one from the
+//! moment it calls `join`, so alone it forks as it always did; a service
+//! whose workers each run their requests inside `occupy` forks only onto
+//! a core that no other request holds.
+//!
+//! [`share_chunks`] is the fan-out: up to `threads` claimers, each
+//! started by a `join`, take chunks one at a time from a shared counter.
+//! A claimer that starts late (waking an idle core takes a fraction of a
+//! millisecond) or gets no core of its own claims fewer chunks instead of
+//! holding the others up. The experiment grid runs on it one cell per
+//! chunk, and from [`PARALLEL_MIN_VERTICES`] vertices on the dual-graph
+//! fill, [`CsrGraph::validate`](crate::CsrGraph::validate) and
+//! [`cut_sweep`](crate::metrics::cut_sweep) share their chunks between two
+//! claimers. Every chunk runs once and the results come back in chunk
+//! order, so an output never depends on which thread ran which chunk.
 
+use std::cell::Cell;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -29,12 +38,117 @@ use std::sync::Mutex;
 /// calling thread alone.
 pub const PARALLEL_MIN_VERTICES: usize = 32_768;
 
+/// The budget set by [`set_budget`]; 0 means "automatic".
+static BUDGET_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// Threads that hold a core, across the whole process: threads inside
+/// [`occupy`] (which `join` enters too) plus the threads `join` has
+/// forked. Every access is `Relaxed`: the count publishes no other data,
+/// and a stale read only makes one `join` fork or run inline, which no
+/// result depends on.
+static HOLDERS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// How deeply this thread is nested in `occupy` scopes; it is one of
+    /// the [`HOLDERS`] exactly while this is above zero.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Set the core budget for the whole process: `0` restores the automatic
+/// default, `1` runs every `join` and fan-out inline on its caller, and
+/// any other value caps the threads that hold a core at once.
+pub fn set_budget(n: usize) {
+    BUDGET_OVERRIDE.store(n, Ordering::Relaxed);
+}
+
+/// The core budget: the [`set_budget`] value, or by default
+/// `available_parallelism` clamped to `2..=8` (at least 2, so that
+/// concurrency is exercised even on a single-core machine).
+pub fn budget() -> usize {
+    match BUDGET_OVERRIDE.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+            .clamp(2, 8),
+        n => n,
+    }
+}
+
+/// Run `f` with the calling thread counted as holding a core, so that a
+/// [`join`] anywhere in the process forks only onto a core that is left
+/// over. Scopes nest: a thread counts once, however deep. The slot is
+/// released when `f` returns or unwinds.
+pub fn occupy<R>(f: impl FnOnce() -> R) -> R {
+    struct Leave;
+    impl Drop for Leave {
+        fn drop(&mut self) {
+            let depth = DEPTH.get() - 1;
+            DEPTH.set(depth);
+            if depth == 0 {
+                HOLDERS.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+    let depth = DEPTH.get();
+    if depth == 0 {
+        HOLDERS.fetch_add(1, Ordering::Relaxed);
+    }
+    DEPTH.set(depth + 1);
+    let _leave = Leave;
+    f()
+}
+
+/// Run two closures, `b` on a second thread while fewer threads than the
+/// budget hold a core (the caller included), and return both results.
+/// Both always run to completion, a panic in either propagates, and with
+/// no core left over both run inline, `a` first; callers must not rely on
+/// the order.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let budget = budget();
+    occupy(|| {
+        // Reserve a core for the forked thread if one is left over.
+        let reserved = HOLDERS
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |holders| {
+                (holders < budget).then_some(holders + 1)
+            })
+            .is_ok();
+        if !reserved {
+            return (a(), b());
+        }
+        struct Release;
+        impl Drop for Release {
+            fn drop(&mut self) {
+                HOLDERS.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        let _release = Release;
+        std::thread::scope(|s| {
+            let hb = s.spawn(|| {
+                // The reservation above already counts this thread.
+                DEPTH.set(1);
+                b()
+            });
+            let ra = a();
+            match hb.join() {
+                Ok(rb) => (ra, rb),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
+    })
+}
+
 /// Run `task(state, chunk)` on every chunk and return the results in
-/// chunk order. With `share`, the calling thread and one `rayon::join`
-/// worker claim the chunks one at a time; each thread makes its `state`
-/// with `init` when it claims its first chunk and reuses it for the
-/// rest. Without `share`, the calling thread runs them all.
-pub fn share_chunks<X, S, T, I, F>(chunks: Vec<X>, share: bool, init: I, task: F) -> Vec<T>
+/// chunk order. The calling thread and up to `threads - 1` forked ones
+/// claim the chunks one at a time; each fork obeys the rule of [`join`].
+/// Each claimer makes its `state` with `init` when it claims its first
+/// chunk and reuses it for the rest.
+pub fn share_chunks<X, S, T, I, F>(chunks: Vec<X>, threads: usize, init: I, task: F) -> Vec<T>
 where
     X: Send,
     T: Send,
@@ -43,7 +157,7 @@ where
 {
     let slots: Vec<Mutex<Option<X>>> = chunks.into_iter().map(|x| Mutex::new(Some(x))).collect();
     // The counter hands out slot indices and publishes nothing else: the
-    // chunks travel through their slots, the results through the join.
+    // chunks travel through their slots, the results through the joins.
     let next = AtomicUsize::new(0);
     let claim = || {
         let mut state = None;
@@ -62,14 +176,22 @@ where
             done.push((c, task(state, chunk)));
         }
     };
-    let (mut done, theirs) = if share {
-        rayon::join(claim, claim)
-    } else {
-        (claim(), Vec::new())
-    };
-    done.extend(theirs);
+    let mut done = fan_out(threads, &claim);
     done.sort_unstable_by_key(|&(c, _)| c);
     done.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Run `claim` on up to `threads` threads and concatenate what they
+/// return. The caller starts the other claimers before it claims itself;
+/// one whose fork is refused runs on the caller afterwards and finds no
+/// chunk left.
+fn fan_out<T: Send>(threads: usize, claim: &(impl Fn() -> Vec<T> + Sync)) -> Vec<T> {
+    if threads <= 1 {
+        return claim();
+    }
+    let (mut done, theirs) = join(|| fan_out(threads - 1, claim), claim);
+    done.extend(theirs);
+    done
 }
 
 #[cfg(test)]
@@ -78,59 +200,17 @@ mod tests {
 
     #[test]
     fn every_chunk_runs_once_and_results_keep_chunk_order() {
-        for share in [false, true] {
+        for threads in [1, 2, 3] {
             let inits = AtomicUsize::new(0);
             let out = share_chunks(
                 (0..9).collect(),
-                share,
+                threads,
                 || inits.fetch_add(1, Ordering::Relaxed),
                 |_, c: usize| c * 10,
             );
             assert_eq!(out, (0..9).map(|c| c * 10).collect::<Vec<_>>());
-            assert!(inits.load(Ordering::Relaxed) <= 1 + share as usize);
+            assert!(inits.load(Ordering::Relaxed) <= threads);
+            assert!(share_chunks(Vec::<usize>::new(), threads, || (), |_, c| c).is_empty());
         }
-        assert!(share_chunks(Vec::<usize>::new(), true, || (), |_, c| c).is_empty());
-    }
-
-    #[test]
-    fn a_full_budget_runs_every_chunk_on_the_caller() {
-        // Other tests' threads can only add holders, and a holder more
-        // can only prevent a fork: with the budget filled by threads
-        // inside `rayon::occupy`, one thread claims every chunk.
-        let holders = rayon::current_num_threads();
-        let entered = std::sync::Barrier::new(holders + 1);
-        let release = std::sync::Barrier::new(holders + 1);
-        std::thread::scope(|s| {
-            for _ in 0..holders {
-                s.spawn(|| {
-                    rayon::occupy(|| {
-                        entered.wait();
-                        release.wait();
-                    })
-                });
-            }
-            entered.wait();
-            let inits = AtomicUsize::new(0);
-            let out = share_chunks(
-                (0..9).collect(),
-                true,
-                || inits.fetch_add(1, Ordering::Relaxed),
-                |_, c: usize| {
-                    // The first chunk gives a forked worker, were there
-                    // one, time to claim a chunk of its own and show.
-                    let start = std::time::Instant::now();
-                    while c == 0
-                        && inits.load(Ordering::Relaxed) < 2
-                        && start.elapsed() < std::time::Duration::from_millis(50)
-                    {
-                        std::thread::yield_now();
-                    }
-                    c * 10
-                },
-            );
-            release.wait();
-            assert_eq!(out, (0..9).map(|c| c * 10).collect::<Vec<_>>());
-            assert_eq!(inits.load(Ordering::Relaxed), 1);
-        });
     }
 }

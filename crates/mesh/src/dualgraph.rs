@@ -96,7 +96,7 @@ pub fn build_dual_graph_weighted(topo: &Topology, w: ExchangeWeights, vwgt: Vec<
     }
     share_chunks(
         faces,
-        k >= PARALLEL_MIN_VERTICES,
+        if k >= PARALLEL_MIN_VERTICES { 2 } else { 1 },
         || (),
         |_, rows| rows.fill(topo, w),
     );

@@ -987,3 +987,65 @@ fn usage_subcommands_are_the_readers_table_rows() {
     );
     assert_eq!(usage, readers_table_subcommands());
 }
+
+/// Compare `actual` with the committed fixture `tests/golden/cli/<name>`;
+/// on a mismatch the actual bytes land under the test binary's scratch
+/// directory, and the failure message names the file.
+fn assert_cli_golden(name: &str, actual: &[u8]) {
+    let path = format!(
+        "{}/../../tests/golden/cli/{name}",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let expected = std::fs::read(&path).unwrap_or_default();
+    if expected != actual {
+        let dump = format!("{}/cli_{name}", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&dump, actual).unwrap();
+        panic!("{name}: bytes differ from {path}; actual written to {dump}");
+    }
+}
+
+#[test]
+fn stdout_matches_the_cli_goldens() {
+    // The bytes of `info`, `report` and `rebalance` (its table and its
+    // JSON report, once per backend). CI diffs the release binary's
+    // stdout against the same files.
+    let stdout = |argv: &[&str]| {
+        let out = cli().args(argv).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{argv:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_cli_golden("info.txt", &stdout(&["info", "--ne", "8"]));
+    assert_cli_golden(
+        "report.txt",
+        &stdout(&["report", "--ne", "8", "--nproc", "96"]),
+    );
+    let dir = tmpdir("cli-golden");
+    for method in ["sfc", "kway"] {
+        let json = dir.join(format!("rebalance_{method}.json"));
+        let table = stdout(&[
+            "rebalance",
+            "--ne",
+            "4",
+            "--nproc",
+            "8",
+            "--steps",
+            "6",
+            "--seed",
+            "42",
+            "--method",
+            method,
+            "--json",
+            json.to_str().unwrap(),
+        ]);
+        assert_cli_golden(&format!("rebalance_{method}.txt"), &table);
+        assert_cli_golden(
+            &format!("rebalance_{method}.json"),
+            &std::fs::read(&json).unwrap(),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -192,11 +192,6 @@ impl MigrationPlan {
         }
         Ok(())
     }
-
-    /// Number of (src, dst) rank pairs exchanging any elements.
-    pub fn num_messages(&self) -> usize {
-        self.sends.iter().map(|t| t.len()).sum()
-    }
 }
 
 fn push_elem(transfers: &mut Vec<Transfer>, peer: usize, e: usize) {
@@ -213,6 +208,13 @@ fn push_elem(transfers: &mut Vec<Transfer>, peer: usize, e: usize) {
 mod tests {
     use super::*;
     use cubesfc_graph::matched_migration;
+
+    impl MigrationPlan {
+        /// Number of (src, dst) rank pairs exchanging any elements.
+        fn num_messages(&self) -> usize {
+            self.sends.iter().map(|t| t.len()).sum()
+        }
+    }
 
     fn part(nparts: usize, assign: &[u32]) -> Partition {
         Partition::new(nparts, assign.to_vec())

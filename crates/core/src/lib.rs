@@ -73,7 +73,7 @@ pub use partitioner::{
 pub use rcb::partition_rcb;
 pub use report::{best_metis, PartitionReport};
 pub use service::{method_from_name, EngineBackend};
-pub use sfc_partition::{partition_curve, partition_curve_weighted, segment_ranges};
+pub use sfc_partition::{partition_curve, partition_curve_weighted};
 
 // Re-export the sub-crates so downstream users need only one dependency.
 pub use cubesfc_balance as balance;

@@ -50,11 +50,6 @@ impl EngineBackend {
         EngineBackend::with_cache(MeshCache::new())
     }
 
-    /// A backend with a mesh cache bounded to `capacity` resolutions.
-    pub fn with_cache_capacity(capacity: usize) -> EngineBackend {
-        EngineBackend::with_cache(MeshCache::with_capacity(capacity))
-    }
-
     /// A backend over an explicit cache.
     pub fn with_cache(cache: MeshCache) -> EngineBackend {
         EngineBackend {

@@ -82,23 +82,23 @@ fn split_error_to_partition_error(e: SplitError) -> PartitionError {
     }
 }
 
-/// The contiguous curve ranks `[start, end)` owned by each part of an SFC
-/// partition (diagnostics / tests).
-pub fn segment_ranges(curve: &GlobalCurve, partition: &Partition) -> Vec<(usize, usize)> {
-    let mut ranges = vec![(usize::MAX, 0usize); partition.nparts()];
-    for rank in 0..curve.len() {
-        let p = partition.part_of(curve.elem_at(rank).index());
-        let r = &mut ranges[p];
-        r.0 = r.0.min(rank);
-        r.1 = r.1.max(rank + 1);
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cubesfc_graph::load_balance;
+
+    /// The contiguous curve ranks `[start, end)` owned by each part of an SFC
+    /// partition.
+    fn segment_ranges(curve: &GlobalCurve, partition: &Partition) -> Vec<(usize, usize)> {
+        let mut ranges = vec![(usize::MAX, 0usize); partition.nparts()];
+        for rank in 0..curve.len() {
+            let p = partition.part_of(curve.elem_at(rank).index());
+            let r = &mut ranges[p];
+            r.0 = r.0.min(rank);
+            r.1 = r.1.max(rank + 1);
+        }
+        ranges
+    }
 
     fn curve(ne: usize) -> GlobalCurve {
         GlobalCurve::build(ne).unwrap()

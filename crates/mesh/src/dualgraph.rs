@@ -20,7 +20,7 @@
 //! every graph partition depends on.
 
 use crate::face::FaceId;
-use crate::topology::{ElemId, LocalEdge, Topology};
+use crate::topology::{LocalEdge, Topology};
 use cubesfc_graph::share::share_chunks;
 use cubesfc_graph::{CsrGraph, PARALLEL_MIN_VERTICES};
 
@@ -172,16 +172,17 @@ impl FaceRows<'_> {
     }
 }
 
-/// The communication volume, in points, that element `e` sends each step
-/// (sum of its incident edge weights) — independent of any partition; used
-/// to bound per-processor communication.
-pub fn elem_send_points(g: &CsrGraph, e: ElemId) -> u64 {
-    g.neighbors(e.index()).map(|(_, w)| w as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::ElemId;
+
+    /// The communication volume, in points, that element `e` sends each step
+    /// (sum of its incident edge weights) — independent of any partition; used
+    /// to bound per-processor communication.
+    fn elem_send_points(g: &CsrGraph, e: ElemId) -> u64 {
+        g.neighbors(e.index()).map(|(_, w)| w as u64).sum()
+    }
 
     fn graph(ne: usize) -> (Topology, CsrGraph) {
         let t = Topology::build(ne);

@@ -7,7 +7,7 @@
 //! cube-surface point to unit length.
 
 use crate::face::{cell_corner_point, FaceFrame, FaceId, IVec3};
-use crate::topology::{make_eid, ElemId};
+use crate::topology::make_eid;
 
 /// A point on the unit sphere.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -101,7 +101,7 @@ pub fn elem_area(face: FaceId, ne: usize, i: usize, j: usize) -> f64 {
     triangle_solid_angle(&p0, &p1, &p2).abs() + triangle_solid_angle(&p0, &p2, &p3).abs()
 }
 
-/// Sphere centres of every element, indexed by [`ElemId`].
+/// Sphere centres of every element, indexed by [`ElemId`](crate::topology::ElemId).
 pub fn all_centers(ne: usize) -> Vec<SpherePoint> {
     let mut out = Vec::with_capacity(6 * ne * ne);
     for face in FaceId::ALL {
@@ -115,7 +115,7 @@ pub fn all_centers(ne: usize) -> Vec<SpherePoint> {
     out
 }
 
-/// Spherical areas of every element, indexed by [`ElemId`].
+/// Spherical areas of every element, indexed by [`ElemId`](crate::topology::ElemId).
 pub fn all_areas(ne: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(6 * ne * ne);
     for face in FaceId::ALL {
@@ -126,12 +126,6 @@ pub fn all_areas(ne: usize) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Spherical area of element `eid` (convenience wrapper).
-pub fn area_of(ne: usize, eid: ElemId) -> f64 {
-    let (face, i, j) = crate::topology::split_eid(ne, eid);
-    elem_area(face, ne, i, j)
 }
 
 #[cfg(test)]

@@ -193,11 +193,6 @@ impl Topology {
         self.edge_neighbors(a).iter().any(|n| n.elem == b)
     }
 
-    /// Whether two elements share at least a corner point.
-    pub fn are_adjacent(&self, a: ElemId, b: ElemId) -> bool {
-        self.are_edge_adjacent(a, b) || self.corner_neighbors(a).contains(&b)
-    }
-
     /// Iterate over all elements.
     pub fn elems(&self) -> impl Iterator<Item = ElemId> {
         (0..self.num_elems() as u32).map(ElemId)

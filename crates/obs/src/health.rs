@@ -186,24 +186,28 @@ impl AlertEngine {
     pub fn armed(&self) -> bool {
         self.states.iter().all(|s| s.armed)
     }
-
-    /// Total fires per rule since construction, in rule order.
-    pub fn fired_counts(&self) -> Vec<(String, u64)> {
-        self.states
-            .iter()
-            .map(|s| (s.rule.name.clone(), s.fired))
-            .collect()
-    }
-
-    /// Sum of all fires across rules.
-    pub fn total_fired(&self) -> u64 {
-        self.states.iter().map(|s| s.fired).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AlertEngine {
+        /// Total fires per rule since construction, in rule order.
+        fn fired_counts(&self) -> Vec<(String, u64)> {
+            self.states
+                .iter()
+                .map(|s| (s.rule.name.clone(), s.fired))
+                .collect()
+        }
+    }
+
+    impl AlertEngine {
+        /// Sum of all fires across rules.
+        fn total_fired(&self) -> u64 {
+            self.states.iter().map(|s| s.fired).sum()
+        }
+    }
 
     fn gauges(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()

@@ -35,18 +35,6 @@ impl CostModel {
         }
     }
 
-    /// A configuration matching a given mini-app run (for comparing the
-    /// analytic model against measured wall-clock).
-    pub fn mini_app(np: usize, nlev: usize) -> CostModel {
-        CostModel {
-            np,
-            nlev,
-            nvar: 1,
-            bytes_per_value: 8.0,
-            stages: 3,
-        }
-    }
-
     /// Floating-point operations per element per timestep.
     ///
     /// Per stage, per level, per variable: two tensor-product derivative
@@ -84,6 +72,20 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// A configuration matching a given mini-app run (for comparing the
+        /// analytic model against measured wall-clock).
+        fn mini_app(np: usize, nlev: usize) -> CostModel {
+            CostModel {
+                np,
+                nlev,
+                nvar: 1,
+                bytes_per_value: 8.0,
+                stages: 3,
+            }
+        }
+    }
 
     #[test]
     fn climate_flop_count_scale() {

@@ -116,16 +116,6 @@ impl Decomposition {
             plans,
         }
     }
-
-    /// Number of elements on each rank.
-    pub fn elems_per_rank(&self) -> Vec<usize> {
-        self.elems_of_rank.iter().map(|v| v.len()).collect()
-    }
-
-    /// Total number of messages per exchange round (ordered pairs).
-    pub fn total_messages(&self) -> usize {
-        self.plans.iter().map(|p| p.neighbors.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -133,6 +123,20 @@ mod tests {
     use super::*;
     use cubesfc_mesh::Topology;
     use std::collections::{BTreeMap, BTreeSet};
+
+    impl Decomposition {
+        /// Number of elements on each rank.
+        fn elems_per_rank(&self) -> Vec<usize> {
+            self.elems_of_rank.iter().map(|v| v.len()).collect()
+        }
+    }
+
+    impl Decomposition {
+        /// Total number of messages per exchange round (ordered pairs).
+        fn total_messages(&self) -> usize {
+            self.plans.iter().map(|p| p.neighbors.len()).sum()
+        }
+    }
 
     /// The ordered-map construction the dense build replaced, kept as
     /// its oracle.

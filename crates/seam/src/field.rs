@@ -27,12 +27,6 @@ impl Field {
         }
     }
 
-    /// Values per element (`n² × nlev`).
-    #[inline]
-    pub fn elem_len(&self) -> usize {
-        self.n * self.n * self.nlev
-    }
-
     /// Flat index of `(a, b, lev)`.
     #[inline]
     pub fn idx(&self, a: usize, b: usize, lev: usize) -> usize {
@@ -72,6 +66,13 @@ pub(crate) fn nan_max(values: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Field {
+        /// Values per element (`n² × nlev`).
+        fn elem_len(&self) -> usize {
+            self.n * self.n * self.nlev
+        }
+    }
 
     #[test]
     fn zeros_shape() {

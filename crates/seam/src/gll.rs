@@ -62,11 +62,6 @@ impl GllBasis {
             d,
         }
     }
-
-    /// Integrate nodal values with the GLL weights.
-    pub fn integrate(&self, u: &[f64]) -> f64 {
-        u.iter().zip(&self.weights).map(|(a, w)| a * w).sum()
-    }
 }
 
 /// Derivatives of one `n × n` slab: `dr = ∂ur/∂r` (D along `a` for each
@@ -201,6 +196,11 @@ pub(crate) mod tests {
     use super::*;
 
     impl GllBasis {
+        /// Integrate nodal values with the GLL weights.
+        fn integrate(&self, u: &[f64]) -> f64 {
+            u.iter().zip(&self.weights).map(|(a, w)| a * w).sum()
+        }
+
         /// Apply the derivative matrix to a vector of nodal values.
         fn differentiate(&self, u: &[f64], out: &mut [f64]) {
             for (i, o) in out.iter_mut().enumerate() {

@@ -49,17 +49,6 @@ impl MachineModel {
         }
     }
 
-    /// An idealized zero-communication machine (for model sanity checks).
-    pub fn zero_comm() -> MachineModel {
-        MachineModel {
-            latency_inter: 0.0,
-            latency_intra: 0.0,
-            bandwidth_inter: f64::INFINITY,
-            bandwidth_intra: f64::INFINITY,
-            ..MachineModel::ncar_p690()
-        }
-    }
-
     /// The SMP node housing a rank (ranks packed in order).
     #[inline]
     pub fn node_of(&self, rank: usize) -> usize {
@@ -94,6 +83,19 @@ impl MachineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MachineModel {
+        /// An idealized zero-communication machine (for model sanity checks).
+        pub(crate) fn zero_comm() -> MachineModel {
+            MachineModel {
+                latency_inter: 0.0,
+                latency_intra: 0.0,
+                bandwidth_inter: f64::INFINITY,
+                bandwidth_intra: f64::INFINITY,
+                ..MachineModel::ncar_p690()
+            }
+        }
+    }
 
     #[test]
     fn paper_calibration() {

@@ -37,19 +37,6 @@ impl RankMap {
             slot_of: rng.permutation(nranks),
         }
     }
-
-    /// Validate: a permutation of `0..nranks`.
-    pub fn is_valid(&self) -> bool {
-        let n = self.slot_of.len();
-        let mut seen = vec![false; n];
-        for &s in &self.slot_of {
-            if s as usize >= n || seen[s as usize] {
-                return false;
-            }
-            seen[s as usize] = true;
-        }
-        true
-    }
 }
 
 /// The fraction of exchanged points that travel *between* nodes under a
@@ -130,6 +117,21 @@ pub fn greedy_node_packing(
 mod tests {
     use super::*;
     use crate::machine::MachineModel;
+
+    impl RankMap {
+        /// Validate: a permutation of `0..nranks`.
+        fn is_valid(&self) -> bool {
+            let n = self.slot_of.len();
+            let mut seen = vec![false; n];
+            for &s in &self.slot_of {
+                if s as usize >= n || seen[s as usize] {
+                    return false;
+                }
+                seen[s as usize] = true;
+            }
+            true
+        }
+    }
 
     /// A ring dual graph where rank i talks to i±1 only.
     fn ring_setup(n: usize) -> (CsrGraph, Partition) {

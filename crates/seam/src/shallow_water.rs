@@ -178,20 +178,6 @@ impl SwSolver {
         self.time = 0.0;
     }
 
-    /// Total fluid volume `∫ h dA` (each dof counted once).
-    pub fn total_volume(&self) -> f64 {
-        let mult = self.assembler.dofs().multiplicities();
-        let npts = self.cfg.np * self.cfg.np;
-        let mut total = 0.0;
-        for (e, h) in self.state.h.iter().enumerate() {
-            let ids = self.assembler.dofs().ids(e);
-            for k in 0..npts {
-                total += self.masses[e][k] * h[k] / mult[ids[k] as usize] as f64;
-            }
-        }
-        total
-    }
-
     /// One SSP-RK3 step.
     pub fn step(&mut self) {
         let dt = self.cfg.dt;
@@ -430,6 +416,22 @@ pub fn tc2_initial(
 mod tests {
     use super::*;
     use crate::gll::tests::random_values;
+
+    impl SwSolver {
+        /// Total fluid volume `∫ h dA` (each dof counted once).
+        fn total_volume(&self) -> f64 {
+            let mult = self.assembler.dofs().multiplicities();
+            let npts = self.cfg.np * self.cfg.np;
+            let mut total = 0.0;
+            for (e, h) in self.state.h.iter().enumerate() {
+                let ids = self.assembler.dofs().ids(e);
+                for k in 0..npts {
+                    total += self.masses[e][k] * h[k] / mult[ids[k] as usize] as f64;
+                }
+            }
+            total
+        }
+    }
 
     /// `sw_rhs::<N>` and the runtime-count body agree to the bit on seeded
     /// random states over a few elements of a warped grid.

@@ -183,11 +183,6 @@ pub fn derive_table(r: usize, path: &[(u8, u8)]) -> Vec<TableEntry> {
     table
 }
 
-/// The canonical Hilbert block path (level-1 U with major `+x`).
-pub fn hilbert_path() -> Vec<(u8, u8)> {
-    vec![(0, 0), (0, 1), (1, 1), (1, 0)]
-}
-
 /// The canonical meander path for an odd radix `r ≥ 3`: up the first
 /// column, right along the top row, then a row-wise boustrophedon through
 /// the remaining `(r-1) × (r-1)` block, exiting at the low corner of the
@@ -258,6 +253,11 @@ pub fn instantiate(parent: CurveState, entry: &TableEntry) -> CurveState {
 mod tests {
     use super::*;
     use crate::refine::Radix;
+
+    /// The canonical Hilbert block path (level-1 U with major `+x`).
+    fn hilbert_path() -> Vec<(u8, u8)> {
+        vec![(0, 0), (0, 1), (1, 1), (1, 0)]
+    }
 
     #[test]
     fn meander_paths_are_valid() {

@@ -75,19 +75,6 @@ impl Dir {
             Dir::Neg => -1,
         }
     }
-
-    /// Build from any nonzero signed value.
-    ///
-    /// # Panics
-    /// Panics if `v == 0`.
-    #[inline]
-    pub fn from_sign(v: i64) -> Dir {
-        match v.signum() {
-            1 => Dir::Pos,
-            -1 => Dir::Neg,
-            _ => panic!("direction must be nonzero"),
-        }
-    }
 }
 
 impl Neg for Dir {
@@ -218,6 +205,20 @@ impl fmt::Display for CurveState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dir {
+        /// Build from any nonzero signed value.
+        ///
+        /// # Panics
+        /// Panics if `v == 0`.
+        fn from_sign(v: i64) -> Dir {
+            match v.signum() {
+                1 => Dir::Pos,
+                -1 => Dir::Neg,
+                _ => panic!("direction must be nonzero"),
+            }
+        }
+    }
 
     #[test]
     fn axis_perp_is_involutive() {

@@ -90,11 +90,12 @@
 //! The assignment output format is one line per element: `elem part`.
 
 use cubesfc::analysis::analyze_doc;
+use cubesfc::balance::{LoadModel, RebalancePolicy, SimConfig, TrajectoryKind};
 use cubesfc::report::PartitionReport;
 use cubesfc::viz::{render_partition_ascii, render_partition_ppm};
 use cubesfc::{
-    method_from_name, partition, CostModel, CubedSphere, MachineModel, PartitionMethod,
-    PartitionOptions,
+    method_from_name, partition, partition_with_graph, CostModel, CubedSphere, MachineModel,
+    MeshCache, PartitionMethod, PartitionOptions,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -140,13 +141,8 @@ struct Args {
     access_log: Option<String>,
 }
 
-/// What to do with the profile when the command finishes.
-struct ProfileSink {
-    /// Print the rendered table to stderr.
-    table: bool,
-    /// Also write JSON here.
-    json_path: Option<String>,
-}
+/// Where `--access-log` and `CUBESFC_ACCESS_LOG=1` write.
+const DEFAULT_ACCESS_LOG: &str = "cubesfc-access.ndjson";
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -201,6 +197,8 @@ fn path_suffix(arg: &str, flag: &str) -> Option<Result<String, String>> {
     })
 }
 
+/// Every flag, parsed into its field; which of them a subcommand
+/// needs is [`check`]ed afterwards, against its [`Subcommand`] row.
 fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     let command = it.next().ok_or("missing command")?;
@@ -270,7 +268,7 @@ fn parse_args() -> Result<Args, String> {
             "--queue" => args.queue = positive(flag, value(&mut it, flag)?)?,
             "--cache-entries" => args.cache_entries = positive(flag, value(&mut it, flag)?)?,
             "--deadline-ms" => args.deadline_ms = positive(flag, value(&mut it, flag)?)?,
-            "--access-log" => args.access_log = Some("cubesfc-access.ndjson".to_string()),
+            "--access-log" => args.access_log = Some(DEFAULT_ACCESS_LOG.to_string()),
             other => {
                 if let Some(path) = path_suffix(other, "--access-log") {
                     args.access_log = Some(path?);
@@ -282,135 +280,15 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    match args.command.as_str() {
-        "trace" => {
-            if args.paths.len() != 2 || args.paths[0] != "analyze" {
-                return Err("trace needs a subcommand: trace analyze FILE.json".into());
-            }
-        }
-        _ => {
-            if let Some(stray) = args.paths.first() {
-                return Err(format!("unexpected argument '{stray}'"));
-            }
-            // `experiment` defaults to the whole Table-1 grid when no
-            // resolution is named and `serve` takes its sizes from each
-            // request; every other command needs a resolution.
-            if args.ne == 0 && args.command != "experiment" && args.command != "serve" {
-                return Err("--ne is required".into());
-            }
-        }
-    }
     Ok(args)
-}
-
-/// Combine `--profile` and `CUBESFC_PROFILE` into one sink (or none).
-///
-/// The environment variable follows a strict contract: empty or `0`
-/// disables, `1`/`true`/`table` print the table, `json:<path>` writes
-/// JSON *and* prints the table. Anything else is a usage error.
-fn profile_sink(flag: bool) -> Result<Option<ProfileSink>, String> {
-    let env = std::env::var("CUBESFC_PROFILE").unwrap_or_default();
-    let mut sink = if flag {
-        Some(ProfileSink {
-            table: true,
-            json_path: None,
-        })
-    } else {
-        None
-    };
-    match env.as_str() {
-        "" | "0" => {}
-        "1" | "true" | "table" => {
-            sink = Some(ProfileSink {
-                table: true,
-                json_path: sink.and_then(|s| s.json_path),
-            });
-        }
-        other => match other.strip_prefix("json:") {
-            Some(path) if !path.is_empty() => {
-                sink = Some(ProfileSink {
-                    table: true,
-                    json_path: Some(path.to_string()),
-                });
-            }
-            _ => {
-                return Err(format!(
-                    "CUBESFC_PROFILE={other:?} is invalid (expected '', '0', '1', \
-                     'true', 'table', or 'json:<path>')"
-                ));
-            }
-        },
-    }
-    Ok(sink)
-}
-
-/// Combine `--trace` and `CUBESFC_TRACE` into the trace output path (or
-/// none). The flag takes precedence over the environment variable.
-fn trace_sink(flag: &Option<String>) -> Option<String> {
-    if flag.is_some() {
-        return flag.clone();
-    }
-    match std::env::var("CUBESFC_TRACE") {
-        Ok(p) if !p.is_empty() => Some(p),
-        _ => None,
-    }
-}
-
-/// Combine `--access-log[=PATH]` and `CUBESFC_ACCESS_LOG` into the
-/// access-log output path (or none). The flag wins; in the
-/// environment, empty or `0` disables, `1`/`true` use the default
-/// path, and any other value is the path.
-fn access_sink(args: &Args) -> Option<String> {
-    if args.access_log.is_some() {
-        return args.access_log.clone();
-    }
-    match std::env::var("CUBESFC_ACCESS_LOG")
-        .unwrap_or_default()
-        .as_str()
-    {
-        "" | "0" => None,
-        "1" | "true" => Some("cubesfc-access.ndjson".to_string()),
-        path => Some(path.to_string()),
-    }
-}
-
-/// Export the recorded access log as `cubesfc-access-v1` NDJSON.
-fn write_access_log(path: &str) -> Result<(), String> {
-    let log = cubesfc_obs::access_log();
-    std::fs::write(path, log.export_ndjson()).map_err(|e| format!("{path}: {e}"))?;
-    let dropped = log.dropped();
-    if dropped > 0 {
-        eprintln!("access log: {dropped} record(s) shed (ring full); counts remain exact");
-    }
-    Ok(())
-}
-
-fn write_profile(sink: &ProfileSink) -> Result<(), String> {
-    let snap = cubesfc_obs::export_snapshot();
-    if sink.table {
-        eprint!("{}", snap.render_table());
-    }
-    if let Some(path) = &sink.json_path {
-        std::fs::write(path, snap.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    Ok(())
-}
-
-fn emit(path: &Option<String>, bytes: &[u8]) -> Result<(), String> {
-    match path {
-        None => std::io::stdout()
-            .write_all(bytes)
-            .map_err(|e| e.to_string()),
-        Some(p) => std::fs::write(p, bytes).map_err(|e| format!("{p}: {e}")),
-    }
 }
 
 /// A command failure, split by exit code. `Runtime` exits 1 (missing
 /// file, wrong schema, a fired alert); `Malformed`
 /// exits 2 with the parser's line/column diagnostic — input that is not
 /// JSON at all is a usage-class problem, like a mistyped flag; `Usage`
-/// exits 2 with the usage text, for argument combinations that can
-/// never be valid (a degenerate `--nproc`, for instance).
+/// exits 2 with the usage text, for arguments that can never be valid
+/// (a missing `--ne` or a degenerate `--nproc`, for instance).
 enum CliError {
     Runtime(String),
     Malformed(String),
@@ -433,51 +311,282 @@ impl CliError {
             cubesfc_obs::LoadError::Shape(m) => CliError::Runtime(m),
         }
     }
+
+    /// Print the error and pick the exit code.
+    fn exit(self) -> ExitCode {
+        let (CliError::Runtime(e) | CliError::Malformed(e) | CliError::Usage(e)) = &self;
+        eprintln!("error: {e}");
+        match self {
+            CliError::Runtime(_) => ExitCode::FAILURE,
+            CliError::Malformed(_) => ExitCode::from(2),
+            CliError::Usage(_) => usage(),
+        }
+    }
 }
 
-/// Replay a `cubesfc-trace-v1` timeline into the wait-state
-/// decomposition, critical path, imbalance attribution and counter-track
-/// alerts; `Err` (exit 1) when an alert fired, unless `--report-only`.
-fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
-    let path = &args.paths[1];
-    // An unreadable file is a runtime error.
-    let text =
-        std::fs::read_to_string(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
-    let analysis =
-        cubesfc_obs::load_doc(&text, analyze_doc).map_err(|e| CliError::load(path, e))?;
-    print!("{}", analysis.render());
-    if let Some(out) = &args.json {
-        std::fs::write(out, analysis.to_json())
-            .map_err(|e| CliError::Runtime(format!("{out}: {e}")))?;
-    }
-    let fired = analysis.alerts_fired();
-    if fired == 0 || args.report_only {
+/// What a subcommand needs from the command line before it runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Needs {
+    /// No mesh: a default grid (`experiment`) or sizes per request (`serve`).
+    Nothing,
+    /// `--ne`.
+    Ne,
+    /// `--ne`, and `--nproc` in `1..=K`.
+    Parts,
+    /// The operands `analyze FILE`.
+    Replay,
+}
+
+/// One row of the subcommand table: the name, what it needs, and the
+/// function that makes its library call.
+type Subcommand = (&'static str, Needs, fn(&Args) -> Result<(), CliError>);
+
+/// Every subcommand, in `usage()`'s order.
+const SUBCOMMANDS: [Subcommand; 8] = [
+    ("partition", Needs::Parts, run_partition),
+    ("report", Needs::Parts, run_report),
+    ("render", Needs::Parts, run_render),
+    ("info", Needs::Ne, run_info),
+    ("experiment", Needs::Nothing, run_experiment),
+    ("rebalance", Needs::Parts, run_rebalance),
+    ("trace", Needs::Replay, run_trace_analyze),
+    ("serve", Needs::Nothing, run_serve),
+];
+
+/// A name not in the table is checked like a mesh command, then fails.
+const UNKNOWN: Subcommand = ("", Needs::Ne, |args| {
+    Err(format!("unknown command '{}'", args.command).into())
+});
+
+/// That `args` holds what `needs` asks for; a usage error otherwise.
+fn check(needs: Needs, args: &Args) -> Result<(), CliError> {
+    let fail = |m: String| Err(CliError::Usage(m));
+    if needs == Needs::Replay {
+        if args.paths.len() != 2 || args.paths[0] != "analyze" {
+            return fail("trace needs a subcommand: trace analyze FILE.json".into());
+        }
         return Ok(());
     }
-    Err(format!("{fired} alert(s) fired in {path}").into())
+    if let Some(stray) = args.paths.first() {
+        return fail(format!("unexpected argument '{stray}'"));
+    }
+    if args.ne == 0 && needs != Needs::Nothing {
+        return fail("--ne is required".into());
+    }
+    // A processor count of zero, or more processors than elements, can
+    // never describe a valid run for any method: reject it up front
+    // rather than letting a backend fail late.
+    let k = 6 * args.ne * args.ne;
+    match needs {
+        Needs::Parts if args.nproc == 0 => fail("--nproc must be at least 1".into()),
+        Needs::Parts if args.nproc > k => fail(format!(
+            "--nproc {} exceeds the element count K = {k} (Ne = {})",
+            args.nproc, args.ne
+        )),
+        _ => Ok(()),
+    }
 }
 
-/// Run a short parallel advection solve over the computed partition so
-/// the trace shows one timeline lane per virtual rank (plus the shared
-/// DSS lane). Only invoked when tracing is enabled.
-fn trace_mini_solve(mesh: &CubedSphere, part: &cubesfc::Partition) {
+/// The profile, trace and access-log outputs of one run, each resolved
+/// once from its flag or its environment variable (the flag wins).
+struct Observers {
+    /// Print the profile table to stderr when the command finishes.
+    profile: bool,
+    /// Also write the profile as JSON here.
+    profile_json: Option<String>,
+    /// Write the Chrome trace here.
+    trace: Option<String>,
+    /// Write the `serve` access log here.
+    access_log: Option<String>,
+}
+
+impl Observers {
+    /// `CUBESFC_PROFILE`: empty or `0` leaves `--profile` alone,
+    /// `1`/`true`/`table` print the table, `json:<path>` writes JSON
+    /// *and* prints the table, and anything else is a usage error.
+    /// `CUBESFC_TRACE` is a path when not empty. `CUBESFC_ACCESS_LOG`:
+    /// empty or `0` disables, `1`/`true` use the default path, any other
+    /// value is the path; only `serve` answers requests, so only it logs.
+    fn resolve(args: &Args) -> Result<Observers, String> {
+        let env = std::env::var("CUBESFC_PROFILE").unwrap_or_default();
+        let (profile, profile_json) = match env.as_str() {
+            "" | "0" => (args.profile, None),
+            "1" | "true" | "table" => (true, None),
+            other => match other.strip_prefix("json:") {
+                Some(path) if !path.is_empty() => (true, Some(path.to_string())),
+                _ => {
+                    return Err(format!(
+                        "CUBESFC_PROFILE={other:?} is invalid (expected '', '0', '1', \
+                         'true', 'table', or 'json:<path>')"
+                    ))
+                }
+            },
+        };
+        let trace = args.trace.clone().or_else(|| {
+            std::env::var("CUBESFC_TRACE")
+                .ok()
+                .filter(|p| !p.is_empty())
+        });
+        let access_log = args.access_log.clone().or_else(|| {
+            match std::env::var("CUBESFC_ACCESS_LOG")
+                .unwrap_or_default()
+                .as_str()
+            {
+                "" | "0" => None,
+                "1" | "true" => Some(DEFAULT_ACCESS_LOG.to_string()),
+                path => Some(path.to_string()),
+            }
+        });
+        Ok(Observers {
+            profile,
+            profile_json,
+            trace,
+            access_log: access_log.filter(|_| args.command == "serve"),
+        })
+    }
+
+    /// Switch recording on for every output there is.
+    fn start(&self) {
+        cubesfc_obs::set_enabled(self.profile);
+        cubesfc_obs::set_trace_enabled(self.trace.is_some());
+        cubesfc_obs::set_access_enabled(self.access_log.is_some());
+    }
+
+    /// Write every output; the error is the message after `error: `.
+    fn export(&self) -> Result<(), String> {
+        if self.profile {
+            let snap = cubesfc_obs::export_snapshot();
+            eprint!("{}", snap.render_table());
+            if let Some(path) = &self.profile_json {
+                std::fs::write(path, snap.to_json())
+                    .map_err(|e| format!("profile export failed: {path}: {e}"))?;
+            }
+        }
+        if let Some(path) = &self.trace {
+            std::fs::write(path, cubesfc_obs::tracer().export_chrome())
+                .map_err(|e| format!("trace export failed: {path}: {e}"))?;
+        }
+        if let Some(path) = &self.access_log {
+            let log = cubesfc_obs::access_log();
+            std::fs::write(path, log.export_ndjson())
+                .map_err(|e| format!("access-log export failed: {path}: {e}"))?;
+            let dropped = log.dropped();
+            if dropped > 0 {
+                eprintln!("access log: {dropped} record(s) shed (ring full); counts remain exact");
+            }
+        }
+        Ok(())
+    }
+}
+
+fn emit(path: &Option<String>, bytes: &[u8]) -> Result<(), CliError> {
+    match path {
+        None => std::io::stdout()
+            .write_all(bytes)
+            .map_err(|e| e.to_string().into()),
+        Some(p) => std::fs::write(p, bytes).map_err(|e| format!("{p}: {e}").into()),
+    }
+}
+
+/// Partition options with the multilevel partitioners seeded `seed`.
+fn seeded(seed: u64) -> PartitionOptions {
+    let mut opts = PartitionOptions::default();
+    opts.graph_config.seed = seed;
+    opts
+}
+
+/// Mesh size, curve schedule and the equal-share processor counts.
+fn run_info(args: &Args) -> Result<(), CliError> {
+    let mesh = CubedSphere::new(args.ne);
+    println!("Ne          : {}", mesh.ne());
+    println!("K           : {}", mesh.num_elems());
+    match mesh.curve() {
+        Some(c) => {
+            let sched = cubesfc::Schedule::for_side(args.ne.max(2))
+                .map(|s| s.to_string())
+                .unwrap_or_else(|_| "trivial".into());
+            println!("SFC         : yes ({sched})");
+            println!("continuous  : {}", c.is_continuous(mesh.topology()));
+        }
+        None => println!("SFC         : no (Ne has a prime factor > 5)"),
+    }
+    let divisors: Vec<String> = (1..=mesh.num_elems())
+        .filter(|p| mesh.num_elems().is_multiple_of(*p))
+        .map(|p| p.to_string())
+        .collect();
+    println!("equal-share : {}", divisors.join(" "));
+    Ok(())
+}
+
+/// The assignment, one `elem part` line per element. With a trace on,
+/// a short parallel advection solve over it follows, so the trace shows
+/// one timeline lane per virtual rank (plus the shared DSS lane).
+fn run_partition(args: &Args) -> Result<(), CliError> {
     use cubesfc::seam::solver::AdvectionConfig;
     use cubesfc::seam::{gaussian_blob, run_parallel};
-    let cfg = AdvectionConfig::stable_for(mesh.ne(), 4, 1);
-    let ic = gaussian_blob([1.0, 0.0, 0.0], 0.5);
-    let _ = run_parallel(mesh.topology(), part, cfg, 2, &ic);
+
+    let mesh = CubedSphere::new(args.ne);
+    let p =
+        partition(&mesh, args.method, args.nproc, &seeded(args.seed)).map_err(|e| e.to_string())?;
+    if cubesfc_obs::trace_enabled() {
+        let cfg = AdvectionConfig::stable_for(mesh.ne(), 4, 1);
+        let ic = gaussian_blob([1.0, 0.0, 0.0], 0.5);
+        let _ = run_parallel(mesh.topology(), &p, cfg, 2, &ic);
+    }
+    let mut out = String::new();
+    for (e, part) in p.assignment().iter().enumerate() {
+        out.push_str(&format!("{e} {part}\n"));
+    }
+    emit(&args.output, out.as_bytes())
+}
+
+/// A Table-2 row per method, every one on the same mesh and dual graph.
+fn run_report(args: &Args) -> Result<(), CliError> {
+    let bundle = MeshCache::new().bundle(args.ne);
+    let opts = seeded(args.seed);
+    let machine = MachineModel::ncar_p690();
+    let cost = CostModel::seam_climate();
+    println!("{}", PartitionReport::table_header());
+    for m in PartitionMethod::ALL {
+        match partition_with_graph(&bundle.mesh, &bundle.graph, m, args.nproc, &opts) {
+            Ok(p) => {
+                let r = PartitionReport::from_partition_with_graph(
+                    &bundle.graph,
+                    m,
+                    &p,
+                    &machine,
+                    &cost,
+                );
+                println!("{}", r.table_row());
+            }
+            Err(e) => println!("{:<8} unavailable: {e}", m.label()),
+        }
+    }
+    Ok(())
+}
+
+/// The partition drawn on the unfolded cube, as PPM or ASCII.
+fn run_render(args: &Args) -> Result<(), CliError> {
+    let mesh = CubedSphere::new(args.ne);
+    let p =
+        partition(&mesh, args.method, args.nproc, &seeded(args.seed)).map_err(|e| e.to_string())?;
+    if args.ascii {
+        emit(&args.output, render_partition_ascii(&mesh, &p).as_bytes())
+    } else {
+        emit(&args.output, &render_partition_ppm(&mesh, &p, 16))
+    }
 }
 
 /// Run the (K, Nproc, method) experiment grid on the core budget and
 /// print grouped Table-2 rows.
-fn run_experiment(args: &Args) -> Result<(), String> {
+fn run_experiment(args: &Args) -> Result<(), CliError> {
     use cubesfc::{cells_for, paper_grid, resolve_jobs, set_jobs, ExperimentEngine, Resolution};
 
     let jobs = resolve_jobs(args.jobs);
     set_jobs(jobs);
     let cells = if args.ne != 0 {
         let res = Resolution::for_ne(args.ne, cubesfc::NCAR_P690_MAX_PROCS).ok_or(format!(
-            "Ne={} admits no space-filling curve (a prime factor exceeds 3)",
+            "Ne={} is not in the paper's Table-1 family Ne = 2^n·3^m (n + m ≥ 1)",
             args.ne
         ))?;
         cells_for(&res, args.max_points)
@@ -517,15 +626,10 @@ fn run_experiment(args: &Args) -> Result<(), String> {
     emit(&args.output, out.as_bytes())
 }
 
-/// Drive a load trajectory through a rebalance policy and backend,
-/// printing the per-step table and optionally writing the JSON report.
-fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
-    use cubesfc::balance::{
-        run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, Repartitioner, SimConfig,
-        TrajectoryKind,
-    };
-    use cubesfc::{MeshCache, MethodRepartitioner};
-
+/// Drive a load trajectory through a rebalance policy and the method's
+/// backend, printing the per-step table and optionally writing the JSON
+/// report.
+fn run_rebalance(args: &Args) -> Result<(), CliError> {
     let kinds = TrajectoryKind::parse(&args.trajectory, args.nproc, args.steps)
         .map_err(|e| format!("--trajectory: {e}"))?;
     let mut policy = RebalancePolicy::named(&args.policy).ok_or(format!(
@@ -535,9 +639,7 @@ fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
     if let (RebalancePolicy::Periodic { every }, Some(n)) = (&mut policy, args.every) {
         *every = n;
     }
-
-    let cache = MeshCache::new();
-    let bundle = cache.bundle(args.ne);
+    let bundle = MeshCache::new().bundle(args.ne);
     let model = LoadModel::overlay(&bundle.mesh, kinds);
     let config = SimConfig {
         steps: args.steps,
@@ -545,40 +647,34 @@ fn run_rebalance_cmd(args: &Args) -> Result<(), String> {
         machine: MachineModel::ncar_p690(),
         cost: CostModel::seam_climate(),
     };
-
-    // The SFC method rebalances incrementally on its fixed curve; the
-    // graph methods recompute from scratch each trigger. Both start from
-    // the same uniform-weight static partition of their own method.
-    let mut opts = PartitionOptions::default();
-    opts.graph_config.seed = args.seed;
-    let initial =
-        partition(&bundle.mesh, args.method, args.nproc, &opts).map_err(|e| e.to_string())?;
-    let mut backend: Box<dyn Repartitioner> = match args.method {
-        PartitionMethod::Sfc => Box::new(IncrementalSfc::new(
-            bundle
-                .mesh
-                .curve_required()
-                .map_err(|e| e.to_string())?
-                .clone(),
-        )),
-        m => Box::new(MethodRepartitioner::new(bundle.clone(), m, args.seed).with_options(opts)),
-    };
-
-    let report = run_rebalance(
-        &bundle.graph,
-        &model,
-        backend.as_mut(),
-        policy,
-        initial,
-        &config,
-    )
-    .map_err(|e| e.to_string())?;
-
+    let report =
+        cubesfc::dynamics::replay(&bundle, args.method, args.seed, &model, policy, &config)
+            .map_err(|e| e.to_string())?;
     print!("{}", report.render_table());
     if let Some(path) = &args.json {
         std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(())
+}
+
+/// Replay a `cubesfc-trace-v1` timeline into the wait-state
+/// decomposition, critical path, imbalance attribution and counter-track
+/// alerts; `Err` (exit 1) when an alert fired, unless `--report-only`.
+fn run_trace_analyze(args: &Args) -> Result<(), CliError> {
+    let path = &args.paths[1];
+    // An unreadable file is a runtime error.
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let analysis =
+        cubesfc_obs::load_doc(&text, analyze_doc).map_err(|e| CliError::load(path, e))?;
+    print!("{}", analysis.render());
+    if let Some(out) = &args.json {
+        std::fs::write(out, analysis.to_json()).map_err(|e| format!("{out}: {e}"))?;
+    }
+    let fired = analysis.alerts_fired();
+    if fired == 0 || args.report_only {
+        return Ok(());
+    }
+    Err(format!("{fired} alert(s) fired in {path}").into())
 }
 
 /// Process-wide shutdown flag, set by the SIGINT/SIGTERM handlers and
@@ -611,7 +707,7 @@ fn install_shutdown_signals() {
 }
 
 /// Run the partitioning service until SIGINT/SIGTERM, then drain.
-fn run_serve(args: &Args) -> Result<(), String> {
+fn run_serve(args: &Args) -> Result<(), CliError> {
     use cubesfc::serve::{ServeConfig, Server};
     use cubesfc::EngineBackend;
     use std::sync::Arc;
@@ -650,103 +746,20 @@ fn run_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: Args) -> Result<(), CliError> {
-    if args.command == "trace" {
-        return run_trace_analyze(&args);
-    }
-    if args.command == "serve" {
-        return run_serve(&args).map_err(CliError::Runtime);
-    }
-    run_mesh_command(args)
-}
-
-fn run_mesh_command(args: Args) -> Result<(), CliError> {
-    if args.command == "experiment" {
-        return run_experiment(&args).map_err(CliError::Runtime);
-    }
-    // A processor count of zero, or more processors than elements, can
-    // never describe a valid run for any method: reject it up front as
-    // a usage error (exit 2) rather than letting a backend fail late.
-    if matches!(
-        args.command.as_str(),
-        "partition" | "report" | "render" | "rebalance"
-    ) {
-        let k = 6 * args.ne * args.ne;
-        if args.nproc == 0 {
-            return Err(CliError::Usage("--nproc must be at least 1".into()));
-        }
-        if args.nproc > k {
-            return Err(CliError::Usage(format!(
-                "--nproc {} exceeds the element count K = {k} (Ne = {})",
-                args.nproc, args.ne
-            )));
-        }
-    }
-    if args.command == "rebalance" {
-        return run_rebalance_cmd(&args).map_err(CliError::Runtime);
-    }
-    run_static_command(args).map_err(CliError::Runtime)
-}
-
-fn run_static_command(args: Args) -> Result<(), String> {
-    let mesh = CubedSphere::new(args.ne);
-    let mut opts = PartitionOptions::default();
-    opts.graph_config.seed = args.seed;
-
-    match args.command.as_str() {
-        "info" => {
-            println!("Ne          : {}", mesh.ne());
-            println!("K           : {}", mesh.num_elems());
-            match mesh.curve() {
-                Some(c) => {
-                    let sched = cubesfc::Schedule::for_side(args.ne.max(2))
-                        .map(|s| s.to_string())
-                        .unwrap_or_else(|_| "trivial".into());
-                    println!("SFC         : yes ({sched})");
-                    println!("continuous  : {}", c.is_continuous(mesh.topology()));
-                }
-                None => println!("SFC         : no (Ne has a prime factor > 5)"),
-            }
-            let divisors: Vec<String> = (1..=mesh.num_elems())
-                .filter(|p| mesh.num_elems().is_multiple_of(*p))
-                .map(|p| p.to_string())
-                .collect();
-            println!("equal-share : {}", divisors.join(" "));
-            Ok(())
-        }
-        "partition" => {
-            let p = partition(&mesh, args.method, args.nproc, &opts).map_err(|e| e.to_string())?;
-            if cubesfc_obs::trace_enabled() {
-                trace_mini_solve(&mesh, &p);
-            }
-            let mut out = String::new();
-            for (e, part) in p.assignment().iter().enumerate() {
-                out.push_str(&format!("{e} {part}\n"));
-            }
-            emit(&args.output, out.as_bytes())
-        }
-        "report" => {
-            let machine = MachineModel::ncar_p690();
-            let cost = CostModel::seam_climate();
-            println!("{}", PartitionReport::table_header());
-            for m in PartitionMethod::ALL {
-                match PartitionReport::compute(&mesh, m, args.nproc, &machine, &cost) {
-                    Ok(r) => println!("{}", r.table_row()),
-                    Err(e) => println!("{:<8} unavailable: {e}", m.label()),
-                }
-            }
-            Ok(())
-        }
-        "render" => {
-            let p = partition(&mesh, args.method, args.nproc, &opts).map_err(|e| e.to_string())?;
-            if args.ascii {
-                emit(&args.output, render_partition_ascii(&mesh, &p).as_bytes())
-            } else {
-                emit(&args.output, &render_partition_ppm(&mesh, &p, 16))
-            }
-        }
-        other => Err(format!("unknown command '{other}'")),
-    }
+/// Parse, check the row's needs, resolve the observers, run the row's
+/// command, and export what the observers recorded.
+fn execute() -> Result<(), CliError> {
+    let args = parse_args().map_err(CliError::Usage)?;
+    let &(_, needs, run) = SUBCOMMANDS
+        .iter()
+        .find(|(name, ..)| *name == args.command)
+        .unwrap_or(&UNKNOWN);
+    check(needs, &args)?;
+    let observers = Observers::resolve(&args).map_err(CliError::Usage)?;
+    observers.start();
+    let result = run(&args);
+    observers.export()?;
+    result
 }
 
 fn main() -> ExitCode {
@@ -759,71 +772,8 @@ fn main() -> ExitCode {
         println!("cubesfc {}", env!("CARGO_PKG_VERSION"));
         return ExitCode::SUCCESS;
     }
-    match parse_args() {
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage()
-        }
-        Ok(args) => {
-            let sink = match profile_sink(args.profile) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            };
-            let trace_path = trace_sink(&args.trace);
-            // The access log is a serve-side artifact: one line per
-            // HTTP request, exported when the server drains.
-            let access_path = if args.command == "serve" {
-                access_sink(&args)
-            } else {
-                None
-            };
-            if sink.is_some() {
-                cubesfc_obs::set_enabled(true);
-            }
-            if access_path.is_some() {
-                cubesfc_obs::set_access_enabled(true);
-            }
-            if trace_path.is_some() {
-                cubesfc_obs::set_trace_enabled(true);
-            }
-            let result = run(args);
-            if let Some(sink) = &sink {
-                if let Err(e) = write_profile(sink) {
-                    eprintln!("error: profile export failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(path) = &trace_path {
-                let json = cubesfc_obs::tracer().export_chrome();
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("error: trace export failed: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(path) = &access_path {
-                if let Err(e) = write_access_log(path) {
-                    eprintln!("error: access-log export failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match result {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(CliError::Runtime(e)) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-                Err(CliError::Malformed(e)) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(2)
-                }
-                Err(CliError::Usage(e)) => {
-                    eprintln!("error: {e}");
-                    usage()
-                }
-            }
-        }
+    match execute() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => e.exit(),
     }
 }

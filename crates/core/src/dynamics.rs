@@ -7,13 +7,52 @@
 //! This module closes that gap: [`MethodRepartitioner`] wraps any
 //! [`PartitionMethod`] (over a shared [`MeshBundle`], so the dual graph
 //! is built once) as a recompute backend, giving the dynamic-rebalance
-//! simulator its from-scratch baseline.
+//! simulator its from-scratch baseline. [`replay`] picks the backend for
+//! a method and runs one load trajectory through it.
 
 use crate::engine::MeshBundle;
 use crate::partitioner::{partition_with_graph, PartitionMethod, PartitionOptions};
-use cubesfc_balance::{BalanceError, Repartitioner};
+use cubesfc_balance::{
+    run_rebalance, BalanceError, IncrementalSfc, LoadModel, RebalancePolicy, Repartitioner,
+    SimConfig, SimReport,
+};
 use cubesfc_graph::Partition;
 use std::sync::Arc;
+
+/// Replay `model` on `config.nproc` ranks under `policy`, starting from
+/// the uniform-weight partition of `method` seeded with `seed`.
+///
+/// The method also picks the backend: the SFC re-splits its fixed curve
+/// incrementally, every other method recomputes from scratch at each
+/// trigger (a [`MethodRepartitioner`] seeded `seed + step`). An error is
+/// the initial partition's or the simulation's, unchanged.
+pub fn replay(
+    bundle: &Arc<MeshBundle>,
+    method: PartitionMethod,
+    seed: u64,
+    model: &LoadModel,
+    policy: RebalancePolicy,
+    config: &SimConfig,
+) -> Result<SimReport, Box<dyn std::error::Error + Send + Sync>> {
+    let mut opts = PartitionOptions::default();
+    opts.graph_config.seed = seed;
+    let initial = partition_with_graph(&bundle.mesh, &bundle.graph, method, config.nproc, &opts)?;
+    let mut backend: Box<dyn Repartitioner> = match method {
+        PartitionMethod::Sfc => {
+            Box::new(IncrementalSfc::new(bundle.mesh.curve_required()?.clone()))
+        }
+        m => Box::new(MethodRepartitioner::new(bundle.clone(), m, seed).with_options(opts)),
+    };
+    let report = run_rebalance(
+        &bundle.graph,
+        model,
+        backend.as_mut(),
+        policy,
+        initial,
+        config,
+    )?;
+    Ok(report)
+}
 
 /// Recompute backend: solve each rebalance as a fresh partitioning
 /// problem with `method` on the bundle's mesh and cached dual graph.
@@ -86,9 +125,7 @@ impl Repartitioner for MethodRepartitioner {
 mod tests {
     use super::*;
     use crate::engine::MeshCache;
-    use cubesfc_balance::{
-        run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, SimConfig, TrajectoryKind,
-    };
+    use cubesfc_balance::TrajectoryKind;
     use cubesfc_graph::matched_migration;
     use cubesfc_seam::{CostModel, MachineModel};
 

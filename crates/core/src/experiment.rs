@@ -38,7 +38,9 @@ pub struct Resolution {
 impl Resolution {
     /// Build the row for face size `ne` under machine limit `max_procs`.
     ///
-    /// Returns `None` when `ne` is outside the SFC family.
+    /// Returns `None` when `ne` is outside the paper's Table-1 family
+    /// `Ne = 2^n·3^m` with `n + m ≥ 1`: the radix-5 sizes have a curve
+    /// but no Table-1 row.
     pub fn for_ne(ne: usize, max_procs: usize) -> Option<Resolution> {
         let (n, m) = factor_2_3(ne).ok()?;
         if n == 0 && m == 0 {

@@ -1049,3 +1049,52 @@ fn stdout_matches_the_cli_goldens() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn experiment_names_the_resolutions_it_takes() {
+    // `experiment` runs the paper's Table-1 family, Ne = 2^n·3^m. Ne = 5
+    // has a curve (`info` says so), so the error names the family rather
+    // than claiming that no curve exists.
+    let info = cli().args(["info", "--ne", "5"]).output().unwrap();
+    let text = String::from_utf8(info.stdout).unwrap();
+    assert!(text.contains("SFC         : yes"), "{text}");
+    for ne in ["5", "10", "25", "1"] {
+        let out = cli().args(["experiment", "--ne", ne]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{ne}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            err,
+            format!(
+                "error: Ne={ne} is not in the paper's Table-1 family Ne = 2^n·3^m (n + m ≥ 1)\n"
+            )
+        );
+    }
+}
+
+#[test]
+fn report_rows_follow_the_seed() {
+    // The multilevel methods are seeded by `--seed`, as in `partition`;
+    // the curve and geometric rows do not depend on it.
+    let report = |extra: &[&str]| {
+        let out = cli()
+            .args(["report", "--ne", "8", "--nproc", "96"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let default = report(&[]);
+    assert_eq!(default, report(&["--seed", &0x5EED.to_string()]));
+    let seven = report(&["--seed", "7"]);
+    assert_ne!(default, seven);
+    for label in ["SFC ", "MORTON ", "RCB-GEO "] {
+        let row = |t: &str| {
+            t.lines()
+                .find(|l| l.starts_with(label))
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(row(&default), row(&seven), "{label}");
+    }
+}

@@ -15,14 +15,10 @@
 //!    weight steps, a single dominant element, and a hotspot swinging
 //!    across a face seam.
 
-use cubesfc::balance::{
-    run_rebalance, IncrementalSfc, LoadModel, RebalancePolicy, Repartitioner, SimConfig, SimReport,
-    TrajectoryKind,
-};
+use cubesfc::balance::{LoadModel, RebalancePolicy, SimConfig, SimReport, TrajectoryKind};
 use cubesfc::graph::{part_loads, raw_migration};
 use cubesfc::{
-    partition, partition_curve_weighted, CostModel, CubedSphere, MachineModel, MeshCache,
-    MethodRepartitioner, PartitionMethod, PartitionOptions,
+    partition_curve_weighted, CostModel, CubedSphere, MachineModel, MeshCache, PartitionMethod,
 };
 use proptest::prelude::*;
 
@@ -36,8 +32,7 @@ const STEPS: usize = 50;
 const SEED: u64 = 42;
 
 fn replay(method: PartitionMethod) -> SimReport {
-    let cache = MeshCache::new();
-    let bundle = cache.bundle(NE);
+    let bundle = MeshCache::new().bundle(NE);
     let kind = TrajectoryKind::named("amr", STEPS).unwrap();
     let model = LoadModel::from_mesh(&bundle.mesh, kind);
     let config = SimConfig {
@@ -46,25 +41,11 @@ fn replay(method: PartitionMethod) -> SimReport {
         machine: MachineModel::ncar_p690(),
         cost: CostModel::seam_climate(),
     };
+    // Rebalance every step: the regime where incrementality matters —
+    // the recompute baseline pays a full reshuffle at each trigger while
+    // the SFC path only slides segment boundaries.
     let policy = RebalancePolicy::Periodic { every: 1 };
-    let mut opts = PartitionOptions::default();
-    opts.graph_config.seed = SEED;
-    let initial = partition(&bundle.mesh, method, NPROC, &opts).unwrap();
-    let mut backend: Box<dyn Repartitioner> = match method {
-        PartitionMethod::Sfc => Box::new(IncrementalSfc::new(
-            bundle.mesh.curve_required().unwrap().clone(),
-        )),
-        m => Box::new(MethodRepartitioner::new(bundle.clone(), m, SEED).with_options(opts)),
-    };
-    run_rebalance(
-        &bundle.graph,
-        &model,
-        backend.as_mut(),
-        policy,
-        initial,
-        &config,
-    )
-    .unwrap()
+    cubesfc::dynamics::replay(&bundle, method, SEED, &model, policy, &config).unwrap()
 }
 
 #[test]

@@ -43,15 +43,14 @@ pub fn replay(
         }
         m => Box::new(MethodRepartitioner::new(bundle.clone(), m, seed).with_options(opts)),
     };
-    let report = run_rebalance(
+    Ok(run_rebalance(
         &bundle.graph,
         model,
         backend.as_mut(),
         policy,
         initial,
         config,
-    )?;
-    Ok(report)
+    )?)
 }
 
 /// Recompute backend: solve each rebalance as a fresh partitioning

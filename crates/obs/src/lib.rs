@@ -14,7 +14,7 @@
 //! * **Mergeable metrics** — counters and log2-bucket histograms are
 //!   written to per-thread shards (one mutex each, never contended in
 //!   steady state) and merged into a [`Snapshot`] on demand; safe under
-//!   Rayon-style fan-out.
+//!   the fan-out of `cubesfc_graph::share`.
 //! * **Event timelines** — a bounded per-thread event ring buffer
 //!   ([`Tracer`]) records begin/end slices, instant marks and counter
 //!   samples onto named *lanes* ([`Lane`]), so logical actors (virtual

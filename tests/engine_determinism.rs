@@ -111,9 +111,9 @@ fn concurrent_mesh_cache_misses_build_once_and_share() {
 
 #[test]
 fn concurrent_engine_cells_match_serial_bit_for_bit() {
-    // One shared engine, every cell raced from plain threads (not the
-    // rayon pool): results must be byte-identical to the serial
-    // reference, including through a cold cache.
+    // One shared engine, every cell raced from plain threads (not
+    // `graph::share`'s claimers): results must be byte-identical to the
+    // serial reference, including through a cold cache.
     let cells: Vec<ExperimentCell> = [(4usize, 6usize), (4, 16), (8, 96), (8, 24)]
         .iter()
         .flat_map(|&(ne, nproc)| {
